@@ -25,7 +25,7 @@ from .errors import ConfigError
 from .prompts import DatasetMeta, TemplateLibrary
 from .retrieval import build_hist_db
 from .series import TimeSeries, load_csv, split, window_at, mae
-from .session import SessionConfig, forecast_with, run_session
+from .session import SessionConfig, forecast_with, run_session, strict_json
 
 __all__ = [
     "DEFAULT_CONTEXT_LENGTH",
@@ -484,7 +484,7 @@ def emit_report(rows: list[ReportRow], fmt: str, path) -> Path:
     elif fmt == "json":
         doc = {"columns": columns, "rows": records}
         out.write_text(
-            json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+            strict_json(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
         )
     else:
         raise ValueError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import decimal
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -443,11 +444,14 @@ def parse_forecast_reply(text: str, horizon: int) -> ForecastReply:
     values = []
     for tok in tokens:
         try:
-            values.append(float(tok))
+            value = float(tok)
         except ValueError:
             raise ReplyParseError(
                 f"non-numeric predicted value {tok!r}", offending=tok
             ) from None
+        if not math.isfinite(value):
+            raise ReplyParseError(f"non-finite predicted value {tok!r}", offending=tok)
+        values.append(value)
     if len(values) != horizon:
         raise ReplyParseError(
             f"expected {horizon} predicted values, got {len(values)}",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -430,6 +431,22 @@ def refine_step(
     )
 
 
+def strict_json(value, **kwargs) -> str:
+    """``json.dumps`` with every non-finite float written as ``null``, so
+    artifacts never carry the non-standard ``NaN``/``Infinity`` tokens."""
+    return json.dumps(_finite_or_null(value), allow_nan=False, **kwargs)
+
+
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 class _SessionLog:
     """Incremental JSON-lines audit trail; a no-op when no path is given."""
 
@@ -443,7 +460,7 @@ class _SessionLog:
         if self.path is None:
             return
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(strict_json(record, ensure_ascii=False) + "\n")
 
 
 def _iteration_log_record(rec: RefinementRecord) -> dict:

@@ -320,6 +320,17 @@ def test_emit_report_csv_floats_round_trip(tmp_path):
     assert data[header.index("mae_space")] == "scaled"
 
 
+def test_emit_report_json_writes_non_finite_values_as_null(tmp_path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    row = make_row(run_maes=(float("inf"), 0.25))
+    path = emit_report([row], "json", tmp_path / "r.json")
+    doc = json.loads(path.read_text(), parse_constant=reject)
+    assert doc["rows"][0]["run_1_mae"] is None
+    assert doc["rows"][0]["run_2_mae"] == 0.25
+
+
 def test_emit_report_is_deterministic(tmp_path):
     rows = [make_row(), make_row(method="flairr", run_maes=(0.2, 0.4))]
     a = emit_report(rows, "csv", tmp_path / "a.csv").read_bytes()

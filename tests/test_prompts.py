@@ -356,6 +356,13 @@ def test_parse_forecast_reply_errors():
     assert parse_forecast_reply("Predicted Values: approx [1.0]", 1).values == (1.0,)
 
 
+def test_parse_forecast_reply_rejects_non_finite_values():
+    for tok in ("nan", "inf", "-Infinity", "1e400"):
+        with pytest.raises(ReplyParseError, match="non-finite") as info:
+            parse_forecast_reply(f"Predicted Values: [1.0, {tok}]", 2)
+        assert info.value.offending == tok
+
+
 def test_parse_forecast_reply_error_carries_offending_text():
     try:
         parse_forecast_reply("Predicted Values: [1.0, oops]", 2)

@@ -6,6 +6,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flairr.retrieval import (
     AnalogSegment,
@@ -217,3 +219,56 @@ def test_format_analogs_layout():
         "outcome: 6.5000"
     )
     assert format_analogs([]) == ""
+
+
+# Magnitudes keep every window-by-query product of sums of squares non-zero,
+# where pearson() is defined. Scales 1e-60 and 1e60 put near-flat windows and
+# whole series outside the range the approximate pass trusts. At 1e-80 that
+# product is subnormal, where the two passes can differ by far more than the
+# rounding band (near-flat windows are left out there: theirs underflows to 0).
+@st.composite
+def retrieval_cases(draw):
+    L = draw(st.one_of(st.integers(2, 4), st.integers(2, 24)))
+    H = draw(st.integers(1, 6))
+    steps = draw(st.lists(st.integers(-1000, 1000), min_size=L + H, max_size=240))
+    scale = draw(st.sampled_from([1e-80, 1e-60, 1e-30, 1e-9, 1.0, 1e30, 1e60]))
+    offset = draw(st.sampled_from([0.0, -3.5, 1e6, 1e9]))  # in units of the steps
+    history = scale * (offset + np.cumsum(np.asarray(steps, dtype=np.float64)))
+    n = history.size
+
+    for _ in range(draw(st.integers(0, 2))):  # flat and near-flat runs
+        run = draw(st.integers(L, 2 * L))
+        at = draw(st.integers(0, max(0, n - run)))
+        history[at : at + run] = history[at]
+        if scale > 1e-80 and draw(st.booleans()):
+            bump = draw(st.integers(at, min(n, at + run) - 1))
+            history[bump] = np.nextafter(history[bump], np.inf)
+    for _ in range(draw(st.integers(0, 3))):  # planted repeats: exact ties
+        src = draw(st.integers(0, n - L))
+        dst = draw(st.integers(0, n - L))
+        factor = draw(st.sampled_from([1.0, 2.0, 4.0]))  # never shrinks a step
+        history[dst : dst + L] = history[src : src + L] * factor
+
+    if draw(st.booleans()):
+        at = draw(st.integers(0, n - L))
+        query = history[at : at + L].copy()
+    else:
+        qsteps = draw(st.lists(st.integers(-1000, 1000), min_size=L, max_size=L))
+        query = scale * (offset + np.cumsum(np.asarray(qsteps, dtype=np.float64)))
+    windows = n - L - H + 1
+    count = draw(st.one_of(st.integers(1, 5), st.integers(1, windows + 3)))
+    return history, L, H, query, count
+
+
+@settings(max_examples=300, deadline=None)
+@given(retrieval_cases())
+# Every rising window correlates exactly 1.0 with this query, but a subnormal
+# product of sums of squares puts start 1 below start 3 in the approximate pass.
+@example(
+    (1e-80 * np.array([6.0, -9, 6, -1, 0, 2, -4, 9]), 2, 1, 1e-80 * np.array([-8.0, -4]), 1)
+)
+def test_retrieve_equals_exhaustive_scan_for_arbitrary_series(case):
+    history, L, H, query, count = case
+    db = build_hist_db(history, L, H)
+    got = [(s.start, s.score) for s in retrieve(db, query, count)]
+    assert got == brute_force(db, query, count)

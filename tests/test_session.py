@@ -211,6 +211,16 @@ def test_evaluate_prompt_retries_with_corrective_suffix():
     assert spy.requests[1].prompt == spy.requests[0].prompt + FORMAT_RETRY_SUFFIX
 
 
+def test_evaluate_prompt_retries_a_non_finite_forecast():
+    cfg = small_cfg(parse_retries=1)
+    windows = make_validation_windows(VALUES, cfg)
+    spy = SpyBackend(ordinal("Predicted Values: [nan, inf]", forecast_reply([10.0, 11.0])))
+    outcome = evaluate_prompt(None, windows, cfg, None, spy)
+    assert outcome.parse_failures == 1
+    assert outcome.per_sample[0].predictions == (10.0, 11.0)
+    assert spy.requests[1].prompt == spy.requests[0].prompt + FORMAT_RETRY_SUFFIX
+
+
 def test_evaluate_prompt_skips_a_hopeless_sample():
     cfg = small_cfg(sample_size=2, parse_retries=1)
     values = np.arange(30.0)
@@ -532,6 +542,27 @@ def test_session_log_is_json_lines_with_header_and_result(tmp_path):
     assert tail["iterations_used"] == 2
     assert tail["final_instructions"] == ["block A"]
     assert result.early_stop is True
+
+
+def _strict_json_loads(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_session_log_is_strict_json_without_a_finite_mae(tmp_path):
+    log_path = tmp_path / "session.jsonl"
+    cfg = small_cfg(max_iterations=1, refinement_enabled=False)
+    # finite predictions whose absolute errors sum past the float range
+    reply = "Predicted Values: [1e308, 1e308]"
+    result = run_session(cfg, VALUES, ordinal(reply), log_path=log_path)
+    assert result.best_mae == float("inf")
+    lines = [_strict_json_loads(line) for line in log_path.read_text().splitlines()]
+    assert lines[1]["batch_mae"] is None
+    assert lines[1]["per_sample"][0]["predictions"] == [1e308, 1e308]
+    assert lines[-1]["best_mae"] is None
 
 
 def test_session_is_deterministic_with_the_oracle():
