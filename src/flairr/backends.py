@@ -44,7 +44,7 @@ DEFAULT_MAX_TOKENS = 4096
 API_KEY_ENV = "FLAIRR_API_KEY"
 
 RETRY_ATTEMPTS = 3
-RETRY_BACKOFF_S = (1.0, 2.0, 4.0)
+RETRY_BACKOFF_S = (1.0, 2.0)
 
 
 @dataclass(frozen=True)

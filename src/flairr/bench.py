@@ -242,10 +242,10 @@ def _run_cell(
     meta: DatasetMeta,
     library: TemplateLibrary | None,
     log_path: Path | None,
-) -> tuple[float, int, bool]:
+) -> tuple[float, int, bool, int]:
     """One (method, horizon, run): session then test-grid forecast.
 
-    Returns (test MAE, iterations used, early stop).
+    Returns (test MAE, iterations used, early stop, test windows).
     """
     _, _, strategy = method_wiring(method)
     session_cfg = _session_config(cfg, horizon, method, run)
@@ -290,18 +290,27 @@ def _run_cell(
             strategy=strategy,
         )
         window_maes.append(mae(values, window.truth))
-    return float(np.mean(window_maes)), result.iterations_used, result.early_stop
+    return (
+        float(np.mean(window_maes)),
+        result.iterations_used,
+        result.early_stop,
+        len(origins),
+    )
 
 
 def _run_grid(
     cfg: ExperimentConfig,
     backend: Backend,
     methods: list[tuple[str, str]],
+    stem: str,
     series: TimeSeries | None,
     library: TemplateLibrary | None,
-    run_dir: Path | None,
     jobs: int,
-) -> list[ReportRow]:
+    emit: bool,
+) -> tuple[list[ReportRow], Path | None]:
+    """Run ``methods`` (id, label) for every horizon; with ``emit`` the rows
+    land in ``<stem>.csv`` and ``<stem>.json`` inside a fresh run directory."""
+    run_dir = _make_run_dir(cfg.output_dir) if emit else None
     data = series if series is not None else _load_series(cfg)
     train, test = split(data, cfg.train_fraction, scale=True)
     scaler = train.target_scaler
@@ -331,7 +340,7 @@ def _run_grid(
             if run_dir is not None:
                 safe = method.replace(":", "-")
                 log_path = run_dir / f"{_safe_name(data.name)}-h{horizon}-{safe}-run{run}.jsonl"
-            cell_mae, used, stopped = _run_cell(
+            cell_mae, used, stopped, test_windows = _run_cell(
                 cfg, method, horizon, run, train_values, full_values,
                 split_idx, meter, meta, library, log_path,
             )
@@ -352,13 +361,7 @@ def _run_grid(
             mae_space="scaled",
             scaler_mean=scaler.mean if scaler else 0.0,
             scaler_std=scaler.std if scaler else 1.0,
-            test_windows=len(
-                _test_origins(
-                    split_idx, full_values.size,
-                    _session_config(cfg, horizon, method, 0).context_length,
-                    horizon, cfg.max_test_windows,
-                )
-            ),
+            test_windows=test_windows,
             max_test_windows=cfg.max_test_windows,
         )
 
@@ -375,7 +378,10 @@ def _run_grid(
             emit_report(rows, "csv", run_dir / "report.partial.csv")
             emit_report(rows, "json", run_dir / "report.partial.json")
         raise
-    return rows
+    if run_dir is not None:
+        emit_report(rows, "csv", run_dir / f"{stem}.csv")
+        emit_report(rows, "json", run_dir / f"{stem}.json")
+    return rows, run_dir
 
 
 def _safe_name(name: str) -> str:
@@ -408,13 +414,8 @@ def run_experiment(
     ``report.json`` inside a fresh timestamped run directory, next to the
     per-session logs.
     """
-    run_dir = _make_run_dir(cfg.output_dir) if emit else None
     methods = [(m, m) for m in cfg.methods]
-    rows = _run_grid(cfg, backend, methods, series, library, run_dir, jobs)
-    if run_dir is not None:
-        emit_report(rows, "csv", run_dir / "report.csv")
-        emit_report(rows, "json", run_dir / "report.json")
-    return rows, run_dir
+    return _run_grid(cfg, backend, methods, "report", series, library, jobs, emit)
 
 
 def run_ablation(
@@ -427,14 +428,9 @@ def run_ablation(
 ) -> tuple[list[ReportRow], Path | None]:
     """Run exactly the four ablation conditions, in the fixed order
     Simple, Simple+Retrieval, Simple+IR, FLAIRR, for each horizon."""
-    run_dir = _make_run_dir(cfg.output_dir) if emit else None
-    rows = _run_grid(
-        cfg, backend, list(ABLATION_CONDITIONS), series, library, run_dir, jobs
+    return _run_grid(
+        cfg, backend, list(ABLATION_CONDITIONS), "ablation", series, library, jobs, emit
     )
-    if run_dir is not None:
-        emit_report(rows, "csv", run_dir / "ablation.csv")
-        emit_report(rows, "json", run_dir / "ablation.json")
-    return rows, run_dir
 
 
 def _row_record(row: ReportRow) -> dict:

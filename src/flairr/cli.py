@@ -174,31 +174,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flags(p_refine)
     p_refine.set_defaults(func=cmd_refine)
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the experiment grid from a JSON config",
-        formatter_class=formatter,
-    )
-    p_bench.add_argument("--config", required=True, help="experiment JSON config")
-    p_bench.add_argument("--runs", type=int, help="override the config run count")
-    p_bench.add_argument("--out", help="override the config output directory")
-    p_bench.add_argument("--seed", type=int, help="override the config seed")
-    p_bench.add_argument("--jobs", type=int, default=1, help="parallel grid cells")
-    _add_backend_flags(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
-
-    p_ablate = sub.add_parser(
-        "ablate",
-        help="run the four-condition ablation from a JSON config",
-        formatter_class=formatter,
-    )
-    p_ablate.add_argument("--config", required=True, help="experiment JSON config")
-    p_ablate.add_argument("--runs", type=int, help="override the config run count")
-    p_ablate.add_argument("--out", help="override the config output directory")
-    p_ablate.add_argument("--seed", type=int, help="override the config seed")
-    p_ablate.add_argument("--jobs", type=int, default=1, help="parallel grid cells")
-    _add_backend_flags(p_ablate)
-    p_ablate.set_defaults(func=cmd_ablate)
+    for name, help_text, run, stem in (
+        ("bench", "run the experiment grid from a JSON config", run_experiment, "report"),
+        (
+            "ablate",
+            "run the four-condition ablation from a JSON config",
+            run_ablation,
+            "ablation",
+        ),
+    ):
+        p_grid = sub.add_parser(name, help=help_text, formatter_class=formatter)
+        p_grid.add_argument("--config", required=True, help="experiment JSON config")
+        p_grid.add_argument("--runs", type=int, help="override the config run count")
+        p_grid.add_argument("--out", help="override the config output directory")
+        p_grid.add_argument("--seed", type=int, help="override the config seed")
+        p_grid.add_argument("--jobs", type=int, default=1, help="parallel grid cells")
+        _add_backend_flags(p_grid)
+        p_grid.set_defaults(func=cmd_grid, run=run, stem=stem)
 
     p_retrieve = sub.add_parser(
         "retrieve",
@@ -343,26 +335,14 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def cmd_bench(args) -> int:
+def cmd_grid(args) -> int:
+    """``bench`` and ``ablate``: ``args.run`` is the grid runner and
+    ``args.stem`` names the report it writes."""
     cfg = _apply_overrides(ExperimentConfig.from_json(args.config), args)
     backend = _make_backend(args)
-    rows, run_dir = run_experiment(cfg, backend, jobs=args.jobs)
+    rows, run_dir = args.run(cfg, backend, jobs=args.jobs)
     print(f"run_dir: {run_dir}")
-    print(f"report: {run_dir / 'report.csv'}")
-    for row in rows:
-        print(
-            f"{row.dataset} h={row.horizon} {row.method}: "
-            f"median MAE {row.median_mae!r} over {len(row.run_maes)} runs"
-        )
-    return 0
-
-
-def cmd_ablate(args) -> int:
-    cfg = _apply_overrides(ExperimentConfig.from_json(args.config), args)
-    backend = _make_backend(args)
-    rows, run_dir = run_ablation(cfg, backend, jobs=args.jobs)
-    print(f"run_dir: {run_dir}")
-    print(f"report: {run_dir / 'ablation.csv'}")
+    print(f"report: {run_dir / (args.stem + '.csv')}")
     for row in rows:
         print(
             f"{row.dataset} h={row.horizon} {row.method}: "

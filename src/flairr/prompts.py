@@ -226,16 +226,21 @@ def format_numbers(values, precision: int = 4) -> str:
     """Fixed-point rendering, ", "-separated, ties rounded away from zero.
 
     Negative zero is normalized to plain zero so a sign bit can never leak
-    into prompt text.
+    into prompt text. Every finite float renders exactly; a NaN or an
+    infinity raises ValueError.
     """
     if not 0 <= precision <= 10:
         raise ValueError(f"precision must be in 0..10, got {precision}")
     quantum = Decimal(1).scaleb(-precision)
     rendered = []
     with decimal.localcontext() as ctx:
-        ctx.prec = 80
+        # the largest finite float has 309 integer digits, plus up to 10 places
+        ctx.prec = 309 + 10
         for v in values:
-            q = Decimal(repr(float(v))).quantize(quantum, rounding=decimal.ROUND_HALF_UP)
+            x = float(v)
+            if not math.isfinite(x):
+                raise ValueError(f"cannot render non-finite value {x!r}")
+            q = Decimal(repr(x)).quantize(quantum, rounding=decimal.ROUND_HALF_UP)
             if q == 0:
                 q = abs(q)
             rendered.append(f"{q:f}")

@@ -55,7 +55,18 @@ def pearson(a, b) -> float | None:
     ssy = float(np.dot(cy, cy))
     if ssx == 0.0 or ssy == 0.0 or np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         return None
-    r = float(np.dot(cx, cy)) / math.sqrt(ssx * ssy)
+    return _correlation(float(np.dot(cx, cy)), ssx, ssy)
+
+
+def _correlation(num: float, ss_a: float, ss_b: float) -> float:
+    """``num / sqrt(ss_a * ss_b)`` clipped to [-1, 1], for non-zero sums of
+    squares. Where the product underflows to 0 the root is taken factor by
+    factor instead; every other score keeps the plain formula's bits."""
+    product = ss_a * ss_b
+    if product == 0.0:
+        r = num / (math.sqrt(ss_a) * math.sqrt(ss_b))
+    else:
+        r = num / math.sqrt(product)
     return min(1.0, max(-1.0, r))
 
 
@@ -201,9 +212,8 @@ def retrieve(db: HistDB, context, count: int) -> list[AnalogSegment]:
     scored: list[tuple[float, int]] = []
     for i in candidates.tolist():
         row = db._centered[i]
-        num = float(np.dot(row, cq))
-        r = num / math.sqrt(float(np.dot(row, row)) * ssq)
-        scored.append((min(1.0, max(-1.0, r)), i))
+        score = _correlation(float(np.dot(row, cq)), float(np.dot(row, row)), ssq)
+        scored.append((score, i))
 
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
     out = []

@@ -148,9 +148,7 @@ class SessionResult:
     """Outcome of a refinement session.
 
     ``final_instructions`` is None when the selected prompt is the bare base
-    prompt. ``best_forecast`` keeps the best iteration's per-sample
-    prediction vectors; nothing downstream consumes it, it is retained for
-    inspection.
+    prompt.
     """
 
     base_template_id: str
@@ -159,7 +157,6 @@ class SessionResult:
     best_iteration: int
     best_mae: float
     history: list[RefinementRecord]
-    best_forecast: tuple[tuple[float, ...], ...] = ()
 
     @property
     def prompt_out(self) -> tuple[str, InstructionBlock | None]:
@@ -259,14 +256,42 @@ def _complete_parsed(
     )
 
 
-def _sample_analogs(
-    window: WindowPair, cfg: SessionConfig, db: HistDB | None
-) -> str | None:
-    if not cfg.retrieval_enabled or db is None:
-        return None
-    segments = retrieve(db, window.context, cfg.effective_analog_count)
-    text = format_analogs(segments, cfg.precision)
-    return text or None
+def _forecast_window(
+    window: WindowPair,
+    instructions: InstructionBlock | None,
+    cfg: SessionConfig,
+    db: HistDB | None,
+    backend: Backend,
+    library: TemplateLibrary | None,
+    meta: DatasetMeta | None,
+    strategy: str | None,
+):
+    """The one retrieve-augment-forecast-parse pass behind both validation
+    and test-time forecasts.
+
+    Returns (prompt, parsed reply, parse failures, tokens_in, tokens_out).
+    """
+    raft = None
+    if cfg.retrieval_enabled and db is not None:
+        segments = retrieve(db, window.context, cfg.effective_analog_count)
+        raft = format_analogs(segments, cfg.precision) or None
+    prompt = render_forecaster_prompt(
+        meta if meta is not None else DEFAULT_META,
+        cfg.horizon,
+        format_numbers(window.context, cfg.precision),
+        instructions=instructions,
+        raft_context=raft,
+        strategy=strategy,
+        library=library,
+    )
+    parsed, failures, tokens_in, tokens_out = _complete_parsed(
+        backend,
+        prompt,
+        "forecaster",
+        lambda text: parse_forecast_reply(text, cfg.horizon),
+        cfg,
+    )
+    return prompt, parsed, failures, tokens_in, tokens_out
 
 
 def evaluate_prompt(
@@ -286,7 +311,6 @@ def evaluate_prompt(
     """
     if not windows:
         raise ValueError("evaluate_prompt needs a non-empty window batch")
-    meta = meta if meta is not None else DEFAULT_META
     per_sample: list[SampleRecord] = []
     failures = 0
     skipped = 0
@@ -294,23 +318,9 @@ def evaluate_prompt(
     tokens_out = 0
     last_error: ParseRetryError | None = None
     for window in windows:
-        raft = _sample_analogs(window, cfg, db)
-        prompt = render_forecaster_prompt(
-            meta,
-            cfg.horizon,
-            format_numbers(window.context, cfg.precision),
-            instructions=instructions,
-            raft_context=raft,
-            strategy=strategy,
-            library=library,
-        )
         try:
-            parsed, sample_failures, tin, tout = _complete_parsed(
-                backend,
-                prompt,
-                "forecaster",
-                lambda text: parse_forecast_reply(text, cfg.horizon),
-                cfg,
+            prompt, parsed, sample_failures, tin, tout = _forecast_window(
+                window, instructions, cfg, db, backend, library, meta, strategy
             )
         except ParseRetryError as exc:
             failures += 1 + cfg.parse_retries
@@ -390,44 +400,33 @@ def refine_step(
     if done and latest.iteration == 0:
         log.info("overriding Done at the first iteration: no prior MAE to compare")
         done = False
-    if done:
-        return RefineOutcome(
-            next_instructions=None,
-            done=True,
-            reply=reply,
-            parse_failures=failures,
-            tokens_in=tokens_in,
-            tokens_out=tokens_out,
-        )
-
-    if not reply.learnings.strip():
-        # only reachable via the first-iteration override: Done=True with
-        # empty learnings is legal grammar, but there is nothing to
-        # synthesize from, so the current instructions carry over
-        return RefineOutcome(
-            next_instructions=latest.instructions,
-            done=False,
-            reply=reply,
-            parse_failures=failures,
-            tokens_in=tokens_in,
-            tokens_out=tokens_out,
-        )
-
-    synth_prompt = render_synthesis_prompt(reply.learnings, library=library)
-    block, synth_failures, stin, stout = _complete_parsed(
-        backend,
-        synth_prompt,
-        "synthesis",
-        lambda text: parse_instructions_reply(text, source_iteration=latest.iteration + 1),
-        cfg,
-    )
+    next_instructions = None
+    if not done:
+        # Empty learnings are legal grammar only with Done=True, so they get
+        # here only via the first-iteration override: there is nothing to
+        # synthesize from, and the current instructions carry over.
+        next_instructions = latest.instructions
+        if reply.learnings.strip():
+            synth_prompt = render_synthesis_prompt(reply.learnings, library=library)
+            next_instructions, synth_failures, stin, stout = _complete_parsed(
+                backend,
+                synth_prompt,
+                "synthesis",
+                lambda text: parse_instructions_reply(
+                    text, source_iteration=latest.iteration + 1
+                ),
+                cfg,
+            )
+            failures += synth_failures
+            tokens_in += stin
+            tokens_out += stout
     return RefineOutcome(
-        next_instructions=block,
-        done=False,
+        next_instructions=next_instructions,
+        done=done,
         reply=reply,
-        parse_failures=failures + synth_failures,
-        tokens_in=tokens_in + stin,
-        tokens_out=tokens_out + stout,
+        parse_failures=failures,
+        tokens_in=tokens_in,
+        tokens_out=tokens_out,
     )
 
 
@@ -502,7 +501,6 @@ def run_session(
     meta: DatasetMeta | None = None,
     strategy: str | None = None,
     log_path=None,
-    base_template_id: str = "forecaster-base",
 ) -> SessionResult:
     """Run one refinement session over ``train_values``.
 
@@ -549,7 +547,7 @@ def run_session(
                 "refinement_enabled": cfg.refinement_enabled,
                 "seed": cfg.seed,
             },
-            "base_template": base_template_id,
+            "base_template": "forecaster-base",
             "strategy": strategy,
             "validation_origins": [w.origin for w in windows],
         }
@@ -560,7 +558,6 @@ def run_session(
     best_mae = float("inf")
     best_instructions: InstructionBlock | None = None
     best_iteration = 0
-    best_forecast: tuple[tuple[float, ...], ...] = ()
     early_stop = False
 
     try:
@@ -583,7 +580,6 @@ def run_session(
                 best_mae = outcome.batch_mae
                 best_instructions = current
                 best_iteration = k
-                best_forecast = tuple(s.predictions for s in outcome.per_sample)
 
             if not cfg.refinement_enabled:
                 session_log.write(_iteration_log_record(record))
@@ -608,13 +604,12 @@ def run_session(
 
     final = current if early_stop else best_instructions
     result = SessionResult(
-        base_template_id=base_template_id,
+        base_template_id="forecaster-base",
         final_instructions=final,
         early_stop=early_stop,
         best_iteration=best_iteration,
         best_mae=best_mae,
         history=records,
-        best_forecast=best_forecast,
     )
     session_log.write(
         {
@@ -641,25 +636,9 @@ def forecast_reply_for(
 ):
     """One retrieve-augment-forecast-parse pass; returns the full parsed
     reply (values, reasoning, certainty)."""
-    meta = meta if meta is not None else DEFAULT_META
-    raft = _sample_analogs(window, cfg, db)
-    prompt = render_forecaster_prompt(
-        meta,
-        cfg.horizon,
-        format_numbers(window.context, cfg.precision),
-        instructions=instructions,
-        raft_context=raft,
-        strategy=strategy,
-        library=library,
-    )
-    parsed, _, _, _ = _complete_parsed(
-        backend,
-        prompt,
-        "forecaster",
-        lambda text: parse_forecast_reply(text, cfg.horizon),
-        cfg,
-    )
-    return parsed
+    return _forecast_window(
+        window, instructions, cfg, db, backend, library, meta, strategy
+    )[1]
 
 
 def forecast_with(

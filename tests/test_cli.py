@@ -352,3 +352,19 @@ def test_ablate_with_oracle(series_csv, tmp_path, capsys):
         assert f"toy h=8 {label}: median MAE" in out
     run_dirs = list(out_dir.glob("run-*"))
     assert (run_dirs[0] / "ablation.csv").is_file()
+
+
+@pytest.mark.parametrize(
+    "command, report", [("bench", "report.csv"), ("ablate", "ablation.csv")]
+)
+def test_grid_subcommands_print_their_own_report(
+    command, report, series_csv, tmp_path, capsys
+):
+    out_dir = tmp_path / "grid-out"
+    config = write_bench_config(tmp_path, series_csv, out_dir, methods=("simple",))
+    assert run_cli(command, "--config", str(config), "--runs", "1") == 0
+    lines = capsys.readouterr().out.splitlines()
+    (run_dir,) = out_dir.glob("run-*")
+    assert lines[0] == f"run_dir: {run_dir}"
+    assert lines[1] == f"report: {run_dir / report}"
+    assert (run_dir / report).is_file()

@@ -127,6 +127,22 @@ def test_format_numbers_precision_bounds():
         format_numbers([1.0], precision=11)
 
 
+def test_format_numbers_renders_huge_finite_values_exactly():
+    assert format_numbers([1e76]) == "1" + "0" * 76 + ".0000"
+    top = 1.7976931348623157e308
+    digits = "17976931348623157" + "0" * 292
+    assert format_numbers([top, -top], precision=10) == (
+        f"{digits}.{'0' * 10}, -{digits}.{'0' * 10}"
+    )
+    assert float(format_numbers([top], precision=0)) == top
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_format_numbers_rejects_non_finite_values(value):
+    with pytest.raises(ValueError, match=repr(value)):
+        format_numbers([1.0, value])
+
+
 def test_format_numbers_round_trip_error_bound():
     rng = random.Random(99)
     for _ in range(300):

@@ -16,6 +16,7 @@ from flairr.retrieval import (
     pearson,
     retrieve,
 )
+from flairr.testing import seasonal_series
 
 
 def test_pearson_agrees_with_corrcoef():
@@ -130,6 +131,25 @@ def test_retrieve_matches_brute_force_scan():
         for count in (1, 3, 7):
             got = [(s.start, s.score) for s in retrieve(db, query, count)]
             assert got == brute_force(db, query, count)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-160])
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+def test_retrieve_matches_brute_force_when_sums_of_squares_underflow(scale, noise):
+    # the product of the two sums of squares underflows to 0 at these scales
+    values = scale * seasonal_series(300, period=24, noise=noise, seed=1)
+    L = 16
+    db = build_hist_db(values[: values.size - L], L, 8)
+    query = values[-L:]
+    for count in (1, 3, len(db)):
+        got = [(s.start, s.score) for s in retrieve(db, query, count)]
+        assert got == brute_force(db, query, count)
+        assert got and all(-1.0 <= score <= 1.0 for _, score in got)
+
+
+def test_pearson_defined_when_the_product_of_sums_of_squares_underflows():
+    r = pearson(1e-150 * np.array([1.0, 3, 2, 5]), 1e-15 * np.array([1.0, 3, 2, 4]))
+    assert r == pytest.approx(pearson([1.0, 3, 2, 5], [1.0, 3, 2, 4]), rel=1e-12)
 
 
 def test_retrieve_planted_copy_scores_exactly_one():

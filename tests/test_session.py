@@ -565,6 +565,22 @@ def test_session_log_is_strict_json_without_a_finite_mae(tmp_path):
     assert lines[-1]["best_mae"] is None
 
 
+def test_session_completes_with_huge_finite_forecasts():
+    cfg = small_cfg(max_iterations=2)
+    huge = "Predicted Values: [1e300, 1e300]"  # finite, so the parser accepts it
+    backend = ordinal(
+        huge,
+        refiner_reply("push on", done=False),
+        instructions_reply(["block A"]),
+        huge,
+        refiner_reply("plateaued", done=True),
+    )
+    result = run_session(cfg, VALUES, backend)
+    assert result.early_stop is True and result.iterations_used == 2
+    assert result.best_mae == pytest.approx(1e300)
+    assert backend.remaining == 0
+
+
 def test_session_is_deterministic_with_the_oracle():
     cfg = SessionConfig(context_length=16, horizon=8, sample_size=2, max_iterations=2, seed=7)
     values = seasonal_series(120, period=24, trend=0.02, amplitude=0.3, seed=2)
@@ -606,6 +622,26 @@ def test_forecast_reply_for_returns_full_reply():
     assert reply.values == pytest.approx((10.0, 11.0), abs=1e-6)
     assert reply.reasoning
     assert reply.certainty == 80.0
+
+
+def test_validation_and_test_forecasts_send_the_same_prompt():
+    cfg = SessionConfig(context_length=16, horizon=4, sample_size=1, analog_count=2)
+    values = seasonal_series(120, period=12, trend=0.01, amplitude=0.4, noise=0.05, seed=3)
+    window = window_at(values, 100, cfg.context_length, cfg.horizon)
+    db = build_hist_db(values[:80], cfg.context_length, cfg.horizon)
+    instructions = InstructionBlock(items=("Track the daily cycle.",), source_iteration=1)
+    validation = SpyBackend(SyntheticOracleBackend(seed=4))
+    outcome = evaluate_prompt(
+        instructions, [window], cfg, db, validation, strategy="deep-stl"
+    )
+    test_time = SpyBackend(SyntheticOracleBackend(seed=4))
+    forecast_reply_for(
+        window, cfg, db, test_time, instructions=instructions, strategy="deep-stl"
+    )
+    prompt = outcome.per_sample[0].prompt
+    assert "Segment 2 (similarity " in prompt and "Track the daily cycle." in prompt
+    assert [r.prompt for r in validation.requests] == [prompt]
+    assert [r.prompt for r in test_time.requests] == [prompt]
 
 
 def test_forecast_with_accepts_result_or_pair():
