@@ -218,8 +218,10 @@ class HttpBackend(Backend):
 
     Sends the widely deployed JSON shape (model, messages, temperature,
     max_tokens) with a Bearer credential taken from the ``FLAIRR_API_KEY``
-    environment variable. Transport failures, 5xx, and 429 are retried with
-    1s/2s/4s backoff; anything else surfaces immediately as a
+    environment variable. Transport failures, 5xx, and 429 are retried up to
+    three attempts, waiting 1 s and then 2 s, or longer when a 429 or 503
+    reply carries a numeric ``Retry-After`` (an HTTP date or an unparsable
+    value keeps the fixed wait); anything else surfaces immediately as a
     :class:`BackendError` carrying a body excerpt.
     """
 
@@ -259,9 +261,11 @@ class HttpBackend(Backend):
             payload["seed"] = request.seed
 
         last_error = ""
+        retry_after_s = 0.0
         for attempt in range(RETRY_ATTEMPTS):
             if attempt:
-                self._sleep(RETRY_BACKOFF_S[attempt - 1])
+                self._sleep(max(RETRY_BACKOFF_S[attempt - 1], retry_after_s))
+                retry_after_s = 0.0
             start = time.monotonic()
             try:
                 response = self._session.post(
@@ -278,6 +282,8 @@ class HttpBackend(Backend):
                 last_error = (
                     f"HTTP {response.status_code}: {response.text[:200]}"
                 )
+                if response.status_code in (429, 503):
+                    retry_after_s = _retry_after_s(response.headers.get("Retry-After"))
                 continue
             if response.status_code != 200:
                 raise BackendError(
@@ -309,6 +315,12 @@ class HttpBackend(Backend):
             f"giving up on {self.endpoint_url} after {RETRY_ATTEMPTS} attempts; "
             f"last error: {last_error}"
         )
+
+
+def _retry_after_s(value: str | None) -> float:
+    """The delay-seconds form of a ``Retry-After`` header, else 0."""
+    value = (value or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else 0.0
 
 
 class RecordingBackend(Backend):

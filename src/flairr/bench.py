@@ -375,8 +375,8 @@ def _run_grid(
     except Exception:
         # keep whatever finished inspectable before propagating
         if rows and run_dir is not None:
-            emit_report(rows, "csv", run_dir / "report.partial.csv")
-            emit_report(rows, "json", run_dir / "report.partial.json")
+            emit_report(rows, "csv", run_dir / f"{stem}.partial.csv")
+            emit_report(rows, "json", run_dir / f"{stem}.partial.json")
         raise
     if run_dir is not None:
         emit_report(rows, "csv", run_dir / f"{stem}.csv")

@@ -6,11 +6,20 @@ Pearson correlation between the query context and each candidate window;
 flat (zero-variance) vectors have no defined correlation and are excluded
 rather than scored.
 
-A query is scored against every window in one vectorized matrix-vector pass.
-Only the windows whose approximate score lies inside a proven rounding-error
-band of the k-th best (plus any the bound does not cover) are rescored with
-the per-window arithmetic of :func:`pearson`, so the returned ``(start,
-score)`` pairs are bit-identical to an exhaustive per-window scan.
+The index never copies the windows: it keeps the history, a once-shifted copy
+of it and a few numbers per window, so its memory is O(n) whatever the
+context length. A query is scored against every window in one
+sliding-dot-product pass over a strided view of the shifted history (the
+formulation of MASS and the Matrix Profile). Only the windows whose
+approximate score lies inside a proven per-window rounding-error band of the
+k-th best (plus any the bound does not cover) are rescored with the
+arithmetic of :func:`pearson`, so the returned ``(start, score)`` pairs are
+bit-identical to an exhaustive per-window scan.
+
+Scores stay defined at any magnitude whose window sums are finite: where a
+sum of squares, or the product of two, underflows or overflows, the
+correlation is taken without forming it, and every score of a series in the
+ordinary range keeps its bits.
 """
 
 from __future__ import annotations
@@ -49,21 +58,34 @@ def pearson(a, b) -> float | None:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.ndim != 1 or x.size < 2:
         raise ValueError("pearson needs 1-D vectors of length >= 2")
-    cx = x - x.mean()
-    cy = y - y.mean()
-    ssx = float(np.dot(cx, cx))
-    ssy = float(np.dot(cy, cy))
+    cx, ssx = _center(x)
+    cy, ssy = _center(y)
     if ssx == 0.0 or ssy == 0.0 or np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         return None
     return _correlation(float(np.dot(cx, cy)), ssx, ssy)
 
 
+def _center(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """``v`` minus its mean, and that vector's sum of squares. Where the sum
+    of squares overflows, the centered vector is scaled by a power of two
+    first, which leaves every correlation it enters unchanged."""
+    c = v - v.mean()
+    # np.vdot gives np.dot's bits here (the same BLAS ddot) but does not warn
+    # about the overflow handled below, and costs far less than np.errstate.
+    ss = float(np.vdot(c, c))
+    if ss == math.inf:
+        c = np.ldexp(c, -math.frexp(float(np.max(np.abs(c))))[1])
+        ss = float(np.vdot(c, c))
+    return c, ss
+
+
 def _correlation(num: float, ss_a: float, ss_b: float) -> float:
     """``num / sqrt(ss_a * ss_b)`` clipped to [-1, 1], for non-zero sums of
-    squares. Where the product underflows to 0 the root is taken factor by
-    factor instead; every other score keeps the plain formula's bits."""
+    squares. Where the product underflows to 0 or overflows, the root is
+    taken factor by factor instead; every other score keeps the plain
+    formula's bits."""
     product = ss_a * ss_b
-    if product == 0.0:
+    if product == 0.0 or product == math.inf:
         r = num / (math.sqrt(ss_a) * math.sqrt(ss_b))
     else:
         r = num / math.sqrt(product)
@@ -86,11 +108,13 @@ class HistDB:
 
     Window i covers ``history[i : i+L]`` and its outcome is the next H
     points, so the last indexable window starts at ``len(history) - L - H``.
-    Centered contexts and their summed squares are precomputed once. The
-    sums of squares are vectorized, so they serve only the approximate pass
-    of :func:`retrieve` and the flat-window mask; the mask is still exact,
-    because a sum of non-negative terms is zero in any order exactly when
-    every term is.
+    Nothing of size windows x L is stored. The index keeps the read-only
+    history, the history shifted once by its mean, and per window: the mean
+    and the sum of squared deviations of the shifted window (from sums over
+    a strided view, which copies nothing), whether the error bound of
+    :func:`retrieve`'s approximate pass holds for it, its error band, and
+    whether it is flat. The flat mask is exact: it counts the changes
+    between neighbouring values, so it equals ``np.ptp(window) == 0``.
     """
 
     def __init__(self, history, context_length: int, horizon: int):
@@ -103,21 +127,34 @@ class HistDB:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         self._history = arr.copy()
         self._history.flags.writeable = False
-        self.context_length = context_length
+        self.context_length = L = context_length
         self.horizon = horizon
         count = max(0, arr.size - context_length - horizon + 1)
         self._count = count
-        if count:
-            ctxs = sliding_window_view(self._history, context_length)[:count]
-            means = ctxs.mean(axis=1)
-            self._centered = ctxs - means[:, None]
-            self._ssd = np.einsum("ij,ij->i", self._centered, self._centered)
-            flat = np.ptp(ctxs, axis=1) == 0.0
-            self._degenerate = flat | (self._ssd == 0.0)
-        else:
-            self._centered = np.empty((0, context_length))
-            self._ssd = np.empty(0)
-            self._degenerate = np.empty(0, dtype=bool)
+        changes = np.concatenate(([0], np.cumsum(np.diff(self._history) != 0)))
+        self._flat = changes[L - 1 : L - 1 + count] == changes[:count]
+        g = _gamma(L)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            shift = float(arr.mean()) if arr.size else 0.0
+            self._shifted = arr - shift
+            self._shifted.flags.writeable = False
+            view = (
+                sliding_window_view(self._shifted, L)[:count] if count else np.empty((0, L))
+            )
+            sums = np.einsum("ij->i", view)
+            sumsq = np.einsum("ij,ij->i", view, view)
+            self._means = sums / L
+            self._ssd = sumsq - sums * self._means
+            spread = sumsq / self._ssd
+            spread_x = spread + L * (shift * shift) / self._ssd
+            self._trusted = (
+                ~self._flat
+                & (sumsq <= _SS_HI)
+                & (self._ssd >= _SS_LO)
+                & (spread_x <= 2.0**-16 / g)
+            )
+            self._band = 32.0 * g * spread
+            self._band_beta = 32.0 * g * np.sqrt(spread_x)
 
     def __len__(self) -> int:
         return self._count
@@ -143,29 +180,52 @@ def build_hist_db(history, context_length: int, horizon: int) -> HistDB:
     return HistDB(history, context_length, horizon)
 
 
-# Error band of the approximate pass. Both passes reduce the same stored
-# centered row c and centered query q, in different orders. Any order of an
-# L-term dot product, fused or not, lies within gamma_L * sum|c_j q_j| <=
-# gamma_L * |c| |q| of the real value (Cauchy-Schwarz), where gamma_L =
-# L*u / (1 - L*u) and u is the unit roundoff; a sum of squares lies within a
-# relative gamma_L. With one more rounding each for the product, the square
-# root and the division, either pass's score lies within 5 * gamma_L of the
-# real correlation rho = c.q / (|c| |q|), and clipping to [-1, 1] only moves
-# it closer, since |rho| <= 1. The approximate and the exact score of a
-# window therefore differ by at most 10 * gamma_L, whatever the scale or the
-# offset of the series. The bound assumes no overflow and negligible
-# underflow: sums of squares inside [_SS_LO, _SS_HI] guarantee both (the
-# underflow error is below 2**-600 relative, and every approximate score is
-# finite), and the band takes 16 * gamma_L to cover that with room to spare.
-# Windows outside the range are rescored.
+# Error band of the approximate pass.
+#
+# Notation, for one window of length L: x is its slice of the history, c =
+# x - mean(x) in real arithmetic and C = |c|^2; y is its slice of the shifted
+# history, y_j = fl(x_j - shift); q is the centered query as computed (both
+# passes share its bits, and those of ssq = fl(q.q)) and sigma = sum(q);
+# u is the unit roundoff and g = L*u / (1 - L*u), which bounds the relative
+# error of an L-term sum or dot product in any order, fused or not. Both
+# scores are compared with rho = c.q / (|c| |q|).
+#
+# Exact pass (pearson's arithmetic). The computed mean of x is off by dm,
+# |dm| <= g |x|_1 / L, so the computed centered row is c + dm*1 + e with
+# |e_j| <= u |c_j + dm|. As c is orthogonal to 1, its dot product with q is
+# c.q + dm*sigma + e.q, and its squared norm (C + L dm^2)(1 +- u)^2. With
+# kappa = L dm^2 / C <= (g |x| / |c|)^2 and beta = |sigma| / (sqrt(L) |q|)
+# <= 1, the dot product, the sums of squares and the roundings of the
+# product, the root and the quotient put the score within
+# 4.7 g + 1.03 beta sqrt(kappa) + 0.53 kappa of rho.
+#
+# Approximate pass. y = x - shift + w with |w| <= u |y| / (1 - u), so the
+# real centered y differs from c by at most |w|. Its numerator y.q -
+# mean(y) sigma lies within 5.1 g |y| |q| of c.q, and its sum of squares
+# sum(y^2) - sum(y) mean(y) within 5.6 g |y|^2 of C. With r = |y| / |c|
+# (r >= 1 - u) and the same roundings, its score lies within 10.1 g r^2 of
+# rho: cancellation in the sum of squares costs a factor r^2.
+#
+# Trust. Let t = sum(y^2) / ssd and t_x = t + L shift^2 / ssd, computed from
+# the window's sums (ssd its computed sum of squares). A window is trusted
+# when g t_x <= 2**-16. Then g r^2 < 1.0001 * 2**-16, r^2 < 1.0001 t,
+# |x|^2 / C < 2.001 t_x, and kappa, a product of two roundings, is below
+# 2**-15 g. The two scores of a trusted window therefore differ by at most
+# g (15 t + 1.5 beta sqrt(t_x)); the band takes 32 g (t + beta sqrt(t_x)),
+# whose margin also covers the roundings of beta and of the band itself.
+# Clipping to [-1, 1] only moves a score toward rho, as |rho| <= 1. The
+# bound assumes no overflow and negligible underflow: sum(y^2) <= _SS_HI,
+# ssd >= _SS_LO and ssq inside [_SS_LO, _SS_HI] guarantee both (the underflow
+# error is below 2**-600 relative, and every intermediate stays finite).
+# Windows outside that range, or with g t_x > 2**-16, are rescored.
 _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
 _SS_LO, _SS_HI = 2.0**-400, 2.0**400
 
 
-def _score_band(length: int) -> float:
-    """Bound on |approximate score - exact score| for windows of ``length``."""
+def _gamma(length: int) -> float:
+    """Relative error bound of a ``length``-term sum or dot product."""
     lu = length * _UNIT_ROUNDOFF
-    return 16.0 * lu / (1.0 - lu)
+    return lu / (1.0 - lu)
 
 
 def retrieve(db: HistDB, context, count: int) -> list[AnalogSegment]:
@@ -182,52 +242,52 @@ def retrieve(db: HistDB, context, count: int) -> list[AnalogSegment]:
         )
     if count == 0 or len(db) == 0:
         return []
-    cq = query - query.mean()
-    ssq = float(np.dot(cq, cq))
+    cq, ssq = _center(query)
     if ssq == 0.0 or np.ptp(query) == 0.0:
         log.warning("flat query context: correlation undefined, returning no analogs")
         return []
 
-    usable = ~db._degenerate
-    # einsum, not `@`: a BLAS matrix-vector product this size runs on several
-    # threads, and on a busy 2-CPU host it was seen to wait ~8 ms for a core
-    # against a steady ~1.3 ms single-threaded.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        approx = np.einsum("ij,j->i", db._centered, cq) / np.sqrt(db._ssd * ssq)
-    trusted = usable & (db._ssd >= _SS_LO) & (db._ssd <= _SS_HI)
-    if not _SS_LO <= ssq <= _SS_HI:
-        trusted[:] = False
-    trusted_scores = approx[trusted]
-    if count < trusted_scores.size:
-        # The `count` trusted windows at or above the k-th approximate score
-        # all score exactly >= kth - band, so a trusted window below
-        # kth - 2 * band cannot reach the top `count`.
-        pos = trusted_scores.size - count
-        kth = np.partition(trusted_scores, pos)[pos]
-        cutoff = kth - 2.0 * _score_band(db.context_length)
-        candidates = np.flatnonzero(usable & (~trusted | (approx >= cutoff)))
+    L, H = db.context_length, db.horizon
+    usable = ~db._flat
+    trusted = db._trusted
+    if _SS_LO <= ssq <= _SS_HI and count < np.count_nonzero(trusted):
+        # einsum, not `@`: a BLAS matrix-vector product would first copy the
+        # overlapping strided view into a dense windows x L matrix.
+        view = sliding_window_view(db._shifted, L)[: len(db)]
+        sigma = float(cq.sum())
+        beta = (abs(sigma) + _gamma(L) * float(np.abs(cq).sum())) / math.sqrt(L * ssq)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            approx = (np.einsum("ij,j->i", view, cq) - db._means * sigma) / np.sqrt(
+                db._ssd * ssq
+            )
+            band = db._band + beta * db._band_beta
+            # At least `count` trusted windows score exactly >= the `count`-th
+            # largest lower bound, so a trusted window whose upper bound is
+            # below it cannot reach the top `count`.
+            lows = (approx - band)[trusted]
+            pos = lows.size - count
+            floor = np.partition(lows, pos)[pos]
+            candidates = np.flatnonzero(usable & (~trusted | (approx + band >= floor)))
     else:
         candidates = np.flatnonzero(usable)
 
     scored: list[tuple[float, int]] = []
     for i in candidates.tolist():
-        row = db._centered[i]
-        score = _correlation(float(np.dot(row, cq)), float(np.dot(row, row)), ssq)
-        scored.append((score, i))
+        row, ss = _center(db._history[i : i + L])
+        if ss == 0.0:  # every deviation squares to 0: pearson() is undefined
+            continue
+        scored.append((_correlation(float(np.dot(row, cq)), ss, ssq), i))
 
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
-    out = []
-    L, H = db.context_length, db.horizon
-    for score, i in scored[:count]:
-        out.append(
-            AnalogSegment(
-                start=i,
-                context=db._history[i : i + L],
-                outcome=db._history[i + L : i + L + H],
-                score=score,
-            )
+    return [
+        AnalogSegment(
+            start=i,
+            context=db._history[i : i + L],
+            outcome=db._history[i + L : i + L + H],
+            score=score,
         )
-    return out
+        for score, i in scored[:count]
+    ]
 
 
 def format_analogs(segments: list[AnalogSegment], precision: int = 4) -> str:

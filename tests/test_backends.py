@@ -273,6 +273,53 @@ def test_http_backend_retries_server_errors_with_backoff(stub_server):
     assert len(server.seen) == 3
 
 
+class _FakeResponse:
+    def __init__(self, status_code, body, headers=None):
+        self.status_code = status_code
+        self.headers = headers or {}
+        self._body = body
+        self.text = json.dumps(body)
+
+    def json(self):
+        return self._body
+
+
+class _FakeSession:
+    def __init__(self, responses):
+        self.responses = list(responses)
+
+    def post(self, url, **kwargs):
+        return self.responses.pop(0)
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, first_sleep",
+    [
+        (429, "7", 7.0),
+        (503, " 30 ", 30.0),
+        (503, "0", 1.0),  # never shorter than the fixed backoff
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 1.0),  # HTTP date: fixed backoff
+        (429, "soon", 1.0),
+        (429, "-5", 1.0),
+        (500, "7", 1.0),  # only 429 and 503 carry it
+    ],
+)
+def test_http_backend_honours_numeric_retry_after(status, retry_after, first_sleep):
+    session = _FakeSession(
+        [
+            _FakeResponse(status, {"err": 1}, {"Retry-After": retry_after}),
+            _FakeResponse(503, {"err": 2}),  # no header: back to the fixed 2 s
+            _FakeResponse(200, chat_body("third")),
+        ]
+    )
+    sleeps = []
+    backend = HttpBackend(
+        "http://127.0.0.1:9/v1", "m", session=session, sleeper=sleeps.append, api_key=""
+    )
+    assert backend.complete(req()).text == "third"
+    assert sleeps == [first_sleep, 2.0]
+
+
 def test_http_backend_gives_up_after_three_attempts(stub_server):
     url, server = stub_server
     server.script = [(503, {}), (503, {}), (503, {})]

@@ -19,7 +19,7 @@ from flairr.bench import (
     run_ablation,
     run_experiment,
 )
-from flairr.errors import ConfigError, TemplateError
+from flairr.errors import BackendError, ConfigError, TemplateError
 from flairr.testing import SyntheticOracleBackend, seasonal_series
 
 EXPECTED_COLUMNS = [
@@ -261,6 +261,27 @@ def test_failed_grid_saves_partial_report(toy_csv, tmp_path):
         reader = list(csv.reader(fh))
     assert len(reader) == 2  # header + the simple row that finished
     assert reader[1][2] == "simple"
+
+
+def test_failed_ablation_saves_partial_report_under_its_own_stem(toy_csv, tmp_path):
+    class FailsAfterTwelveCalls(SyntheticOracleBackend):  # Simple and +Retrieval
+        calls = 0
+
+        def complete(self, request):
+            self.calls += 1
+            if self.calls > 12:
+                raise BackendError("endpoint went away")
+            return super().complete(request)
+
+    out = tmp_path / "out"
+    with pytest.raises(BackendError, match="went away"):
+        run_ablation(exp_config(toy_csv, out, runs=1), FailsAfterTwelveCalls(seed=5))
+    (run_dir,) = out.glob("run-*")
+    assert (run_dir / "ablation.partial.json").is_file()
+    with open(run_dir / "ablation.partial.csv", newline="") as fh:
+        reader = list(csv.reader(fh))
+    assert [row[2] for row in reader[1:]] == ["Simple", "Simple+Retrieval"]
+    assert not list(run_dir.glob("report*")) and not (run_dir / "ablation.csv").exists()
 
 
 def test_run_ablation_fixed_conditions(toy_csv, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,67 @@ def test_retrieve_matches_brute_force_when_sums_of_squares_underflow(scale, nois
 def test_pearson_defined_when_the_product_of_sums_of_squares_underflows():
     r = pearson(1e-150 * np.array([1.0, 3, 2, 5]), 1e-15 * np.array([1.0, 3, 2, 4]))
     assert r == pytest.approx(pearson([1.0, 3, 2, 5], [1.0, 3, 2, 4]), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e77, 1e150, 1e160])
+def test_pearson_defined_when_sums_of_squares_overflow(scale):
+    # 1e77: the product of the sums of squares overflows; 1e160: each does
+    a = np.array([1.0, 3, 2, 5])
+    b = np.array([1.0, 3, 2, 4])
+    want = pearson(a, b)
+    assert pearson(scale * a, scale * b) == pytest.approx(want, rel=1e-12)
+    assert pearson(scale * a, b) == pytest.approx(want, rel=1e-12)
+    assert pearson(a, scale * b) == pytest.approx(want, rel=1e-12)
+    assert pearson(2.0**600 * a, b) == want  # power-of-two scaling keeps the bits
+
+
+@pytest.mark.parametrize("scale", [1e77, 1e150, 1e160])
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+def test_retrieve_matches_brute_force_when_sums_of_squares_overflow(scale, noise):
+    base = seasonal_series(200, noise=noise)
+    values = scale * base
+    L = 16
+    db = build_hist_db(values[: values.size - L], L, 8)
+    query = values[-L:]
+    for count in (1, 3, len(db)):
+        got = [(s.start, s.score) for s in retrieve(db, query, count)]
+        assert got == brute_force(db, query, count)
+    unscaled = retrieve(build_hist_db(base[: base.size - L], L, 8), base[-L:], 3)
+    top = retrieve(db, query, 3)
+    assert [s.score for s in top] == pytest.approx([s.score for s in unscaled], rel=1e-12)
+
+
+def test_index_memory_is_linear_in_the_series():
+    # a dense windows x L float64 matrix would take ~100 MB here
+    values = seasonal_series(50_000, period=24, trend=0.0005, noise=0.2, seed=4)
+    L = 256
+    tracemalloc.start()
+    try:
+        db = build_hist_db(values[: values.size - L], L, 24)
+        segs = retrieve(db, values[-L:], 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(segs) == 2
+    assert peak < 20e6
+    assert all(np.ndim(value) <= 1 for value in vars(db).values())
+
+
+def test_flat_mask_equals_ptp_on_flat_and_near_flat_runs():
+    rng = np.random.default_rng(29)
+    values = rng.normal(size=400).cumsum()
+    values[50:90] = values[50]  # flat
+    values[150:170] = values[150]  # flat but for one ULP in the middle
+    values[160] = np.nextafter(values[160], np.inf)
+    values[300:340] = 7.0  # flat but for one ULP at the end
+    values[339] = np.nextafter(7.0, -np.inf)
+    values[200:208] = -0.0  # signed zeros compare equal
+    values[203] = 0.0
+    for L in (2, 3, 8, 16, 40):
+        db = build_hist_db(values, L, 1)
+        want = np.array([np.ptp(ctx) == 0.0 for _, ctx, _ in db.windows()])
+        assert want.any() and not want.all()
+        assert np.array_equal(db._flat, want)
 
 
 def test_retrieve_planted_copy_scores_exactly_one():
