@@ -34,7 +34,6 @@ def main() -> None:
         history_text=format_numbers(context, 2),
         instructions=instructions,
         strategy="deep-stl",
-        library=library,
     )
     print("--- forecaster prompt ---")
     print(prompt)

@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends import Backend, CompletionReply, CompletionRequest
+from .backends import Backend, CompletionReply, CompletionRequest, ScriptedBackend
 from .errors import ConfigError
-from .prompts import DatasetMeta, TemplateLibrary
+from .prompts import DatasetMeta
 from .retrieval import build_hist_db
 from .series import TimeSeries, load_csv, split, window_at, mae
 from .session import SessionConfig, forecast_with, run_session, strict_json
@@ -98,7 +98,11 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read experiment config {p}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed experiment config {p}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{p}: experiment config must be a JSON object")
         dataset = doc.get("dataset", {})
+        if not isinstance(dataset, dict):
+            raise ConfigError(f"{p}: dataset must be a JSON object")
         if "target" not in dataset:
             raise ConfigError(f"{p}: dataset.target is required")
         try:
@@ -240,7 +244,6 @@ def _run_cell(
     split_idx: int,
     backend: Backend,
     meta: DatasetMeta,
-    library: TemplateLibrary | None,
     log_path: Path | None,
 ) -> tuple[float, int, bool, int]:
     """One (method, horizon, run): session then test-grid forecast.
@@ -253,7 +256,6 @@ def _run_cell(
         session_cfg,
         train_values,
         backend,
-        library=library,
         meta=meta,
         strategy=strategy,
         log_path=log_path,
@@ -280,14 +282,7 @@ def _run_cell(
     for origin in origins:
         window = window_at(full_values, origin, session_cfg.context_length, horizon)
         values = forecast_with(
-            result,
-            window,
-            session_cfg,
-            db,
-            backend,
-            library=library,
-            meta=meta,
-            strategy=strategy,
+            result, window, session_cfg, db, backend, meta=meta, strategy=strategy
         )
         window_maes.append(mae(values, window.truth))
     return (
@@ -303,15 +298,15 @@ def _run_grid(
     backend: Backend,
     methods: list[tuple[str, str]],
     stem: str,
-    series: TimeSeries | None,
-    library: TemplateLibrary | None,
     jobs: int,
     emit: bool,
 ) -> tuple[list[ReportRow], Path | None]:
     """Run ``methods`` (id, label) for every horizon; with ``emit`` the rows
     land in ``<stem>.csv`` and ``<stem>.json`` inside a fresh run directory."""
+    if jobs > 1:
+        _refuse_ordinal_script(backend)
     run_dir = _make_run_dir(cfg.output_dir) if emit else None
-    data = series if series is not None else _load_series(cfg)
+    data = _load_series(cfg)
     train, test = split(data, cfg.train_fraction, scale=True)
     scaler = train.target_scaler
     train_values = np.asarray(train.target_values)
@@ -342,7 +337,7 @@ def _run_grid(
                 log_path = run_dir / f"{_safe_name(data.name)}-h{horizon}-{safe}-run{run}.jsonl"
             cell_mae, used, stopped, test_windows = _run_cell(
                 cfg, method, horizon, run, train_values, full_values,
-                split_idx, meter, meta, library, log_path,
+                split_idx, meter, meta, log_path,
             )
             maes.append(cell_mae)
             iterations.append(used)
@@ -384,6 +379,18 @@ def _run_grid(
     return rows, run_dir
 
 
+def _refuse_ordinal_script(backend: Backend) -> None:
+    """Parallel cells would take an ordinal script's replies in whatever
+    order the threads reach it, so refuse one, also behind a wrapper."""
+    while backend is not None:
+        if isinstance(backend, ScriptedBackend) and backend.ordinal:
+            raise ConfigError(
+                "--jobs > 1 cannot replay an ordinal script: its replies follow "
+                "call order; run one job, or replay a pattern script or a recording"
+            )
+        backend = getattr(backend, "inner", None)
+
+
 def _safe_name(name: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "-" for c in name)
 
@@ -403,8 +410,6 @@ def _make_run_dir(output_dir: str) -> Path:
 def run_experiment(
     cfg: ExperimentConfig,
     backend: Backend,
-    series: TimeSeries | None = None,
-    library: TemplateLibrary | None = None,
     jobs: int = 1,
     emit: bool = True,
 ) -> tuple[list[ReportRow], Path | None]:
@@ -415,22 +420,18 @@ def run_experiment(
     per-session logs.
     """
     methods = [(m, m) for m in cfg.methods]
-    return _run_grid(cfg, backend, methods, "report", series, library, jobs, emit)
+    return _run_grid(cfg, backend, methods, "report", jobs, emit)
 
 
 def run_ablation(
     cfg: ExperimentConfig,
     backend: Backend,
-    series: TimeSeries | None = None,
-    library: TemplateLibrary | None = None,
     jobs: int = 1,
     emit: bool = True,
 ) -> tuple[list[ReportRow], Path | None]:
     """Run exactly the four ablation conditions, in the fixed order
     Simple, Simple+Retrieval, Simple+IR, FLAIRR, for each horizon."""
-    return _run_grid(
-        cfg, backend, list(ABLATION_CONDITIONS), "ablation", series, library, jobs, emit
-    )
+    return _run_grid(cfg, backend, list(ABLATION_CONDITIONS), "ablation", jobs, emit)
 
 
 def _row_record(row: ReportRow) -> dict:

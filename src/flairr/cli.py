@@ -272,7 +272,6 @@ def cmd_forecast(args) -> int:
         cfg,
         db,
         backend,
-        library=library,
         meta=_meta_from_args(args),
         strategy=args.strategy,
     )
@@ -306,7 +305,6 @@ def cmd_refine(args) -> int:
         cfg,
         np.asarray(series.target_values),
         backend,
-        library=TemplateLibrary.builtin(),
         meta=_meta_from_args(args),
         strategy=args.strategy,
         log_path=log_path,
@@ -402,3 +400,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -1,16 +1,17 @@
 """Prompt engine: template library, the three renderers (forecaster,
 refiner, synthesis), and marker-based parsers for the structured replies.
 
-Renderers are pure functions over an immutable template library; every
-renderer finishes with a scan that rejects any leftover brace-wrapped
-placeholder, so an unresolved token can never reach a backend. Parsers are
-line-anchored marker scans; violations raise :class:`ReplyParseError`, which
-the session layer treats as retryable.
+Renderers are pure functions over the built-in template library, which is
+loaded once per process; every renderer finishes with a scan that rejects any
+leftover brace-wrapped placeholder, so an unresolved token can never reach a
+backend. Parsers are line-anchored marker scans; violations raise
+:class:`ReplyParseError`, which the session layer treats as retryable.
 """
 
 from __future__ import annotations
 
 import decimal
+import functools
 import json
 import math
 import re
@@ -127,8 +128,10 @@ class TemplateLibrary:
         return cls(templates, version=int(manifest.get("version", 1)))
 
     @classmethod
+    @functools.cache
     def builtin(cls) -> "TemplateLibrary":
-        """The library shipped inside the package."""
+        """The library shipped inside the package, loaded once per process;
+        it is the only template source the renderers use."""
         return cls.from_dir(resources.files("flairr") / "templates")
 
     def get(self, template_id: str) -> PromptTemplate:
@@ -155,16 +158,6 @@ class TemplateLibrary:
 
     def __iter__(self):
         return iter(sorted(self._templates))
-
-
-_builtin_library: TemplateLibrary | None = None
-
-
-def _default_library() -> TemplateLibrary:
-    global _builtin_library
-    if _builtin_library is None:
-        _builtin_library = TemplateLibrary.builtin()
-    return _builtin_library
 
 
 @dataclass(frozen=True)
@@ -280,7 +273,6 @@ def render_forecaster_prompt(
     instructions: InstructionBlock | None = None,
     raft_context: str | None = None,
     strategy: str | None = None,
-    library: TemplateLibrary | None = None,
 ) -> str:
     """Render the forecaster prompt.
 
@@ -293,7 +285,7 @@ def render_forecaster_prompt(
         raise ValueError("history_text must be non-empty")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    lib = library if library is not None else _default_library()
+    lib = TemplateLibrary.builtin()
 
     strategy_section = ""
     if strategy is not None:
@@ -332,10 +324,14 @@ def render_forecaster_prompt(
     return _assert_resolved(_tidy(text), "forecaster prompt")
 
 
-def _truncate(text: str, budget: int) -> str:
-    if budget <= 0 or len(text) <= budget:
+# characters of each sample's forecaster prompt quoted in the refiner prompt
+_SAMPLE_PROMPT_BUDGET = 4000
+
+
+def _truncate(text: str) -> str:
+    if len(text) <= _SAMPLE_PROMPT_BUDGET:
         return text
-    return text[:budget] + "\n... [truncated]"
+    return text[:_SAMPLE_PROMPT_BUDGET] + "\n... [truncated]"
 
 
 def render_refiner_prompt(
@@ -346,8 +342,6 @@ def render_refiner_prompt(
     stop_threshold: float,
     history: list[tuple[str, float]] | None = None,
     precision: int = 4,
-    sample_prompt_budget: int = 4000,
-    library: TemplateLibrary | None = None,
 ) -> str:
     """Render the refiner prompt for a 0-based ``iteration`` (displayed
     1-based).
@@ -355,14 +349,12 @@ def render_refiner_prompt(
     ``history`` carries every (instructions, MAE) pair evaluated so far in
     session order, the current pair last; it defaults to just the current
     pair. Each sample is (forecaster prompt, predictions, ground truth);
-    prompts longer than ``sample_prompt_budget`` characters are truncated.
+    prompts longer than 4000 characters are truncated.
     """
     if not samples:
         raise ValueError("refiner prompt needs a non-empty sample batch")
     if iteration < 0:
         raise ValueError(f"iteration must be >= 0, got {iteration}")
-    lib = library if library is not None else _default_library()
-
     shown_instructions = current_instructions.strip() or NO_INSTRUCTIONS_DISPLAY
     if history is None:
         history = [(current_instructions, batch_mae)]
@@ -378,13 +370,13 @@ def render_refiner_prompt(
     for idx, (prompt, predictions, truth) in enumerate(samples, start=1):
         sample_blocks.append(
             f"Sample {idx}:\n"
-            f"Prompt:\n{_truncate(prompt, sample_prompt_budget)}\n"
+            f"Prompt:\n{_truncate(prompt)}\n"
             f"Predictions: [{format_numbers(predictions, precision)}]\n"
             f"Ground Truth: [{format_numbers(truth, precision)}]"
         )
 
     text = _substitute(
-        lib.get("refiner"),
+        TemplateLibrary.builtin().get("refiner"),
         {
             "iteration_display": str(iteration + 1),
             "current_instructions": shown_instructions,
@@ -397,15 +389,15 @@ def render_refiner_prompt(
     return _assert_resolved(_tidy(text), "refiner prompt")
 
 
-def render_synthesis_prompt(
-    learnings: str, library: TemplateLibrary | None = None
-) -> str:
+def render_synthesis_prompt(learnings: str) -> str:
     """Render the instruction-synthesis prompt; its last line is the cue the
     reply parser strips when echoed."""
     if not learnings or not learnings.strip():
         raise ValueError("learnings must be non-empty")
-    lib = library if library is not None else _default_library()
-    text = _substitute(lib.get("synthesis"), {"current_learnings": learnings.strip()})
+    text = _substitute(
+        TemplateLibrary.builtin().get("synthesis"),
+        {"current_learnings": learnings.strip()},
+    )
     text = _assert_resolved(_tidy(text), "synthesis prompt")
     if not text.rstrip("\n").endswith(SYNTHESIS_CUE):
         raise TemplateError("synthesis template must end with the instruction cue line")

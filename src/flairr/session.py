@@ -26,7 +26,6 @@ from .prompts import (
     DatasetMeta,
     InstructionBlock,
     RefinerReply,
-    TemplateLibrary,
     format_numbers,
     parse_forecast_reply,
     parse_instructions_reply,
@@ -262,7 +261,6 @@ def _forecast_window(
     cfg: SessionConfig,
     db: HistDB | None,
     backend: Backend,
-    library: TemplateLibrary | None,
     meta: DatasetMeta | None,
     strategy: str | None,
 ):
@@ -282,7 +280,6 @@ def _forecast_window(
         instructions=instructions,
         raft_context=raft,
         strategy=strategy,
-        library=library,
     )
     parsed, failures, tokens_in, tokens_out = _complete_parsed(
         backend,
@@ -300,7 +297,6 @@ def evaluate_prompt(
     cfg: SessionConfig,
     db: HistDB | None,
     backend: Backend,
-    library: TemplateLibrary | None = None,
     meta: DatasetMeta | None = None,
     strategy: str | None = None,
 ) -> EvaluationOutcome:
@@ -320,7 +316,7 @@ def evaluate_prompt(
     for window in windows:
         try:
             prompt, parsed, sample_failures, tin, tout = _forecast_window(
-                window, instructions, cfg, db, backend, library, meta, strategy
+                window, instructions, cfg, db, backend, meta, strategy
             )
         except ParseRetryError as exc:
             failures += 1 + cfg.parse_retries
@@ -364,7 +360,6 @@ def refine_step(
     history: list[RefinementRecord],
     cfg: SessionConfig,
     backend: Backend,
-    library: TemplateLibrary | None = None,
 ) -> RefineOutcome:
     """Consult the refiner on the session so far; on a continue verdict,
     synthesize the next instruction block.
@@ -390,7 +385,6 @@ def refine_step(
         stop_threshold=cfg.stop_threshold_pct,
         history=pairs,
         precision=cfg.precision,
-        library=library,
     )
     reply, failures, tokens_in, tokens_out = _complete_parsed(
         backend, prompt, "refiner", parse_refiner_reply, cfg
@@ -407,7 +401,7 @@ def refine_step(
         # synthesize from, and the current instructions carry over.
         next_instructions = latest.instructions
         if reply.learnings.strip():
-            synth_prompt = render_synthesis_prompt(reply.learnings, library=library)
+            synth_prompt = render_synthesis_prompt(reply.learnings)
             next_instructions, synth_failures, stin, stout = _complete_parsed(
                 backend,
                 synth_prompt,
@@ -497,7 +491,6 @@ def run_session(
     train_values,
     backend: Backend,
     validation_windows: list[WindowPair] | None = None,
-    library: TemplateLibrary | None = None,
     meta: DatasetMeta | None = None,
     strategy: str | None = None,
     log_path=None,
@@ -562,9 +555,7 @@ def run_session(
 
     try:
         for k in range(cfg.max_iterations):
-            outcome = evaluate_prompt(
-                current, windows, cfg, db, backend, library, meta, strategy
-            )
+            outcome = evaluate_prompt(current, windows, cfg, db, backend, meta, strategy)
             record = RefinementRecord(
                 iteration=k,
                 instructions=current,
@@ -585,7 +576,7 @@ def run_session(
                 session_log.write(_iteration_log_record(record))
                 break
 
-            refinement = refine_step(records, cfg, backend, library)
+            refinement = refine_step(records, cfg, backend)
             record.refiner_reply = refinement.reply
             record.parse_failures += refinement.parse_failures
             record.tokens_in += refinement.tokens_in
@@ -630,15 +621,12 @@ def forecast_reply_for(
     db: HistDB | None,
     backend: Backend,
     instructions: InstructionBlock | None = None,
-    library: TemplateLibrary | None = None,
     meta: DatasetMeta | None = None,
     strategy: str | None = None,
 ):
     """One retrieve-augment-forecast-parse pass; returns the full parsed
     reply (values, reasoning, certainty)."""
-    return _forecast_window(
-        window, instructions, cfg, db, backend, library, meta, strategy
-    )[1]
+    return _forecast_window(window, instructions, cfg, db, backend, meta, strategy)[1]
 
 
 def forecast_with(
@@ -647,7 +635,6 @@ def forecast_with(
     cfg: SessionConfig,
     db: HistDB | None,
     backend: Backend,
-    library: TemplateLibrary | None = None,
     meta: DatasetMeta | None = None,
     strategy: str | None = None,
 ) -> tuple[float, ...]:
@@ -661,13 +648,6 @@ def forecast_with(
     else:
         _, instructions = prompt_out
     reply = forecast_reply_for(
-        window,
-        cfg,
-        db,
-        backend,
-        instructions=instructions,
-        library=library,
-        meta=meta,
-        strategy=strategy,
+        window, cfg, db, backend, instructions=instructions, meta=meta, strategy=strategy
     )
     return tuple(reply.values)

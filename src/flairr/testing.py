@@ -98,9 +98,8 @@ class SyntheticOracleBackend(Backend):
     prompt) so identical requests always get identical replies; the noise
     scale halves when the prompt contains :data:`MARKER_TOKEN`.
 
-    Refiner: never satisfied on the first iteration; from the second onward
-    its learnings recommend the marker protocol, and it answers Done once
-    the displayed iteration reaches ``done_at_iteration`` (never, if None).
+    Refiner: never answers Done; from the second displayed iteration onward
+    its learnings recommend the marker protocol.
 
     Synthesis: echoes marker instructions whenever the learnings mention the
     marker, otherwise emits a generic trend instruction.
@@ -108,17 +107,9 @@ class SyntheticOracleBackend(Backend):
 
     backend_id = "synthetic-oracle"
 
-    def __init__(
-        self,
-        seed: int = 0,
-        noise_scale: float = 0.4,
-        marker: str = MARKER_TOKEN,
-        done_at_iteration: int | None = None,
-    ):
+    def __init__(self, seed: int = 0, noise_scale: float = 0.4):
         self.seed = seed
         self.noise_scale = noise_scale
-        self.marker = marker
-        self.done_at_iteration = done_at_iteration
 
     def _rng(self, request: CompletionRequest) -> np.random.Generator:
         key_material = f"{self.seed}|{request.seed}|{request.prompt}".encode("utf-8")
@@ -141,7 +132,7 @@ class SyntheticOracleBackend(Backend):
         future_x = np.arange(history.size, history.size + horizon, dtype=np.float64)
         base = slope * future_x + intercept
         scale = self.noise_scale
-        if self.marker in request.prompt:
+        if MARKER_TOKEN in request.prompt:
             scale *= 0.5
         values = base + scale * self._rng(request).standard_normal(horizon)
         return forecast_reply(
@@ -154,30 +145,22 @@ class SyntheticOracleBackend(Backend):
         match = _ITERATION_RE.search(request.prompt)
         if not match:
             raise BackendError("oracle refiner could not find the iteration number")
-        displayed = int(match.group(1))
-        if self.done_at_iteration is not None and displayed >= self.done_at_iteration:
-            return refiner_reply(
-                "The error reduction fell below the stopping threshold.",
-                done=True,
-                confidence="High",
-                rationale="improvement plateaued",
-            )
-        if displayed < 2:
+        if int(match.group(1)) < 2:
             learnings = (
                 "Predictions wobble around the underlying trend; steady them "
                 "against recent values."
             )
         else:
             learnings = (
-                f"Predictions remain noisy; apply the {self.marker} protocol "
+                f"Predictions remain noisy; apply the {MARKER_TOKEN} protocol "
                 "to stabilize the estimate around the trend line."
             )
         return refiner_reply(learnings, done=False)
 
     def _synthesize(self, request: CompletionRequest) -> str:
-        if self.marker in request.prompt:
+        if MARKER_TOKEN in request.prompt:
             items = [
-                f"Steady the estimate using the {self.marker} protocol.",
+                f"Steady the estimate using the {MARKER_TOKEN} protocol.",
                 "Keep predictions close to the recent trend.",
             ]
         else:

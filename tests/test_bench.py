@@ -9,6 +9,7 @@ import statistics
 
 import pytest
 
+from flairr.backends import RecordingBackend, ScriptedBackend, ScriptEntry, load_script
 from flairr.bench import (
     ABLATION_CONDITIONS,
     KNOWN_METHODS,
@@ -129,6 +130,17 @@ def test_experiment_config_from_json_errors(tmp_path):
         ExperimentConfig.from_json(no_target)
 
 
+@pytest.mark.parametrize(
+    "doc, what",
+    [([1, 2], "experiment config"), ({"dataset": 5}, "dataset"), ({"dataset": "target"}, "dataset")],
+)
+def test_experiment_config_from_json_rejects_non_objects(tmp_path, doc, what):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f"{what} must be a JSON object"):
+        ExperimentConfig.from_json(path)
+
+
 def test_method_wiring():
     assert method_wiring("simple") == (False, False, None)
     assert method_wiring("retrieval-only") == (True, False, None)
@@ -207,6 +219,30 @@ def test_run_experiment_parallel_matches_serial(toy_csv, tmp_path):
     serial, _ = run_experiment(cfg, SyntheticOracleBackend(seed=5), emit=False)
     parallel, _ = run_experiment(cfg, SyntheticOracleBackend(seed=5), jobs=2, emit=False)
     assert signature(serial) == signature(parallel)
+
+
+@pytest.mark.parametrize("recorded", [False, True], ids=["bare", "recorded"])
+def test_parallel_grid_refuses_an_ordinal_script(toy_csv, tmp_path, recorded):
+    script = ScriptedBackend([ScriptEntry(reply="unused")])
+    backend = RecordingBackend(script, tmp_path / "rec.jsonl") if recorded else script
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="--jobs"):
+        run_experiment(exp_config(toy_csv, out), backend, jobs=2)
+    assert script.remaining == 1  # refused before the first completion call
+    assert not out.exists() and not (tmp_path / "rec.jsonl").exists()
+    with pytest.raises(ConfigError, match="--jobs"):
+        run_ablation(exp_config(toy_csv, out), backend, jobs=2)
+
+
+def test_parallel_grid_replays_a_recording(toy_csv, tmp_path):
+    # one run: a recording keys replies on the prompt alone, not the run seed
+    cfg = exp_config(toy_csv, tmp_path / "out", runs=1)
+    recording = tmp_path / "rec.jsonl"
+    live, _ = run_experiment(
+        cfg, RecordingBackend(SyntheticOracleBackend(seed=5), recording), emit=False
+    )
+    replayed, _ = run_experiment(cfg, load_script(recording), jobs=2, emit=False)
+    assert [row.run_maes for row in replayed] == [row.run_maes for row in live]
 
 
 def test_run_experiment_session_overrides_cannot_hijack_the_grid(toy_csv, tmp_path):

@@ -6,7 +6,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +69,21 @@ def test_forecast_list_strategies(capsys):
     assert len(names) == 14
     assert names == sorted(names)
     assert "simple" in names and "deep-stl" in names
+
+
+def test_module_entry_point_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "flairr.cli", "forecast", "--list-strategies"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "deep-stl" in done.stdout.splitlines()
 
 
 def test_forecast_requires_data_flags(capsys):
@@ -368,3 +387,27 @@ def test_grid_subcommands_print_their_own_report(
     assert lines[0] == f"run_dir: {run_dir}"
     assert lines[1] == f"report: {run_dir / report}"
     assert (run_dir / report).is_file()
+
+
+@pytest.mark.parametrize("doc", [[1, 2], {"dataset": 5}])
+def test_bench_rejects_a_non_object_config(doc, tmp_path, capsys):
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(doc))
+    assert run_cli("bench", "--config", str(config)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["bare", "recorded"])
+def test_grid_jobs_refuses_an_ordinal_script(record, series_csv, tmp_path, capsys):
+    out_dir = tmp_path / "grid-out"
+    config = write_bench_config(tmp_path, series_csv, out_dir)
+    script = tmp_path / "script.jsonl"
+    script.write_text(json.dumps({"reply": forecast_reply([1.0] * 8)}) + "\n")
+    recording = tmp_path / "rec.jsonl"
+    argv = ["bench", "--config", str(config), "--jobs", "2"]
+    argv += ["--backend", "scripted", "--script", str(script)]
+    if record:
+        argv += ["--record", str(recording)]
+    assert run_cli(*argv) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out_dir.exists() and not recording.exists()

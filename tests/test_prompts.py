@@ -43,6 +43,10 @@ def test_builtin_library_contents():
     assert lib.get_asp("simple").body.strip() == ""
 
 
+def test_builtin_library_is_loaded_once():
+    assert TemplateLibrary.builtin() is TemplateLibrary.builtin()
+
+
 def test_library_lookup_errors():
     lib = TemplateLibrary.builtin()
     with pytest.raises(TemplateError, match="unknown template 'nope'"):
@@ -281,9 +285,7 @@ def test_refiner_prompt_threshold_rendering():
 
 def test_refiner_prompt_truncates_long_sample_prompts():
     long_prompt = "x" * 5000
-    prompt = render_refiner_prompt(
-        0, "", 1.0, [(long_prompt, [1.0], [1.0])], 5.0, sample_prompt_budget=4000
-    )
+    prompt = render_refiner_prompt(0, "", 1.0, [(long_prompt, [1.0], [1.0])], 5.0)
     assert "... [truncated]" in prompt
     assert "x" * 4001 not in prompt
 
