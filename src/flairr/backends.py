@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import threading
 import time
 from dataclasses import dataclass
@@ -219,10 +220,12 @@ class HttpBackend(Backend):
     Sends the widely deployed JSON shape (model, messages, temperature,
     max_tokens) with a Bearer credential taken from the ``FLAIRR_API_KEY``
     environment variable. Transport failures, 5xx, and 429 are retried up to
-    three attempts, waiting 1 s and then 2 s, or longer when a 429 or 503
-    reply carries a numeric ``Retry-After`` (an HTTP date or an unparsable
-    value keeps the fixed wait); anything else surfaces immediately as a
-    :class:`BackendError` carrying a body excerpt.
+    three attempts. The waits between them are drawn uniformly from
+    [b/2, b] for the backoffs b = 1 s and then 2 s ("equal jitter"), so
+    clients that failed together do not retry together; a 429 or 503 reply
+    with a numeric ``Retry-After`` waits at least that long (an HTTP date
+    or an unparsable value keeps the jittered wait). Anything else surfaces
+    immediately as a :class:`BackendError` carrying a body excerpt.
     """
 
     backend_id = "http"
@@ -264,7 +267,9 @@ class HttpBackend(Backend):
         retry_after_s = 0.0
         for attempt in range(RETRY_ATTEMPTS):
             if attempt:
-                self._sleep(max(RETRY_BACKOFF_S[attempt - 1], retry_after_s))
+                backoff_s = RETRY_BACKOFF_S[attempt - 1]
+                jittered_s = random.uniform(backoff_s / 2, backoff_s)
+                self._sleep(max(jittered_s, retry_after_s))
                 retry_after_s = 0.0
             start = time.monotonic()
             try:

@@ -18,7 +18,10 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ReplyParseError, TemplateError
 
@@ -218,26 +221,65 @@ class InstructionBlock:
 def format_numbers(values, precision: int = 4) -> str:
     """Fixed-point rendering, ", "-separated, ties rounded away from zero.
 
-    Negative zero is normalized to plain zero so a sign bit can never leak
-    into prompt text. Every finite float renders exactly; a NaN or an
-    infinity raises ValueError.
+    Each value renders as ``repr(x)`` rounded half-up to ``precision``
+    places. Negative zero is normalized to plain zero so a sign bit can
+    never leak into prompt text. Every finite float renders exactly; a NaN
+    or an infinity raises ValueError.
     """
     if not 0 <= precision <= 10:
         raise ValueError(f"precision must be in 0..10, got {precision}")
-    quantum = Decimal(1).scaleb(-precision)
-    rendered = []
-    with decimal.localcontext() as ctx:
-        # the largest finite float has 309 integer digits, plus up to 10 places
-        ctx.prec = 309 + 10
-        for v in values:
-            x = float(v)
-            if not math.isfinite(x):
-                raise ValueError(f"cannot render non-finite value {x!r}")
-            q = Decimal(repr(x)).quantize(quantum, rounding=decimal.ROUND_HALF_UP)
-            if q == 0:
-                q = abs(q)
-            rendered.append(f"{q:f}")
-    return ", ".join(rendered)
+    xs = list(map(float, values))
+    scale = 10.0**precision
+    if len(xs) < 32:  # below about 32 values numpy's fixed cost dominates
+        clear = [_clear_of_tie(abs(x) * scale) for x in xs]
+    else:
+        # clipped so the product cannot overflow; a clipped value is not clear
+        clear = _clear_of_tie(np.minimum(np.abs(np.array(xs)), 2.0**50) * scale)
+        clear = clear.tolist()
+    spec = f".{precision}f"
+    rendered = list(map(format, xs, repeat(spec)))
+    if not all(clear):
+        quantum = Decimal(1).scaleb(-precision)
+        with decimal.localcontext() as ctx:
+            # the largest finite float has 309 integer digits, plus up to 10 places
+            ctx.prec = 309 + 10
+            for i, (x, ok) in enumerate(zip(xs, clear)):
+                if ok:
+                    continue
+                if not math.isfinite(x):
+                    raise ValueError(f"cannot render non-finite value {x!r}")
+                q = Decimal(repr(x)).quantize(quantum, rounding=decimal.ROUND_HALF_UP)
+                rendered[i] = f"{q:f}"
+    # every token has exactly `precision` places, so this only matches a
+    # whole token that rounds to zero
+    negative_zero = "-" + format(0.0, spec)
+    return ", ".join(rendered).replace(negative_zero, negative_zero[1:])
+
+
+def _clear_of_tie(y):
+    """Whether ``format(x, f".{p}f")`` equals ``repr(x)`` rounded half-up to
+    ``p`` places, given ``y = fl(|x| * 10**p)``; works on a float or an array.
+
+    Let t = |x| 10^p exactly and s = |repr(x)| 10^p. Both roundings give the
+    integer nearest the value they round (``format`` rounds t correctly,
+    the half-up rule rounds s) whenever t and s lie strictly inside the same
+    interval (k - 1/2, k + 1/2). Their distances from y are small:
+
+    - |y - t| <= 2^-53 y, the rounding of the product (10^p <= 10^10 is
+      exact);
+    - |t - s| = 10^p |x - repr(x)| <= 2^-53 t, because ``repr`` gives a
+      decimal that rounds back to x, so within half an ulp of x.
+
+    Their sum is below 2^-51 y, half the band b = 2^-50 y. The test is
+    d > b with d = |y mod 1 - 1/2|, y's distance from the nearest tie.
+    ``y % 1`` is exact. Where d <= 1/4 the subtraction is exact too
+    (Sterbenz); above 1/4 it is off by a relative 2^-53. Either way the true
+    distance exceeds b/2, so t and s fall on y's side of the tie. A value
+    with y >= 2^49 never passes (b >= 1/2 >= d), so every step above is in
+    range. NaN and infinities fail the comparison. For y < 1/4 (including
+    subnormal x) both t and s are below 1/2 and round to zero.
+    """
+    return abs(y % 1.0 - 0.5) > y * 2.0**-50
 
 
 def _substitute(template: PromptTemplate, values: dict[str, str]) -> str:

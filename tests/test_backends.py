@@ -4,12 +4,14 @@ and the recording wrapper."""
 from __future__ import annotations
 
 import json
+import random
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from flairr import backends
 from flairr.backends import (
     DEFAULT_TEMPERATURES,
     TAGS,
@@ -22,6 +24,21 @@ from flairr.backends import (
     load_script,
 )
 from flairr.errors import BackendError, ConfigError
+
+
+class _JitterCeiling:
+    """A random source whose every draw is the top of its range."""
+
+    @staticmethod
+    def uniform(low, high):
+        return high
+
+
+@pytest.fixture(autouse=True)
+def _backoff_at_its_ceiling(monkeypatch):
+    # The retry tests pin exact waits. At the top of its range the jittered
+    # backoff is the fixed 1 s / 2 s schedule; the jitter has its own test.
+    monkeypatch.setattr(backends, "random", _JitterCeiling)
 
 
 def req(prompt="hello", tag="forecaster", **kw):
@@ -318,6 +335,32 @@ def test_http_backend_honours_numeric_retry_after(status, retry_after, first_sle
     )
     assert backend.complete(req()).text == "third"
     assert sleeps == [first_sleep, 2.0]
+
+
+def test_http_backend_jitters_its_backoff(monkeypatch):
+    """Equal jitter (Brooker 2015): each wait is uniform in [b/2, b] for the
+    fixed backoff b, drawn from the module's random source; a numeric
+    Retry-After still sets the floor."""
+    monkeypatch.setattr(backends, "random", random.Random(2015))
+    expected = random.Random(2015)
+    sleeps = []
+    for retry_after in ["0"] * 40 + ["2"]:
+        session = _FakeSession(
+            [
+                _FakeResponse(503, {"err": 1}),
+                _FakeResponse(429, {"err": 2}, {"Retry-After": retry_after}),
+                _FakeResponse(200, chat_body("third")),
+            ]
+        )
+        backend = HttpBackend(
+            "http://127.0.0.1:9/v1", "m", session=session, sleeper=sleeps.append, api_key=""
+        )
+        assert backend.complete(req()).text == "third"
+    draws = [expected.uniform(b / 2, b) for _ in range(41) for b in (1.0, 2.0)]
+    assert sleeps == draws[:-1] + [2.0]  # the last 429 asked for 2 s
+    firsts, seconds = sleeps[0:80:2], sleeps[1:80:2]
+    assert 0.5 <= min(firsts) < 0.6 and 0.9 < max(firsts) < 1.0
+    assert 1.0 <= min(seconds) < 1.2 and 1.8 < max(seconds) < 2.0
 
 
 def test_http_backend_gives_up_after_three_attempts(stub_server):

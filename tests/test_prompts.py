@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import decimal
 import json
 import random
+from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flairr.errors import ReplyParseError, TemplateError
 from flairr.prompts import (
@@ -153,6 +157,45 @@ def test_format_numbers_round_trip_error_bound():
         v = rng.uniform(-1000.0, 1000.0)
         back = float(format_numbers([v], precision=4))
         assert abs(back - v) <= 5e-5
+
+
+def _half_up_reference(values, precision):
+    """The rendering contract spelled out: repr(x) rounded half-up through
+    Decimal, negative zero shown as zero."""
+    quantum = Decimal(1).scaleb(-precision)
+    tokens = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 330
+        for x in values:
+            q = Decimal(repr(x)).quantize(quantum, rounding=decimal.ROUND_HALF_UP)
+            tokens.append(f"{abs(q) if q == 0 else q:f}")
+    return ", ".join(tokens)
+
+
+# Values k/10^p + 1/(2*10^p) whose repr is an exact decimal tie at some
+# precision, so the half-up and the correctly rounded binary answer can differ.
+_ties = st.builds(
+    lambda k, p: (2 * k + 1) / (2 * 10**p), st.integers(-(10**16), 10**16), st.integers(0, 11)
+)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    values=st.lists(st.one_of(_finite, _ties), max_size=48),
+    precision=st.integers(0, 10),
+)
+@example(values=[0.00005, -0.00005, 2.5, -2.5, 1e15 + 0.5, 0.0, -0.0], precision=4)
+@example(values=[0.00005, 2.5, -2.5, 1e15 + 0.5, 0.5, -0.5], precision=0)
+@example(values=[5e-324, -5e-324, 2.2250738585072014e-308, -1e-300], precision=10)
+@example(values=[1.7976931348623157e308, -1.7976931348623157e308, 2.0**49, 2.0**53], precision=10)
+@example(values=[0.125 + i for i in range(40)], precision=2)  # ties, vectorized
+def test_format_numbers_equals_half_up_of_repr(values, precision):
+    rendered = format_numbers(values, precision)
+    assert rendered == _half_up_reference(values, precision)
+    if values:
+        reply = parse_forecast_reply(f"Predicted Values: [{rendered}]", len(values))
+        assert list(reply.values) == [float(t) for t in rendered.split(", ")]
 
 
 # --- forecaster renderer ----------------------------------------------------

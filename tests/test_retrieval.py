@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from flairr.retrieval import (
     AnalogSegment,
+    _flat,
     build_hist_db,
     format_analogs,
     pearson,
@@ -212,6 +213,27 @@ def test_flat_mask_equals_ptp_on_flat_and_near_flat_runs():
         want = np.array([np.ptp(ctx) == 0.0 for _, ctx, _ in db.windows()])
         assert want.any() and not want.all()
         assert np.array_equal(db._flat, want)
+
+
+_edge_values = st.sampled_from(
+    [0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), 5e-324, 1e308, np.inf, -np.inf, np.nan]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    first=st.one_of(_edge_values, st.floats()),
+    rest=st.lists(st.one_of(st.just(None), _edge_values, st.floats()), min_size=1, max_size=6),
+)
+@example(first=np.inf, rest=[None])  # ptp is NaN: not flat
+@example(first=-0.0, rest=[0.0, None])
+@example(first=np.nan, rest=[None, None])
+def test_flat_equals_ptp_is_zero(first, rest):
+    # None repeats the first value, so flat and near-flat vectors are common
+    v = np.array([first] + [first if x is None else x for x in rest], dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = bool(np.ptp(v) == 0.0)
+    assert _flat(v) == want
 
 
 def test_retrieve_planted_copy_scores_exactly_one():

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import csv
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flairr.errors import DataError
 from flairr.series import (
     Scaler,
     TimeSeries,
     WindowPair,
+    _load_plain,
+    _load_with_csv,
     fit_scaler,
     invert_scaler,
     load_csv,
@@ -100,6 +105,132 @@ def test_timestamps_must_strictly_increase(tmp_path):
     )
     with pytest.raises(DataError, match="strictly increasing"):
         load_csv(p, target="v")
+
+
+# Value cells: every accepted float spelling (underscores, a bare sign,
+# padding that both float() and str.strip() take or only str.strip() takes,
+# non-ASCII digits), and the non-finite, non-numeric and empty cells the loader
+# rejects.
+_GOOD_CELLS = [
+    "0", "-0", "1.5", " 2.25 ", "1_0", "+.5", "-3e-2", "\u00a07\u2003", "\u0663", "4.9e-324"
+]
+_BAD_CELLS = ["1e400", "-1e400", "nan", "inf", "-Infinity", "8\x1c", "0x10", "", " ", "oops"]
+
+
+def _one_in(k):
+    # st.integers favours its bounds; sampled_from draws evenly, apart from
+    # its first choice, which it also shrinks toward
+    return st.sampled_from([False] * (k - 1) + [True])
+
+
+@st.composite
+def csv_files(draw):
+    """A CSV file's bytes, a target and a timestamp column for load_csv."""
+    ncol = draw(st.integers(1, 3))
+    names = draw(st.lists(st.sampled_from(["a", "b", "ts", " a "]), min_size=ncol, max_size=ncol))
+    stamped = draw(st.booleans())
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    good = st.one_of(st.sampled_from(_GOOD_CELLS), finite)
+    rows = []
+    for i in range(draw(st.sampled_from([3, 1, 2, 4, 5, 6, 0]))):
+        cells = []
+        for j in range(ncol):
+            if j == 0 and stamped:
+                # mostly increasing; a repeat or a padded stamp now and then
+                stamps = [f"2020-01-{i + 1:02d}"] * 18 + ["2020-01-01", f" 2020-01-{i + 1:02d} "]
+                cells.append(draw(st.sampled_from(stamps)))
+            elif draw(_one_in(40)):
+                cells.append(draw(st.sampled_from(_BAD_CELLS)))
+            else:
+                cells.append(draw(good))
+        rows.append(cells)
+    if rows and draw(_one_in(6)):  # a ragged row
+        cells = draw(st.sampled_from(rows))
+        cells[:] = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+    table = [list(names)] + rows
+    for _ in range(draw(st.sampled_from([0] * 6 + [1, 2]))):  # a quote or CR in a cell
+        cells = draw(st.sampled_from([cells for cells in table if cells]))
+        k = draw(st.integers(0, len(cells) - 1))
+        cells[k] = draw(st.sampled_from(['"{}"', '"{}', '"a,b"', "{}\r", "\r{}"])).format(cells[k])
+    lines = [",".join(cells) for cells in table]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):  # blank or whitespace-only
+        blank = draw(st.sampled_from(["", "", " ", "\t"]))
+        lines.insert(draw(st.integers(1, len(lines))), blank)
+    newline = draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    if draw(_one_in(10)):
+        text = "\ufeff" + text
+    data = text.encode("utf-8")
+    if draw(_one_in(20)):  # not UTF-8
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + b"\xff" + data[k:]
+    target = draw(st.sampled_from([h.strip() for h in names] * 4 + [names[-1], "zz"]))
+    timestamp_column = draw(st.sampled_from([None] * 8 + [names[0], "nope"]))
+    return data, target, timestamp_column
+
+
+def _outcome(read, path, target, timestamp_column):
+    """What load_csv makes of a file through one reader: the series with its
+    columns bit for bit, or the error; None where the reader declines."""
+    try:
+        table = read(path, target, timestamp_column)
+        if table is None:
+            return None
+        names, columns, timestamps = table
+        series = TimeSeries(
+            name="s", column_names=names, columns=columns, target=target, timestamps=timestamps
+        )
+    except (DataError, UnicodeDecodeError) as exc:
+        return (type(exc).__name__, str(exc))
+    bits = {k: (v.dtype.str, v.tobytes()) for k, v in series.columns.items()}
+    return (series.column_names, bits, series.timestamps)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=csv_files())
+@example(case=(b"a,b\n1,2,3\n4\n", "a", None))  # row widths that cancel out
+@example(case=(b"a,b\n1,2\n3,nan\n", "a", None))
+@example(case=(b"t,v\n2020-01-02,1\n2020-01-01,2", "v", None))
+@example(case=(b"\n1,2\n", "a", None))
+@example(case=(b'ts,v\n"2020-01-01",1\n', "v", None))  # quotes a split would keep
+@example(case=(b"ts,v\n2020\r01,1\n", "v", None))  # a CR ends the csv row
+def test_load_csv_plain_path_equals_csv_module_path(tmp_path_factory, case):
+    data, target, timestamp_column = case
+    path = tmp_path_factory.getbasetemp() / "case.csv"
+    path.write_bytes(data)
+    want = _outcome(_load_with_csv, path, target, timestamp_column)
+    plain = _outcome(_load_plain, path, target, timestamp_column)
+    assert plain is None or plain == want
+
+
+def test_load_csv_takes_the_plain_path_only_for_plain_files(tmp_path):
+    plain = "ts , v\n\n2020-01-01, 1_0\n2020-01-02,+.5\n\n2020-01-03,\u00a0-0 "
+    p = write_csv(tmp_path / "plain.csv", plain)
+    names, columns, timestamps = _load_plain(p, "v", None)
+    assert names == ["v"]
+    assert timestamps == ["2020-01-01", "2020-01-02", "2020-01-03"]
+    assert columns["v"].tolist() == [10.0, 0.5, -0.0]
+    for text in (
+        'a,b\n1,"2"\n',  # quoted
+        "a,b\r\n1,2\r\n",  # CRLF
+        "a,b\n1,2\n3\n",  # ragged
+        "a,b\n1,2\n3,inf\n",  # non-finite
+        "a,b\n1,2\n3,x\n",  # non-numeric
+        "a,b\n \n",  # a whitespace-only row is a row
+    ):
+        p = write_csv(tmp_path / "other.csv", text)
+        assert _load_plain(p, "a", None) is None, text
+
+
+def test_load_csv_fields_over_the_csv_limit_take_the_csv_path(tmp_path):
+    p = write_csv(tmp_path / "long.csv", "ts,v\n2020-01-01T00:00:00,1\n")
+    limit = csv.field_size_limit(8)
+    try:
+        assert _load_plain(p, "v", None) is None
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            load_csv(p, target="v")
+    finally:
+        csv.field_size_limit(limit)
 
 
 def test_timeseries_validation():
