@@ -50,13 +50,19 @@ RETRY_BACKOFF_S = (1.0, 2.0)
 
 @dataclass(frozen=True)
 class CompletionRequest:
-    """One completion call: the prompt, a routing tag, and sampling knobs."""
+    """One completion call: the prompt, a routing tag, and sampling knobs.
+
+    ``attempt`` numbers the tries of one parse-retry loop from 0, so a
+    re-ask is a different request from the try before it even when its
+    prompt is the same.
+    """
 
     prompt: str
     tag: str
     temperature: float = 0.0
     max_tokens: int = DEFAULT_MAX_TOKENS
     seed: int | None = None
+    attempt: int = 0
 
     def __post_init__(self):
         if not self.prompt:
@@ -67,6 +73,8 @@ class CompletionRequest:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        if self.attempt < 0:
+            raise ValueError(f"attempt must be >= 0, got {self.attempt}")
 
 
 @dataclass(frozen=True)
@@ -91,12 +99,14 @@ class Backend:
 @dataclass(frozen=True)
 class ScriptEntry:
     """One scripted reply. Exactly one of ``prompt``, ``contains``, ``tag``
-    is set in pattern mode; all three are None for ordinal entries."""
+    is set in pattern mode; all three are None for ordinal entries. A
+    ``seed`` narrows an exact-prompt entry to requests with that seed."""
 
     reply: str
     prompt: str | None = None
     contains: str | None = None
     tag: str | None = None
+    seed: int | None = None
 
     @property
     def is_ordinal(self) -> bool:
@@ -104,7 +114,7 @@ class ScriptEntry:
 
     def matches(self, request: CompletionRequest) -> bool:
         if self.prompt is not None:
-            return request.prompt == self.prompt
+            return request.prompt == self.prompt and self.seed in (None, request.seed)
         if self.contains is not None:
             return self.contains in request.prompt
         if self.tag is not None:
@@ -172,9 +182,13 @@ def _entry_from_json(obj: dict, where: str) -> ScriptEntry:
     reply = obj["reply"]
     match = obj.get("match")
     if match is None and "prompt" in obj:
-        # recording shape: {"hash", "tag", "prompt", "reply"} replays as an
-        # exact-prompt pattern entry (full prompt stored, hashes are advisory)
-        return ScriptEntry(reply=reply, prompt=obj["prompt"])
+        # recording shape: {"hash", "tag", "seed", "prompt", "reply"} replays
+        # as an exact-prompt pattern entry for that seed (full prompt stored,
+        # hashes are advisory); a line without a seed matches any seed
+        seed = obj.get("seed")
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+            raise ConfigError(f"{where}: recording seed must be an integer or null")
+        return ScriptEntry(reply=reply, prompt=obj["prompt"], seed=seed)
     if match is None or match == "ordinal" or match == {"ordinal": True}:
         return ScriptEntry(reply=reply)
     if not isinstance(match, dict) or len(match) != 1:
@@ -331,9 +345,10 @@ def _retry_after_s(value: str | None) -> float:
 class RecordingBackend(Backend):
     """Wraps any backend and appends one JSON line per request/reply pair.
 
-    The full prompt is stored alongside a short content hash, so replaying
-    the sink as a pattern script reproduces identical replies for identical
-    prompts; hash collisions cannot lose data.
+    The full prompt and the request seed are stored alongside a short
+    content hash, so replaying the sink as a pattern script reproduces
+    identical replies for identical (prompt, seed) pairs; hash collisions
+    cannot lose data.
     """
 
     backend_id = "recording"
@@ -348,6 +363,7 @@ class RecordingBackend(Backend):
         record = {
             "hash": hashlib.sha256(request.prompt.encode("utf-8")).hexdigest()[:16],
             "tag": request.tag,
+            "seed": request.seed,
             "prompt": request.prompt,
             "reply": reply.text,
         }

@@ -10,10 +10,11 @@ carries the scaler parameters so raw-space errors stay recoverable.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import statistics
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -171,6 +172,54 @@ class _TokenMeter(Backend):
         return reply
 
 
+class _ReplyMemo(Backend):
+    """Sends each distinct request of one grid to ``inner`` once.
+
+    A request is keyed on the SHA-256 digest of everything its reply may
+    depend on: tag, seed, temperature, max_tokens, attempt and prompt. The
+    attempt keeps a parse retry, which re-sends one prompt on purpose, from
+    being served the malformed reply of the try before. Only digests are
+    held, not prompts.
+
+    Single-flight: the first caller of a key makes the call and concurrent
+    callers of that key wait for its reply, so the calls ``inner`` sees do
+    not depend on ``--jobs``. A call that raises is forgotten, and callers
+    already waiting for it get the same exception.
+    """
+
+    def __init__(self, inner: Backend):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self._replies: dict[bytes, Future] = {}
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def _key(request: CompletionRequest) -> bytes:
+        head = (
+            f"{request.tag}|{request.seed}|{request.temperature!r}|"
+            f"{request.max_tokens}|{request.attempt}|"
+        )
+        return hashlib.sha256((head + request.prompt).encode("utf-8")).digest()
+
+    def complete(self, request: CompletionRequest) -> CompletionReply:
+        key = self._key(request)
+        with self._lock:
+            pending = self._replies.get(key)
+            if pending is None:
+                self._replies[key] = future = Future()
+        if pending is not None:
+            return pending.result()
+        try:
+            reply = self.inner.complete(request)
+        except BaseException as exc:
+            with self._lock:
+                del self._replies[key]
+            future.set_exception(exc)
+            raise
+        future.set_result(reply)
+        return reply
+
+
 def method_wiring(method: str) -> tuple[bool, bool, str | None]:
     """(retrieval_enabled, refinement_enabled, strategy) for a method id."""
     if method == "simple":
@@ -302,9 +351,20 @@ def _run_grid(
     emit: bool,
 ) -> tuple[list[ReportRow], Path | None]:
     """Run ``methods`` (id, label) for every horizon; with ``emit`` the rows
-    land in ``<stem>.csv`` and ``<stem>.json`` inside a fresh run directory."""
-    if jobs > 1:
-        _refuse_ordinal_script(backend)
+    land in ``<stem>.csv`` and ``<stem>.json`` inside a fresh run directory.
+
+    Every cell's meter wraps one :class:`_ReplyMemo` for the whole grid, so
+    report columns count each method's own requests, memo hits included,
+    while ``backend`` sees each distinct request once. An ordinal script
+    bypasses the memo."""
+    ordinal = _ordinal_script(backend)
+    if ordinal and jobs > 1:
+        raise ConfigError(
+            "--jobs > 1 cannot replay an ordinal script: its replies follow "
+            "call order; run one job, or replay a pattern script or a recording"
+        )
+    if not ordinal:
+        backend = _ReplyMemo(backend)
     run_dir = _make_run_dir(cfg.output_dir) if emit else None
     data = _load_series(cfg)
     train, test = split(data, cfg.train_fraction, scale=True)
@@ -379,16 +439,16 @@ def _run_grid(
     return rows, run_dir
 
 
-def _refuse_ordinal_script(backend: Backend) -> None:
-    """Parallel cells would take an ordinal script's replies in whatever
-    order the threads reach it, so refuse one, also behind a wrapper."""
+def _ordinal_script(backend: Backend) -> bool:
+    """Whether an ordinal script answers ``backend``, also behind wrappers.
+
+    Its replies follow call order, so parallel cells would take them in
+    whatever order the threads reach it, and a memo would skip entries."""
     while backend is not None:
         if isinstance(backend, ScriptedBackend) and backend.ordinal:
-            raise ConfigError(
-                "--jobs > 1 cannot replay an ordinal script: its replies follow "
-                "call order; run one job, or replay a pattern script or a recording"
-            )
+            return True
         backend = getattr(backend, "inner", None)
+    return False
 
 
 def _safe_name(name: str) -> str:

@@ -261,14 +261,15 @@ def _plain_body(path) -> tuple[str, str, int] | None:
     of a file the ``csv`` module would split exactly at its newlines and
     commas, or None for any other file.
 
-    Such a file decodes as UTF-8, has a header and a body, no ``"`` (no
+    Such a file decodes as UTF-8 (a leading byte-order mark is dropped, as
+    the ``csv`` path drops it), has a header and a body, no ``"`` (no
     quoting) and no ``\r`` (every row ends at a ``\n``, and only empty
     lines are blank rows), every row has the header's width, and no line
     exceeds the ``csv`` field size limit. The file is read once, and its
     lines are freed on return, before the caller splits out the cells.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = fh.read().split("\n")
     except (OSError, UnicodeDecodeError):
         return None
@@ -288,7 +289,7 @@ def _plain_body(path) -> tuple[str, str, int] | None:
 def _load_with_csv(path, target: str, timestamp_column: str | None) -> _Table:
     """The table of any file, read row by row through ``csv.reader``."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:

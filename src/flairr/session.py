@@ -232,12 +232,13 @@ def _complete_parsed(
     tokens_out = 0
     last: ReplyParseError | None = None
     current_prompt = prompt
-    for _ in range(attempts):
+    for attempt in range(attempts):
         request = CompletionRequest(
             prompt=current_prompt,
             tag=tag,
             temperature=DEFAULT_TEMPERATURES[tag],
             seed=cfg.seed,
+            attempt=attempt,
         )
         reply = backend.complete(request)
         if reply.token_counts is not None:

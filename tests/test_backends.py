@@ -15,6 +15,7 @@ from flairr import backends
 from flairr.backends import (
     DEFAULT_TEMPERATURES,
     TAGS,
+    Backend,
     CompletionReply,
     CompletionRequest,
     HttpBackend,
@@ -64,6 +65,8 @@ def test_completion_request_validation():
         CompletionRequest(prompt="x", tag="refiner", temperature=-0.1)
     with pytest.raises(ValueError, match="max_tokens"):
         CompletionRequest(prompt="x", tag="refiner", max_tokens=0)
+    with pytest.raises(ValueError, match="attempt"):
+        CompletionRequest(prompt="x", tag="refiner", attempt=-1)
 
 
 def test_default_temperatures_cover_every_tag():
@@ -193,6 +196,9 @@ def test_load_script_errors(tmp_path):
         load_script(p)
     p.write_text('{"match": {"prompt": "a", "tag": "refiner"}, "reply": "x"}\n')
     with pytest.raises(ConfigError, match="must be one of"):
+        load_script(p)
+    p.write_text('{"tag": "refiner", "seed": "3", "prompt": "a", "reply": "x"}\n')
+    with pytest.raises(ConfigError, match="seed must be an integer"):
         load_script(p)
 
 
@@ -423,13 +429,14 @@ def test_recording_backend_round_trip(tmp_path):
     )
     recorder = RecordingBackend(inner, sink)
     assert recorder.complete(req("p1", tag="forecaster")).text == "F-reply"
-    assert recorder.complete(req("p2", tag="refiner")).text == "R-reply"
+    assert recorder.complete(req("p2", tag="refiner", seed=4)).text == "R-reply"
     assert recorder.complete(req("p3", tag="forecaster")).text == "F-reply"
 
     lines = [json.loads(line) for line in sink.read_text().splitlines()]
     assert len(lines) == 3
+    assert [r["seed"] for r in lines] == [None, 4, None]
     for record in lines:
-        assert set(record) == {"hash", "tag", "prompt", "reply"}
+        assert set(record) == {"hash", "tag", "seed", "prompt", "reply"}
         assert len(record["hash"]) == 16
         assert all(c in "0123456789abcdef" for c in record["hash"])
     assert [r["prompt"] for r in lines] == ["p1", "p2", "p3"]
@@ -437,4 +444,20 @@ def test_recording_backend_round_trip(tmp_path):
     # replaying the transcript reproduces the replies for the same prompts
     replay = load_script(sink)
     assert replay.complete(req("p1", tag="forecaster")).text == "F-reply"
-    assert replay.complete(req("p2", tag="refiner")).text == "R-reply"
+    assert replay.complete(req("p2", tag="refiner", seed=4)).text == "R-reply"
+
+
+def test_recording_replays_each_seed_its_own_reply(tmp_path):
+    class EchoSeed(Backend):
+        def complete(self, request):
+            return CompletionReply(text=f"seed {request.seed}")
+
+    sink = tmp_path / "transcript.jsonl"
+    recorder = RecordingBackend(EchoSeed(), sink)
+    for seed in (0, 1):
+        recorder.complete(req("same prompt", seed=seed))
+    replay = load_script(sink)
+    assert replay.complete(req("same prompt", seed=1)).text == "seed 1"
+    assert replay.complete(req("same prompt", seed=0)).text == "seed 0"
+    with pytest.raises(BackendError, match="no script entry matches"):
+        replay.complete(req("same prompt", seed=2))

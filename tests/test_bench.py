@@ -6,22 +6,43 @@ from __future__ import annotations
 import csv
 import json
 import statistics
+import sys
+import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flairr.backends import RecordingBackend, ScriptedBackend, ScriptEntry, load_script
+from flairr.backends import (
+    Backend,
+    CompletionReply,
+    CompletionRequest,
+    RecordingBackend,
+    ScriptedBackend,
+    ScriptEntry,
+    load_script,
+)
 from flairr.bench import (
     ABLATION_CONDITIONS,
     KNOWN_METHODS,
     ExperimentConfig,
     ReportRow,
+    _ReplyMemo,
     emit_report,
     method_wiring,
     run_ablation,
     run_experiment,
 )
 from flairr.errors import BackendError, ConfigError, TemplateError
-from flairr.testing import SyntheticOracleBackend, seasonal_series
+from flairr.session import FORMAT_RETRY_SUFFIX
+from flairr.testing import (
+    SyntheticOracleBackend,
+    forecast_reply,
+    instructions_reply,
+    refiner_reply,
+    seasonal_series,
+)
 
 EXPECTED_COLUMNS = [
     "dataset",
@@ -43,12 +64,15 @@ EXPECTED_COLUMNS = [
 ]
 
 
-@pytest.fixture
-def toy_csv(tmp_path):
+def write_toy_csv(path):
     values = seasonal_series(400, period=16, trend=0.01, amplitude=0.5, noise=0.05, seed=3)
-    path = tmp_path / "toy.csv"
     path.write_text("v\n" + "\n".join(repr(float(v)) for v in values) + "\n")
     return path
+
+
+@pytest.fixture
+def toy_csv(tmp_path):
+    return write_toy_csv(tmp_path / "toy.csv")
 
 
 def exp_config(csv_path, out_dir, methods=("simple", "flairr"), runs=2, **kw):
@@ -235,14 +259,15 @@ def test_parallel_grid_refuses_an_ordinal_script(toy_csv, tmp_path, recorded):
 
 
 def test_parallel_grid_replays_a_recording(toy_csv, tmp_path):
-    # one run: a recording keys replies on the prompt alone, not the run seed
-    cfg = exp_config(toy_csv, tmp_path / "out", runs=1)
+    # two runs send identical prompts under seeds cfg.seed and cfg.seed + 1
+    cfg = exp_config(toy_csv, tmp_path / "out", runs=2)
     recording = tmp_path / "rec.jsonl"
     live, _ = run_experiment(
         cfg, RecordingBackend(SyntheticOracleBackend(seed=5), recording), emit=False
     )
-    replayed, _ = run_experiment(cfg, load_script(recording), jobs=2, emit=False)
-    assert [row.run_maes for row in replayed] == [row.run_maes for row in live]
+    for jobs in (1, 2):
+        replayed, _ = run_experiment(cfg, load_script(recording), jobs=jobs, emit=False)
+        assert replayed == live
 
 
 def test_run_experiment_session_overrides_cannot_hijack_the_grid(toy_csv, tmp_path):
@@ -337,6 +362,243 @@ def test_run_ablation_fixed_conditions(toy_csv, tmp_path):
     assert (run_dir / "ablation.csv").is_file()
     assert (run_dir / "ablation.json").is_file()
     assert [m for m, _ in ABLATION_CONDITIONS] == ["simple", "retrieval-only", "ir-only", "flairr"]
+
+
+# --- serial and parallel grids ---------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    oracle_seed=st.integers(0, 10_000),
+    runs=st.integers(1, 3),
+    methods=st.lists(
+        st.sampled_from(KNOWN_METHODS + ("asp:deep-stl",)), min_size=1, max_size=4, unique=True
+    ),
+    max_iterations=st.integers(1, 3),
+    sample_size=st.integers(1, 3),
+)
+def test_grids_give_the_same_rows_serial_and_parallel(
+    tmp_path_factory, seed, oracle_seed, runs, methods, max_iterations, sample_size
+):
+    base = tmp_path_factory.getbasetemp()
+    cfg = ExperimentConfig(
+        target="v",
+        horizons=(4, 8),
+        methods=tuple(methods),
+        dataset_path=str(write_toy_csv(base / "grid.csv")),
+        dataset_name="toy",
+        runs=runs,
+        max_test_windows=3,
+        seed=seed,
+        session_overrides={
+            "context_length": 16,
+            "sample_size": sample_size,
+            "max_iterations": max_iterations,
+        },
+    )
+    for run in (run_experiment, run_ablation):
+        serial, _ = run(cfg, SyntheticOracleBackend(seed=oracle_seed), emit=False)
+        for jobs in (2, 4):
+            parallel, _ = run(cfg, SyntheticOracleBackend(seed=oracle_seed), jobs=jobs, emit=False)
+            assert parallel == serial
+
+
+# --- the grid's reply memo --------------------------------------------------
+
+
+def request_key(request):
+    return (
+        request.tag,
+        request.seed,
+        request.temperature,
+        request.max_tokens,
+        request.attempt,
+        request.prompt,
+    )
+
+
+class KeySpy(Backend):
+    """Records the key of every request that reaches ``inner``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self.keys = []
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.keys.append(request_key(request))
+        return self.inner.complete(request)
+
+
+def test_grid_sends_each_distinct_request_once(toy_csv, tmp_path):
+    spy = KeySpy(SyntheticOracleBackend(seed=5))
+    rows, _ = run_ablation(exp_config(toy_csv, tmp_path / "out"), spy, emit=False)
+    assert len(set(spy.keys)) == len(spy.keys)
+    # the report still counts every refiner consultation each method made
+    assert [row.refiner_calls for row in rows] == [0, 0, 4, 4]
+    refiner_keys = [key for key in spy.keys if key[0] == "refiner"]
+    assert len(refiner_keys) == 8
+
+
+def test_grid_backend_calls_do_not_depend_on_jobs(toy_csv, tmp_path):
+    seen = []
+    for jobs in (1, 2, 4):
+        spy = KeySpy(SyntheticOracleBackend(seed=5))
+        run_ablation(exp_config(toy_csv, tmp_path / "out"), spy, jobs=jobs, emit=False)
+        seen.append(sorted(spy.keys))
+    assert seen[0] == seen[1] == seen[2]
+
+
+def test_grid_parse_retry_reaches_the_backend(toy_csv, tmp_path):
+    class MalformedThrice(SyntheticOracleBackend):
+        forecasts = 0
+
+        def complete(self, request):
+            if request.tag == "forecaster":
+                self.forecasts += 1
+                if self.forecasts <= 3:
+                    return CompletionReply(text="no numbers here")
+            return super().complete(request)
+
+    spy = KeySpy(MalformedThrice(seed=5))
+    cfg = exp_config(toy_csv, tmp_path / "out", methods=("simple",), runs=1)
+    _, run_dir = run_experiment(cfg, spy)
+    first = spy.keys[0][-1]
+    retry = first + FORMAT_RETRY_SUFFIX
+    assert [(key[4], key[5]) for key in spy.keys[:4]] == [
+        (0, first), (1, retry), (2, retry), (3, retry)
+    ]
+    (log_path,) = run_dir.glob("*.jsonl")
+    iteration = [json.loads(line) for line in log_path.read_text().splitlines()][1]
+    assert iteration["parse_failures"] == 3 and iteration["skipped_samples"] == 0
+
+
+def req(prompt="p", tag="forecaster", **kw):
+    return CompletionRequest(prompt=prompt, tag=tag, **kw)
+
+
+class Gate(Backend):
+    """Counts calls per prompt; each call waits for ``release`` and then
+    raises ``error`` when one is set, else echoes the prompt."""
+
+    backend_id = "gate"
+
+    def __init__(self):
+        self.calls = {}
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.release.set()
+        self.error = None
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.calls[request.prompt] = self.calls.get(request.prompt, 0) + 1
+        self.entered.set()
+        assert self.release.wait(timeout=10)
+        if self.error is not None:
+            raise self.error
+        return CompletionReply(text=f"reply to {request.prompt}")
+
+
+def test_reply_memo_keys_every_request_field():
+    gate = Gate()
+    memo = _ReplyMemo(gate)
+    variants = [
+        req(),
+        req(tag="refiner"),
+        req(seed=1),
+        req(temperature=0.5),
+        req(max_tokens=7),
+        req(attempt=1),
+    ]
+    for request in variants + variants:
+        assert memo.complete(request).text == "reply to p"
+    assert gate.calls == {"p": len(variants)}
+
+
+def test_reply_memo_does_not_keep_a_failed_call():
+    gate = Gate()
+    memo = _ReplyMemo(gate)
+    gate.error = BackendError("endpoint went away")
+    with pytest.raises(BackendError, match="went away"):
+        memo.complete(req())
+    gate.error = None
+    assert memo.complete(req()).text == "reply to p"
+    assert memo.complete(req()).text == "reply to p"
+    assert gate.calls == {"p": 2}
+
+
+def test_reply_memo_waiters_share_one_call_and_its_error():
+    gate = Gate()
+    memo = _ReplyMemo(gate)
+    gate.release.clear()
+    gate.error = BackendError("endpoint went away")
+    raised = [None, None]
+
+    def call(slot):
+        try:
+            memo.complete(req())
+        except BackendError as exc:
+            raised[slot] = exc
+
+    first = threading.Thread(target=call, args=(0,))
+    first.start()
+    assert gate.entered.wait(timeout=10)
+    second = threading.Thread(target=call, args=(1,))
+    second.start()
+    time.sleep(0.2)  # the second caller is now waiting on the first call
+    gate.release.set()
+    for thread in (first, second):
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert gate.calls == {"p": 1}
+    assert raised[0] is not None and raised[1] is raised[0]
+
+
+def test_reply_memo_single_flight_under_thread_contention():
+    gate = Gate()
+    memo = _ReplyMemo(gate)
+    prompts = [f"p{i}" for i in range(16)]
+    wrong = []
+
+    def worker(offset):
+        for i in range(200):
+            prompt = prompts[(i + offset) % len(prompts)]
+            if memo.complete(req(prompt)).text != f"reply to {prompt}":
+                wrong.append(prompt)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
+    assert gate.calls == {prompt: 1 for prompt in prompts}
+
+
+def test_ordinal_script_bypasses_the_memo(toy_csv, tmp_path):
+    # ir-only's first evaluation sends simple's validation prompts again; an
+    # ordinal script must still hand out every entry, in call order
+    forecast = forecast_reply([0.1] * 8)
+    refine = refiner_reply("steady the tail", done=False)
+    synth = instructions_reply(["Follow the trend."])
+    simple = [forecast] * 6  # 2 validation + 4 test windows
+    ir_only = [forecast] * 2 + [refine, synth] + [forecast] * 2 + [refine, synth] + [forecast] * 4
+    script = ScriptedBackend([ScriptEntry(reply=text) for text in simple + ir_only])
+    cfg = exp_config(toy_csv, tmp_path / "out", methods=("simple", "ir-only"), runs=1)
+    rows, _ = run_experiment(cfg, script, emit=False)
+    assert script.remaining == 0
+    assert [row.refiner_calls for row in rows] == [0, 2]
 
 
 # --- report emission --------------------------------------------------------

@@ -8,7 +8,7 @@ import random
 from decimal import Decimal
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flairr.errors import ReplyParseError, TemplateError
@@ -28,6 +28,7 @@ from flairr.prompts import (
     render_refiner_prompt,
     render_synthesis_prompt,
 )
+from flairr.testing import instructions_reply, refiner_reply
 
 META = DatasetMeta(name="power", description="hourly transformer readings", target="OT")
 
@@ -479,6 +480,54 @@ def test_parse_refiner_reply_errors():
         parse_refiner_reply("Learnings: x\nDone: maybe")
     with pytest.raises(ReplyParseError, match="non-empty when Done is False"):
         parse_refiner_reply("Done: False")
+
+
+# One line of reply text inside the documented grammars: no line break, no
+# surrounding whitespace, no braces (placeholder tokens are refused). The
+# first alphabet holds the characters the parsers act on.
+_line = (
+    st.text(
+        st.one_of(
+            st.sampled_from("-*•.:)!?% 0123456789"),
+            st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters="{}"),
+            st.characters(whitelist_categories=("L", "N", "P", "Zs"), blacklist_characters="{}"),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+    .map(str.strip)
+    .filter(bool)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    learnings=st.lists(
+        _line.filter(lambda line: not line.lower().startswith("done:")), max_size=3
+    ),
+    done=st.booleans(),
+    confidence=st.sampled_from(["High", "Medium", "Low"]),
+    rationale=_line,
+)
+def test_refiner_reply_round_trips(learnings, done, confidence, rationale):
+    assume(learnings or done)  # empty learnings need Done: True
+    text = "\n".join(learnings)
+    reply = parse_refiner_reply(refiner_reply(text, done, confidence, rationale))
+    assert reply == RefinerReply(
+        learnings=text, done=done, confidence=confidence, rationale=rationale
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    items=st.lists(_line.filter(lambda item: SYNTHESIS_CUE not in item), min_size=1, max_size=5),
+    source_iteration=st.integers(0, 5),
+)
+def test_instructions_reply_round_trips(items, source_iteration):
+    block = parse_instructions_reply(instructions_reply(items), source_iteration)
+    assert block.items == tuple(items)
+    assert block.source_iteration == source_iteration
+    assert block.over_limit == (len(items) > 3)
 
 
 # --- instructions reply parser ----------------------------------------------

@@ -203,6 +203,20 @@ def test_load_csv_plain_path_equals_csv_module_path(tmp_path_factory, case):
     assert plain is None or plain == want
 
 
+@pytest.mark.parametrize(
+    "body, plain",
+    [("2020-01-01,1\n2020-01-02,2\n", True), ('2020-01-01,"1"\n2020-01-02,2\n', False)],
+    ids=["plain", "csv"],
+)
+def test_load_csv_drops_a_byte_order_mark(tmp_path, body, plain):
+    p = write_csv(tmp_path / "bom.csv", "\ufefftimestamp,value\n" + body)
+    assert (_load_plain(p, "value", "timestamp") is not None) == plain
+    series = load_csv(p, target="value", timestamp_column="timestamp")
+    assert series.column_names == ["value"]
+    assert series.timestamps == ["2020-01-01", "2020-01-02"]
+    assert series.target_values.tolist() == [1.0, 2.0]
+
+
 def test_load_csv_takes_the_plain_path_only_for_plain_files(tmp_path):
     plain = "ts , v\n\n2020-01-01, 1_0\n2020-01-02,+.5\n\n2020-01-03,\u00a0-0 "
     p = write_csv(tmp_path / "plain.csv", plain)
