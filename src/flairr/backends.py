@@ -28,6 +28,7 @@ __all__ = [
     "CompletionRequest",
     "CompletionReply",
     "Backend",
+    "CallMeter",
     "ScriptEntry",
     "ScriptedBackend",
     "load_script",
@@ -96,17 +97,42 @@ class Backend:
         raise NotImplementedError
 
 
+class CallMeter(Backend):
+    """Counts calls per tag and token usage on the way through; the one
+    place that sums :attr:`CompletionReply.token_counts`."""
+
+    def __init__(self, inner: Backend):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self.calls = dict.fromkeys(TAGS, 0)
+        self.tokens_in = 0
+        self.tokens_out = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request: CompletionRequest) -> CompletionReply:
+        reply = self.inner.complete(request)
+        with self._lock:
+            self.calls[request.tag] += 1
+            if reply.token_counts is not None:
+                self.tokens_in += reply.token_counts[0]
+                self.tokens_out += reply.token_counts[1]
+        return reply
+
+
 @dataclass(frozen=True)
 class ScriptEntry:
     """One scripted reply. Exactly one of ``prompt``, ``contains``, ``tag``
     is set in pattern mode; all three are None for ordinal entries. A
-    ``seed`` narrows an exact-prompt entry to requests with that seed."""
+    ``seed`` or an ``attempt`` narrows an exact-prompt entry to requests
+    with that value. ``token_counts`` is handed back with the reply."""
 
     reply: str
     prompt: str | None = None
     contains: str | None = None
     tag: str | None = None
     seed: int | None = None
+    attempt: int | None = None
+    token_counts: tuple[int, int] | None = None
 
     @property
     def is_ordinal(self) -> bool:
@@ -114,7 +140,11 @@ class ScriptEntry:
 
     def matches(self, request: CompletionRequest) -> bool:
         if self.prompt is not None:
-            return request.prompt == self.prompt and self.seed in (None, request.seed)
+            return (
+                request.prompt == self.prompt
+                and self.seed in (None, request.seed)
+                and self.attempt in (None, request.attempt)
+            )
         if self.contains is not None:
             return self.contains in request.prompt
         if self.tag is not None:
@@ -162,18 +192,21 @@ class ScriptedBackend(Backend):
             return CompletionReply(text=entry.reply, backend_id=self.backend_id)
 
         matches = [e for e in self._entries if e.matches(request)]
-        texts = {e.reply for e in matches}
+        replies = {(e.reply, e.token_counts) for e in matches}
         if not matches:
             raise BackendError(
                 f"no script entry matches request (tag {request.tag}, "
                 f"prompt starts {request.prompt[:60]!r})"
             )
-        if len(texts) > 1:
+        if len(replies) > 1:
             raise BackendError(
-                f"ambiguous script: {len(matches)} entries with {len(texts)} distinct "
+                f"ambiguous script: {len(matches)} entries with {len(replies)} distinct "
                 f"replies match request (tag {request.tag})"
             )
-        return CompletionReply(text=matches[0].reply, backend_id=self.backend_id)
+        entry = matches[0]
+        return CompletionReply(
+            text=entry.reply, backend_id=self.backend_id, token_counts=entry.token_counts
+        )
 
 
 def _entry_from_json(obj: dict, where: str) -> ScriptEntry:
@@ -182,13 +215,34 @@ def _entry_from_json(obj: dict, where: str) -> ScriptEntry:
     reply = obj["reply"]
     match = obj.get("match")
     if match is None and "prompt" in obj:
-        # recording shape: {"hash", "tag", "seed", "prompt", "reply"} replays
-        # as an exact-prompt pattern entry for that seed (full prompt stored,
-        # hashes are advisory); a line without a seed matches any seed
+        # recording shape: {"hash", "tag", "seed", "attempt", "prompt",
+        # "reply", "tokens"} replays as an exact-prompt pattern entry for
+        # that seed and attempt (full prompt stored, hashes are advisory); a
+        # line without a seed or an attempt matches any
         seed = obj.get("seed")
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        if seed is not None and not _is_int(seed):
             raise ConfigError(f"{where}: recording seed must be an integer or null")
-        return ScriptEntry(reply=reply, prompt=obj["prompt"], seed=seed)
+        attempt = obj.get("attempt")
+        if attempt is not None and not (_is_int(attempt) and attempt >= 0):
+            raise ConfigError(
+                f"{where}: recording attempt must be a non-negative integer or null"
+            )
+        tokens = obj.get("tokens")
+        if tokens is not None and not (
+            isinstance(tokens, list)
+            and len(tokens) == 2
+            and all(_is_int(t) and t >= 0 for t in tokens)
+        ):
+            raise ConfigError(
+                f"{where}: recording tokens must be [in, out] non-negative integers or null"
+            )
+        return ScriptEntry(
+            reply=reply,
+            prompt=obj["prompt"],
+            seed=seed,
+            attempt=attempt,
+            token_counts=None if tokens is None else tuple(tokens),
+        )
     if match is None or match == "ordinal" or match == {"ordinal": True}:
         return ScriptEntry(reply=reply)
     if not isinstance(match, dict) or len(match) != 1:
@@ -205,6 +259,10 @@ def _entry_from_json(obj: dict, where: str) -> ScriptEntry:
             raise ConfigError(f"{where}: unknown tag {value!r}; expected one of {TAGS}")
         return ScriptEntry(reply=reply, tag=str(value))
     raise ConfigError(f"{where}: unknown match key {key!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_script(path) -> ScriptedBackend:
@@ -345,10 +403,11 @@ def _retry_after_s(value: str | None) -> float:
 class RecordingBackend(Backend):
     """Wraps any backend and appends one JSON line per request/reply pair.
 
-    The full prompt and the request seed are stored alongside a short
-    content hash, so replaying the sink as a pattern script reproduces
-    identical replies for identical (prompt, seed) pairs; hash collisions
-    cannot lose data.
+    The full prompt, the request seed and attempt, and the reply's token
+    counts are stored alongside a short content hash, so replaying the sink
+    as a pattern script reproduces identical replies, token counts included,
+    for identical (prompt, seed, attempt) requests; hash collisions cannot
+    lose data.
     """
 
     backend_id = "recording"
@@ -364,8 +423,10 @@ class RecordingBackend(Backend):
             "hash": hashlib.sha256(request.prompt.encode("utf-8")).hexdigest()[:16],
             "tag": request.tag,
             "seed": request.seed,
+            "attempt": request.attempt,
             "prompt": request.prompt,
             "reply": reply.text,
+            "tokens": None if reply.token_counts is None else list(reply.token_counts),
         }
         line = json.dumps(record, ensure_ascii=False)
         try:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends import Backend, CompletionReply, CompletionRequest, ScriptedBackend
+from .backends import Backend, CallMeter, CompletionReply, CompletionRequest, ScriptedBackend
 from .errors import ConfigError
 from .prompts import DatasetMeta
 from .retrieval import build_hist_db
@@ -149,27 +149,6 @@ class ReportRow:
     scaler_std: float = 1.0
     test_windows: int = 0
     max_test_windows: int = 20
-
-
-class _TokenMeter(Backend):
-    """Counts calls and token usage per tag on the way through."""
-
-    def __init__(self, inner: Backend):
-        self.inner = inner
-        self.backend_id = inner.backend_id
-        self.calls = {"forecaster": 0, "refiner": 0, "synthesis": 0}
-        self.tokens_in = 0
-        self.tokens_out = 0
-        self._lock = threading.Lock()
-
-    def complete(self, request: CompletionRequest) -> CompletionReply:
-        reply = self.inner.complete(request)
-        with self._lock:
-            self.calls[request.tag] += 1
-            if reply.token_counts is not None:
-                self.tokens_in += reply.token_counts[0]
-                self.tokens_out += reply.token_counts[1]
-        return reply
 
 
 class _ReplyMemo(Backend):
@@ -386,7 +365,7 @@ def _run_grid(
     rows: list[ReportRow] = []
 
     def _one_row(horizon: int, method: str, label: str) -> ReportRow:
-        meter = _TokenMeter(backend)
+        meter = CallMeter(backend)
         maes: list[float] = []
         iterations: list[int] = []
         early_stops = 0

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends import DEFAULT_TEMPERATURES, Backend, CompletionRequest
+from .backends import DEFAULT_TEMPERATURES, Backend, CallMeter, CompletionRequest
 from .errors import ParseRetryError, ReplyParseError
 from .prompts import (
     DatasetMeta,
@@ -165,14 +165,6 @@ class SessionResult:
     def iterations_used(self) -> int:
         return len(self.history)
 
-    @property
-    def tokens_in(self) -> int:
-        return sum(rec.tokens_in for rec in self.history)
-
-    @property
-    def tokens_out(self) -> int:
-        return sum(rec.tokens_out for rec in self.history)
-
 
 @dataclass
 class EvaluationOutcome:
@@ -182,8 +174,6 @@ class EvaluationOutcome:
     per_sample: list[SampleRecord]
     parse_failures: int = 0
     skipped_samples: int = 0
-    tokens_in: int = 0
-    tokens_out: int = 0
 
 
 @dataclass
@@ -194,8 +184,6 @@ class RefineOutcome:
     done: bool
     reply: RefinerReply
     parse_failures: int = 0
-    tokens_in: int = 0
-    tokens_out: int = 0
 
 
 def make_validation_windows(values, cfg: SessionConfig) -> list[WindowPair]:
@@ -224,12 +212,10 @@ def _complete_parsed(
     """Issue a completion and parse it, re-asking with a corrective suffix on
     grammar violations, up to ``parse_retries`` extra attempts.
 
-    Returns (parsed, failures, tokens_in, tokens_out).
+    Returns (parsed, failures).
     """
     attempts = 1 + cfg.parse_retries
     failures = 0
-    tokens_in = 0
-    tokens_out = 0
     last: ReplyParseError | None = None
     current_prompt = prompt
     for attempt in range(attempts):
@@ -241,11 +227,8 @@ def _complete_parsed(
             attempt=attempt,
         )
         reply = backend.complete(request)
-        if reply.token_counts is not None:
-            tokens_in += reply.token_counts[0]
-            tokens_out += reply.token_counts[1]
         try:
-            return parser(reply.text), failures, tokens_in, tokens_out
+            return parser(reply.text), failures
         except ReplyParseError as exc:
             failures += 1
             last = exc
@@ -268,7 +251,7 @@ def _forecast_window(
     """The one retrieve-augment-forecast-parse pass behind both validation
     and test-time forecasts.
 
-    Returns (prompt, parsed reply, parse failures, tokens_in, tokens_out).
+    Returns (prompt, parsed reply, parse failures).
     """
     raft = None
     if cfg.retrieval_enabled and db is not None:
@@ -282,14 +265,14 @@ def _forecast_window(
         raft_context=raft,
         strategy=strategy,
     )
-    parsed, failures, tokens_in, tokens_out = _complete_parsed(
+    parsed, failures = _complete_parsed(
         backend,
         prompt,
         "forecaster",
         lambda text: parse_forecast_reply(text, cfg.horizon),
         cfg,
     )
-    return prompt, parsed, failures, tokens_in, tokens_out
+    return prompt, parsed, failures
 
 
 def evaluate_prompt(
@@ -311,12 +294,10 @@ def evaluate_prompt(
     per_sample: list[SampleRecord] = []
     failures = 0
     skipped = 0
-    tokens_in = 0
-    tokens_out = 0
     last_error: ParseRetryError | None = None
     for window in windows:
         try:
-            prompt, parsed, sample_failures, tin, tout = _forecast_window(
+            prompt, parsed, sample_failures = _forecast_window(
                 window, instructions, cfg, db, backend, meta, strategy
             )
         except ParseRetryError as exc:
@@ -326,8 +307,6 @@ def evaluate_prompt(
             log.warning("skipping window at %d: %s", window.origin, exc)
             continue
         failures += sample_failures
-        tokens_in += tin
-        tokens_out += tout
         per_sample.append(
             SampleRecord(
                 origin=window.origin,
@@ -348,8 +327,6 @@ def evaluate_prompt(
         per_sample=per_sample,
         parse_failures=failures,
         skipped_samples=skipped,
-        tokens_in=tokens_in,
-        tokens_out=tokens_out,
     )
 
 
@@ -387,9 +364,7 @@ def refine_step(
         history=pairs,
         precision=cfg.precision,
     )
-    reply, failures, tokens_in, tokens_out = _complete_parsed(
-        backend, prompt, "refiner", parse_refiner_reply, cfg
-    )
+    reply, failures = _complete_parsed(backend, prompt, "refiner", parse_refiner_reply, cfg)
 
     done = reply.done
     if done and latest.iteration == 0:
@@ -403,7 +378,7 @@ def refine_step(
         next_instructions = latest.instructions
         if reply.learnings.strip():
             synth_prompt = render_synthesis_prompt(reply.learnings)
-            next_instructions, synth_failures, stin, stout = _complete_parsed(
+            next_instructions, synth_failures = _complete_parsed(
                 backend,
                 synth_prompt,
                 "synthesis",
@@ -413,15 +388,11 @@ def refine_step(
                 cfg,
             )
             failures += synth_failures
-            tokens_in += stin
-            tokens_out += stout
     return RefineOutcome(
         next_instructions=next_instructions,
         done=done,
         reply=reply,
         parse_failures=failures,
-        tokens_in=tokens_in,
-        tokens_out=tokens_out,
     )
 
 
@@ -556,7 +527,9 @@ def run_session(
 
     try:
         for k in range(cfg.max_iterations):
-            outcome = evaluate_prompt(current, windows, cfg, db, backend, meta, strategy)
+            # a fresh meter per iteration: its totals are the record's tokens
+            meter = CallMeter(backend)
+            outcome = evaluate_prompt(current, windows, cfg, db, meter, meta, strategy)
             record = RefinementRecord(
                 iteration=k,
                 instructions=current,
@@ -564,8 +537,8 @@ def run_session(
                 per_sample=outcome.per_sample,
                 parse_failures=outcome.parse_failures,
                 skipped_samples=outcome.skipped_samples,
-                tokens_in=outcome.tokens_in,
-                tokens_out=outcome.tokens_out,
+                tokens_in=meter.tokens_in,
+                tokens_out=meter.tokens_out,
             )
             records.append(record)
             if outcome.batch_mae < best_mae:
@@ -577,11 +550,10 @@ def run_session(
                 session_log.write(_iteration_log_record(record))
                 break
 
-            refinement = refine_step(records, cfg, backend)
+            refinement = refine_step(records, cfg, meter)
             record.refiner_reply = refinement.reply
             record.parse_failures += refinement.parse_failures
-            record.tokens_in += refinement.tokens_in
-            record.tokens_out += refinement.tokens_out
+            record.tokens_in, record.tokens_out = meter.tokens_in, meter.tokens_out
             session_log.write(_iteration_log_record(record))
 
             if refinement.done:

@@ -134,6 +134,15 @@ def test_pattern_script_ambiguity_is_an_error():
     )
     with pytest.raises(BackendError, match="ambiguous script"):
         backend.complete(req("x marks the spot", tag="forecaster"))
+    # one reply text under two token counts is two distinct replies
+    backend = ScriptedBackend(
+        [
+            ScriptEntry(reply="A", contains="x", token_counts=(1, 1)),
+            ScriptEntry(reply="A", tag="forecaster", token_counts=(1, 2)),
+        ]
+    )
+    with pytest.raises(BackendError, match="2 distinct replies"):
+        backend.complete(req("x marks the spot", tag="forecaster"))
 
 
 def test_pattern_script_duplicate_same_reply_is_fine():
@@ -176,6 +185,8 @@ def test_load_script_pattern_and_recording_shapes(tmp_path):
     assert backend.complete(req(tag="refiner")).text == "R"
     assert backend.complete(req("zzz please")).text == "C"
     assert backend.complete(req("recorded prompt")).text == "P"
+    # a line without an attempt matches every attempt
+    assert backend.complete(req("recorded prompt", attempt=2)).text == "P"
 
 
 def test_load_script_errors(tmp_path):
@@ -200,6 +211,14 @@ def test_load_script_errors(tmp_path):
     p.write_text('{"tag": "refiner", "seed": "3", "prompt": "a", "reply": "x"}\n')
     with pytest.raises(ConfigError, match="seed must be an integer"):
         load_script(p)
+    for attempt in ("true", "-1", "1.0", '"1"'):
+        p.write_text(f'{{"tag": "refiner", "attempt": {attempt}, "prompt": "a", "reply": "x"}}\n')
+        with pytest.raises(ConfigError, match="attempt must be a non-negative integer"):
+            load_script(p)
+    for tokens in ("[1]", "[1, 2, 3]", "[1, -2]", "[true, 2]", "[1.0, 2]", '"1,2"', "{}"):
+        p.write_text(f'{{"tag": "refiner", "tokens": {tokens}, "prompt": "a", "reply": "x"}}\n')
+        with pytest.raises(ConfigError, match="tokens must be"):
+            load_script(p)
 
 
 # --- HTTP backend -----------------------------------------------------------
@@ -424,27 +443,33 @@ def test_recording_backend_round_trip(tmp_path):
     inner = ScriptedBackend(
         [
             ScriptEntry(reply="F-reply", tag="forecaster"),
-            ScriptEntry(reply="R-reply", tag="refiner"),
+            ScriptEntry(reply="R-reply", tag="refiner", token_counts=(5, 2)),
         ]
     )
     recorder = RecordingBackend(inner, sink)
     assert recorder.complete(req("p1", tag="forecaster")).text == "F-reply"
     assert recorder.complete(req("p2", tag="refiner", seed=4)).text == "R-reply"
-    assert recorder.complete(req("p3", tag="forecaster")).text == "F-reply"
+    assert recorder.complete(req("p3", tag="forecaster", attempt=1)).text == "F-reply"
 
     lines = [json.loads(line) for line in sink.read_text().splitlines()]
     assert len(lines) == 3
     assert [r["seed"] for r in lines] == [None, 4, None]
+    assert [r["attempt"] for r in lines] == [0, 0, 1]
+    assert [r["tokens"] for r in lines] == [None, [5, 2], None]
     for record in lines:
-        assert set(record) == {"hash", "tag", "seed", "prompt", "reply"}
+        assert set(record) == {"hash", "tag", "seed", "attempt", "prompt", "reply", "tokens"}
         assert len(record["hash"]) == 16
         assert all(c in "0123456789abcdef" for c in record["hash"])
     assert [r["prompt"] for r in lines] == ["p1", "p2", "p3"]
 
     # replaying the transcript reproduces the replies for the same prompts
     replay = load_script(sink)
-    assert replay.complete(req("p1", tag="forecaster")).text == "F-reply"
-    assert replay.complete(req("p2", tag="refiner", seed=4)).text == "R-reply"
+    first = replay.complete(req("p1", tag="forecaster"))
+    assert (first.text, first.token_counts) == ("F-reply", None)
+    second = replay.complete(req("p2", tag="refiner", seed=4))
+    assert (second.text, second.token_counts) == ("R-reply", (5, 2))
+    with pytest.raises(BackendError, match="no script entry matches"):
+        replay.complete(req("p3", tag="forecaster"))  # recorded as attempt 1 only
 
 
 def test_recording_replays_each_seed_its_own_reply(tmp_path):
@@ -461,3 +486,4 @@ def test_recording_replays_each_seed_its_own_reply(tmp_path):
     assert replay.complete(req("same prompt", seed=0)).text == "seed 0"
     with pytest.raises(BackendError, match="no script entry matches"):
         replay.complete(req("same prompt", seed=2))
+

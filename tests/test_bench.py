@@ -75,6 +75,20 @@ def toy_csv(tmp_path):
     return write_toy_csv(tmp_path / "toy.csv")
 
 
+class TokenStamper(Backend):
+    """Forwards to ``inner``, stamping each reply with ``stamp(request, text)``
+    as its token counts; by default the prompt and reply lengths."""
+
+    def __init__(self, inner, stamp=lambda request, text: (len(request.prompt), len(text))):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self.stamp = stamp
+
+    def complete(self, request):
+        text = self.inner.complete(request).text
+        return CompletionReply(text=text, token_counts=self.stamp(request, text))
+
+
 def exp_config(csv_path, out_dir, methods=("simple", "flairr"), runs=2, **kw):
     return ExperimentConfig(
         target="v",
@@ -263,8 +277,11 @@ def test_parallel_grid_replays_a_recording(toy_csv, tmp_path):
     cfg = exp_config(toy_csv, tmp_path / "out", runs=2)
     recording = tmp_path / "rec.jsonl"
     live, _ = run_experiment(
-        cfg, RecordingBackend(SyntheticOracleBackend(seed=5), recording), emit=False
+        cfg,
+        RecordingBackend(TokenStamper(SyntheticOracleBackend(seed=5)), recording),
+        emit=False,
     )
+    assert all(row.tokens_in > 0 and row.tokens_out > 0 for row in live)
     for jobs in (1, 2):
         replayed, _ = run_experiment(cfg, load_script(recording), jobs=jobs, emit=False)
         assert replayed == live
@@ -377,9 +394,10 @@ def test_run_ablation_fixed_conditions(toy_csv, tmp_path):
     ),
     max_iterations=st.integers(1, 3),
     sample_size=st.integers(1, 3),
+    stamped=st.booleans(),
 )
 def test_grids_give_the_same_rows_serial_and_parallel(
-    tmp_path_factory, seed, oracle_seed, runs, methods, max_iterations, sample_size
+    tmp_path_factory, seed, oracle_seed, runs, methods, max_iterations, sample_size, stamped
 ):
     base = tmp_path_factory.getbasetemp()
     cfg = ExperimentConfig(
@@ -397,11 +415,34 @@ def test_grids_give_the_same_rows_serial_and_parallel(
             "max_iterations": max_iterations,
         },
     )
+
+    def oracle():
+        backend = SyntheticOracleBackend(seed=oracle_seed)
+        return TokenStamper(backend) if stamped else backend
+
     for run in (run_experiment, run_ablation):
-        serial, _ = run(cfg, SyntheticOracleBackend(seed=oracle_seed), emit=False)
+        serial, _ = run(cfg, oracle(), emit=False)
+        assert all(row.tokens_in > 0 for row in serial) == stamped
         for jobs in (2, 4):
-            parallel, _ = run(cfg, SyntheticOracleBackend(seed=oracle_seed), jobs=jobs, emit=False)
+            parallel, _ = run(cfg, oracle(), jobs=jobs, emit=False)
             assert parallel == serial
+
+
+def test_report_tokens_are_the_session_logs_plus_the_test_forecasts(toy_csv, tmp_path):
+    # ir-only opens with simple's validation pass, so the memo serves hits
+    cfg = exp_config(toy_csv, tmp_path / "out", methods=KNOWN_METHODS)
+    backend = TokenStamper(SyntheticOracleBackend(seed=5), stamp=lambda request, text: (1, 1))
+    rows, run_dir = run_experiment(cfg, backend)
+    for row in rows:
+        logs = sorted(run_dir.glob(f"toy-h8-{row.method}-run*.jsonl"))
+        assert len(logs) == cfg.runs
+        logged = sum(
+            record["tokens_in"]
+            for log_path in logs
+            for record in map(json.loads, log_path.read_text().splitlines())
+            if record["kind"] == "iteration"
+        )
+        assert row.tokens_in == row.tokens_out == logged + cfg.runs * row.test_windows
 
 
 # --- the grid's reply memo --------------------------------------------------

@@ -9,9 +9,16 @@ import re
 import numpy as np
 import pytest
 
-from flairr.backends import Backend, CompletionReply, ScriptedBackend, ScriptEntry
+from flairr.backends import (
+    Backend,
+    CompletionReply,
+    RecordingBackend,
+    ScriptedBackend,
+    ScriptEntry,
+    load_script,
+)
 from flairr.errors import BackendError, ParseRetryError
-from flairr.prompts import InstructionBlock
+from flairr.prompts import InstructionBlock, parse_forecast_reply
 from flairr.retrieval import build_hist_db
 from flairr.series import window_at
 from flairr.session import (
@@ -20,6 +27,7 @@ from flairr.session import (
     SampleRecord,
     SessionConfig,
     SessionResult,
+    _complete_parsed,
     evaluate_prompt,
     forecast_reply_for,
     forecast_with,
@@ -238,6 +246,14 @@ def test_evaluate_prompt_skips_a_hopeless_sample():
     assert outcome.batch_mae == pytest.approx(1.0)
 
 
+def test_session_record_counts_the_tokens_of_a_skipped_sample():
+    cfg = small_cfg(sample_size=2, parse_retries=1, refinement_enabled=False)
+    backend = ordinal("garbage", "garbage again", forecast_reply([29.0, 30.0]))
+    (record,) = run_session(cfg, np.arange(30.0), TokenStampingBackend(backend)).history
+    assert record.skipped_samples == 1
+    assert (record.tokens_in, record.tokens_out) == (30, 9)  # three calls were made
+
+
 def test_evaluate_prompt_fails_when_every_sample_fails():
     cfg = small_cfg(parse_retries=1)
     windows = make_validation_windows(VALUES, cfg)
@@ -252,14 +268,32 @@ def test_evaluate_prompt_rejects_empty_batch():
 
 
 def test_evaluate_prompt_token_accounting():
-    cfg = small_cfg(sample_size=2)
-    values = np.arange(30.0)
-    windows = make_validation_windows(values, cfg)[:2]
+    cfg = small_cfg(sample_size=2, refinement_enabled=False)
     backend = TokenStampingBackend(
         ordinal(forecast_reply([22.0, 23.0]), forecast_reply([28.0, 29.0]))
     )
-    outcome = evaluate_prompt(None, windows, cfg, None, backend)
-    assert outcome.tokens_in == 20 and outcome.tokens_out == 6
+    (record,) = run_session(cfg, np.arange(30.0), backend).history
+    assert len(record.per_sample) == 2
+    assert record.tokens_in == 20 and record.tokens_out == 6
+
+
+def test_recorded_parse_retries_replay_attempt_by_attempt(tmp_path):
+    # attempts 1 and 2 resend one prompt; only the attempt tells them apart
+    class MalformedTwice(Backend):
+        def complete(self, request):
+            if request.attempt < 2:
+                return CompletionReply(text=f"malformed {request.attempt}")
+            return CompletionReply(text=forecast_reply([10.0, 11.0]))
+
+    cfg = small_cfg(parse_retries=2)
+    parser = lambda text: parse_forecast_reply(text, cfg.horizon)
+    sink = tmp_path / "transcript.jsonl"
+    live = _complete_parsed(
+        RecordingBackend(MalformedTwice(), sink), "prompt", "forecaster", parser, cfg
+    )
+    replayed = _complete_parsed(load_script(sink), "prompt", "forecaster", parser, cfg)
+    assert replayed[:2] == live[:2]
+    assert replayed[0].values == (10.0, 11.0) and replayed[1] == 2
 
 
 # --- refine_step ------------------------------------------------------------
@@ -453,11 +487,13 @@ def test_session_aborts_carry_partial_history():
         # script ends: the iteration-1 refiner call must fail
     )
     with pytest.raises(BackendError) as excinfo:
-        run_session(cfg, VALUES, backend)
+        run_session(cfg, VALUES, TokenStampingBackend(backend))
     partial = excinfo.value.partial_history
     assert len(partial) == 2
     assert partial[0].batch_mae == pytest.approx(0.2)
     assert partial[1].batch_mae == pytest.approx(0.3)
+    # iteration 0 made three calls; iteration 1 keeps its evaluation's one
+    assert [(r.tokens_in, r.tokens_out) for r in partial] == [(30, 9), (10, 3)]
 
 
 def test_session_retrieval_database_stops_before_validation_contexts():
@@ -596,19 +632,14 @@ def test_session_is_deterministic_with_the_oracle():
 
 
 def test_session_result_token_totals_sum_history():
-    records = [record_for(0, None, 1.0), record_for(1, None, 0.9)]
-    records[0].tokens_in, records[0].tokens_out = 5, 2
-    records[1].tokens_in, records[1].tokens_out = 7, 4
-    result = SessionResult(
-        base_template_id="forecaster-base",
-        final_instructions=None,
-        early_stop=False,
-        best_iteration=0,
-        best_mae=1.0,
-        history=records,
-    )
-    assert result.tokens_in == 12 and result.tokens_out == 6
-    assert result.prompt_out == ("forecaster-base", None)
+    cfg = small_cfg(max_iterations=2)
+    spy = SpyBackend(SyntheticOracleBackend(seed=1))
+    result = run_session(cfg, VALUES, TokenStampingBackend(spy))
+    # two evaluations, two refiner consultations, two syntheses
+    assert len(spy.requests) == 6
+    assert sum(rec.tokens_in for rec in result.history) == 10 * len(spy.requests)
+    assert sum(rec.tokens_out for rec in result.history) == 3 * len(spy.requests)
+    assert result.prompt_out == ("forecaster-base", result.final_instructions)
 
 
 # --- single-window forecasting ----------------------------------------------
