@@ -8,11 +8,14 @@ rather than scored.
 
 The index never copies the windows: it keeps the history, a once-shifted copy
 of it and a few numbers per window, so its memory is O(n) whatever the
-context length. A query is scored against every window in one
-sliding-dot-product pass over a strided view of the shifted history (the
-formulation of MASS and the Matrix Profile). Only the windows whose
-approximate score lies inside a proven per-window rounding-error band of the
-k-th best (plus any the bound does not cover) are rescored with the
+context length. It takes each window's sum and sum of squares from running
+sums that restart every L points, so building it is O(n) time too, and each
+sum's rounding error is bounded by the two blocks of L points the window
+touches rather than by the whole history. A query is scored against every
+window in one sliding-dot-product pass over a strided view of the shifted
+history (the formulation of MASS and the Matrix Profile). Only the windows
+whose approximate score lies inside a proven per-window rounding-error band
+of the k-th best (plus any the bound does not cover) are rescored with the
 arithmetic of :func:`pearson`, so the returned ``(start, score)`` pairs are
 bit-identical to an exhaustive per-window scan.
 
@@ -116,8 +119,8 @@ class HistDB:
     points, so the last indexable window starts at ``len(history) - L - H``.
     Nothing of size windows x L is stored. The index keeps the read-only
     history, the history shifted once by its mean, and per window: the mean
-    and the sum of squared deviations of the shifted window (from sums over
-    a strided view, which copies nothing), whether the error bound of
+    and the sum of squared deviations of the shifted window (from blocked
+    running sums, see :func:`_window_sums`), whether the error bound of
     :func:`retrieve`'s approximate pass holds for it, its error band, and
     whether it is flat. The flat mask is exact: it counts the changes
     between neighbouring values, so it equals ``np.ptp(window) == 0``.
@@ -144,18 +147,14 @@ class HistDB:
             shift = float(arr.mean()) if arr.size else 0.0
             self._shifted = arr - shift
             self._shifted.flags.writeable = False
-            view = (
-                sliding_window_view(self._shifted, L)[:count] if count else np.empty((0, L))
-            )
-            sums = np.einsum("ij->i", view)
-            sumsq = np.einsum("ij,ij->i", view, view)
+            sums, sumsq, energy = _window_sums(self._shifted, L, count)
             self._means = sums / L
             self._ssd = sumsq - sums * self._means
-            spread = sumsq / self._ssd
+            spread = energy / self._ssd
             spread_x = spread + L * (shift * shift) / self._ssd
             self._trusted = (
                 ~self._flat
-                & (sumsq <= _SS_HI)
+                & (energy <= _SS_HI)
                 & (self._ssd >= _SS_LO)
                 & (spread_x <= 2.0**-16 / g)
             )
@@ -186,6 +185,31 @@ def build_hist_db(history, context_length: int, horizon: int) -> HistDB:
     return HistDB(history, context_length, horizon)
 
 
+def _window_sums(y: np.ndarray, length: int, count: int):
+    """Per window ``y[i : i+length]``, ``i < count``: its sum, its sum of
+    squares, and the sum of squares of the two blocks it touches.
+
+    Block a is ``y[a*length : (a+1)*length]``, zero-padded at the end. The
+    running sums of ``y`` and of its squares restart at every block, so
+    window ``i = a*length + r`` is ``(total[a] - prefix[a, r]) + prefix[a+1,
+    r]``: three slices of the running sums, whose rounding error depends on
+    those two blocks alone. O(n) time, whatever ``length``.
+    """
+    blocks = (count - 1) // length + 2
+    padded = np.zeros(blocks * length)
+    m = min(y.size, padded.size)
+    padded[:m] = y[:m]
+    padded = padded.reshape(blocks, length)
+    prefix = np.zeros((2, blocks, length + 1))  # of y and of y*y, zero-led
+    np.cumsum(padded, axis=1, out=prefix[0, :, 1:])
+    np.cumsum(padded * padded, axis=1, out=prefix[1, :, 1:])
+    total, head, tail = prefix[:, :-1, length:], prefix[:, :-1, :length], prefix[:, 1:, :length]
+    sums, sumsq = ((total - head) + tail).reshape(2, -1)[:, :count]
+    block_energy = prefix[1, :, length]
+    energy = np.repeat(block_energy[:-1] + block_energy[1:], length)[:count]
+    return sums, sumsq, energy
+
+
 # Error band of the approximate pass.
 #
 # Notation, for one window of length L: x is its slice of the history, c =
@@ -206,22 +230,32 @@ def build_hist_db(history, context_length: int, horizon: int) -> HistDB:
 # 4.7 g + 1.03 beta sqrt(kappa) + 0.53 kappa of rho.
 #
 # Approximate pass. y = x - shift + w with |w| <= u |y| / (1 - u), so the
-# real centered y differs from c by at most |w|. Its numerator y.q -
-# mean(y) sigma lies within 5.1 g |y| |q| of c.q, and its sum of squares
-# sum(y^2) - sum(y) mean(y) within 5.6 g |y|^2 of C. With r = |y| / |c|
-# (r >= 1 - u) and the same roundings, its score lies within 10.1 g r^2 of
-# rho: cancellation in the sum of squares costs a factor r^2.
+# real centered y differs from c by at most |w|. The index takes the sum and
+# the sum of squares of y from running sums that restart every L points
+# (_window_sums): window i = a*L + r is (total[a] - prefix[a, r]) +
+# prefix[a+1, r]. Every partial sum there runs over at most L terms of block
+# a or of block a+1, so with A the L1 norm of y over those two blocks and W
+# the computed sum of squares of the shifted values in them (W >= |y|^2 (1 -
+# 1.5 g), and A <= sqrt(2 L W) (1 + g)), the window's computed sum lies
+# within 2.01 g A of sum(y), and its computed sum of squares within 2.6 g W
+# of |y|^2 (2.01 g for the sums, u for the squaring). Its numerator y.q -
+# mean(y) sigma then lies within 6.9 g sqrt(W) |q| of c.q, and its sum of
+# squares sum(y^2) - sum(y) mean(y) within 11 g W of C. With R^2 = W / C
+# (R^2 >= 1 - 3 g) and the same roundings, its score lies within 14.2 g R^2
+# of rho: cancellation in the sum of squares costs a factor R^2. A running
+# sum over the whole history would tie the error to the history's norm
+# instead, and a quiet window far from the start would lose its trust.
 #
-# Trust. Let t = sum(y^2) / ssd and t_x = t + L shift^2 / ssd, computed from
-# the window's sums (ssd its computed sum of squares). A window is trusted
-# when g t_x <= 2**-16. Then g r^2 < 1.0001 * 2**-16, r^2 < 1.0001 t,
-# |x|^2 / C < 2.001 t_x, and kappa, a product of two roundings, is below
-# 2**-15 g. The two scores of a trusted window therefore differ by at most
-# g (15 t + 1.5 beta sqrt(t_x)); the band takes 32 g (t + beta sqrt(t_x)),
-# whose margin also covers the roundings of beta and of the band itself.
+# Trust. Let t = W / ssd and t_x = t + L shift^2 / ssd, computed from the
+# window's sums (ssd its computed sum of squares). A window is trusted when
+# g t_x <= 2**-16. Then R^2 < 1.0002 t, |x|^2 / C < 2.001 t_x, and kappa, a
+# product of two roundings, is below 2**-15 g. The two scores of a trusted
+# window therefore differ by at most g (19 t + 1.5 beta sqrt(t_x)); the band
+# takes 32 g (t + beta sqrt(t_x)), whose margin also covers the roundings of
+# beta and of the band itself.
 # Clipping to [-1, 1] only moves a score toward rho, as |rho| <= 1. The
-# bound assumes no overflow and negligible underflow: sum(y^2) <= _SS_HI,
-# ssd >= _SS_LO and ssq inside [_SS_LO, _SS_HI] guarantee both (the underflow
+# bound assumes no overflow and negligible underflow: W <= _SS_HI, ssd >=
+# _SS_LO and ssq inside [_SS_LO, _SS_HI] guarantee both (the underflow
 # error is below 2**-600 relative, and every intermediate stays finite).
 # Windows outside that range, or with g t_x > 2**-16, are rescored.
 _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0

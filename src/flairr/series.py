@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -172,12 +171,16 @@ def load_csv(
     One timestamp column is optional: name it explicitly, or leave
     ``timestamp_column`` unset and the first column is treated as timestamps
     when its first data cell does not parse as a number. Every other cell
-    must be a finite real; NaN/Inf and ragged rows are load-time errors.
+    must be a finite real. NaN/Inf, ragged rows and a cell over the ``csv``
+    field size limit are load-time errors (:class:`DataError`).
 
     A file without quotes or carriage returns whose rows all have the
-    header's width and whose value cells are all finite is parsed a column
-    at a time from its text; every other file goes through the ``csv``
-    module. Both give the same series and the same error for every file.
+    header's width, whose lines all fit the ``csv`` field size limit in
+    bytes and whose value cells are all finite is parsed a column at a time:
+    its rows and widths are checked by array scans over its bytes, and its
+    cells split from its text once. Every other file goes through the
+    ``csv`` module. Both give the same series and the same error for every
+    file.
     """
     table = _load_plain(path, target, timestamp_column)
     if table is None:
@@ -265,25 +268,51 @@ def _plain_body(path) -> tuple[str, str, int] | None:
     the ``csv`` path drops it), has a header and a body, no ``"`` (no
     quoting) and no ``\r`` (every row ends at a ``\n``, and only empty
     lines are blank rows), every row has the header's width, and no line
-    exceeds the ``csv`` field size limit. The file is read once, and its
-    lines are freed on return, before the caller splits out the cells.
+    exceeds the ``csv`` field size limit. The file is read once, as bytes,
+    and its structure is checked on them: UTF-8 encodes ``"``, ``\r``,
+    ``\n`` and ``,`` as single bytes that occur in no other character, and a
+    line's byte length is at least its length in characters, so the limit
+    check only errs toward the ``csv`` path. The bytes, the scan's arrays and
+    the decoded text are freed before the body is joined, so before the
+    caller splits out the cells.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            lines = fh.read().split("\n")
-    except (OSError, UnicodeDecodeError):
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
         return None
-    body = list(filter(None, lines[1:]))
-    if not lines[0] or not body:
+    if data.startswith(b"\xef\xbb\xbf"):
+        data = data[3:]
+    if b'"' in data or b"\r" in data:
         return None
-    if set(map(str.count, body, repeat(","))) != {lines[0].count(",")}:
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.append(np.flatnonzero(raw == ord("\n")), raw.size)  # per line
+    lengths = np.diff(ends, prepend=-1) - 1
+    commas = np.diff(np.searchsorted(np.flatnonzero(raw == ord(",")), ends), prepend=0)
+    rows = np.flatnonzero(lengths[1:])  # the body's non-blank lines
+    if not lengths[0] or not rows.size:
         return None
-    if max(map(len, lines)) > csv.field_size_limit():
+    if (commas[1:][rows] != commas[0]).any():
         return None
-    text = ",".join(body)  # with the header, every character but the newlines
-    if any('"' in part or "\r" in part for part in (lines[0], text)):
+    if lengths.max() > csv.field_size_limit():
         return None
-    return lines[0], text, len(body)
+    count, gaps = rows.size, rows[-1] - rows[0] + 1 > rows.size  # blank rows inside
+    # The copies of the text below set the peak memory of a request, so the
+    # scan, the bytes and the decoded text are freed as soon as they are used
+    # (``raw`` is a view that keeps the bytes alive).
+    del raw, ends, lengths, commas, rows
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    del data
+    header, _, body = text.partition("\n")
+    del text
+    if gaps:
+        body = ",".join(filter(None, body.split("\n")))
+    else:
+        body = body.strip("\n").replace("\n", ",")
+    return header, body, count
 
 
 def _load_with_csv(path, target: str, timestamp_column: str | None) -> _Table:
@@ -294,13 +323,19 @@ def _load_with_csv(path, target: str, timestamp_column: str | None) -> _Table:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
+        header: list[str] | None = None
+        rows: list[list[str]] = []
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        rows = [row for row in reader if row]
-
+            header = next(reader, None)
+            for row in reader:
+                if row:
+                    rows.append(row)
+        except csv.Error as exc:
+            where = "header row" if header is None else f"row {len(rows) + 1}"
+            raise DataError(f"{path}: unreadable {where}: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: empty file, expected a header row")
+    header = [h.strip() for h in header]
     if not rows:
         raise DataError(f"{path}: no data rows")
     for i, row in enumerate(rows, start=1):

@@ -133,6 +133,23 @@ def test_forecast_missing_data_file(tmp_path, capsys):
     assert "cannot open" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["forecast", "refine", "retrieve", "bench", "ablate"])
+def test_a_cell_over_the_csv_field_limit_exits_two(series_csv, tmp_path, capsys, command):
+    rows = series_csv.read_text().splitlines()
+    rows[6] = " " * csv.field_size_limit() + rows[6]  # float() would still take it
+    data = tmp_path / "long.csv"
+    data.write_text("\n".join(rows) + "\n")
+    if command in ("bench", "ablate"):
+        argv = [command, "--config", str(write_bench_config(tmp_path, data, tmp_path / "out"))]
+    else:
+        argv = [command, "--data", str(data), "--target", "v", "--context", "16", "--horizon", "4"]
+        if command == "refine":
+            argv += ["--out", str(tmp_path / "out")]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"{data}: unreadable row 6: field larger than field limit" in err
+
+
 def test_forecast_bad_session_value(series_csv, capsys):
     code = run_cli(
         "forecast", "--data", str(series_csv), "--target", "v",

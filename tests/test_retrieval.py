@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from flairr.retrieval import (
     AnalogSegment,
     _flat,
+    _gamma,
+    _window_sums,
     build_hist_db,
     format_analogs,
     pearson,
@@ -133,6 +136,36 @@ def test_retrieve_matches_brute_force_scan():
         for count in (1, 3, 7):
             got = [(s.start, s.score) for s in retrieve(db, query, count)]
             assert got == brute_force(db, query, count)
+
+
+@pytest.mark.parametrize(
+    "n, L, H, kind",
+    [(2_000, 7, 3, "walk"), (3_000, 24, 8, "seasonal"), (4_000, 96, 24, "walk")],
+)
+def test_retrieve_matches_brute_force_on_long_histories(n, L, H, kind):
+    # many blocks of L points, so most windows straddle a block edge
+    rng = np.random.default_rng(n)
+    if kind == "walk":
+        history = 1e3 + rng.normal(size=n).cumsum()
+    else:
+        history = seasonal_series(n, period=L, trend=0.001, noise=0.3, seed=n)
+    db = build_hist_db(history[: n - L], L, H)
+    assert db._trusted.all()  # every window goes through the approximate pass
+    for query in (history[-L:], rng.normal(size=L).cumsum()):
+        for count in (1, 5):
+            got = [(s.start, s.score) for s in retrieve(db, query, count)]
+            assert got == brute_force(db, query, count)
+
+
+def test_every_non_flat_window_of_a_long_history_is_trusted():
+    # the error of a window's sums depends on the two blocks it touches, not
+    # on how far into the history it lies
+    for values, L in (
+        (seasonal_series(10_000), 336),
+        (np.random.default_rng(3).normal(size=100_000).cumsum(), 96),
+    ):
+        db = build_hist_db(values, L, 24)
+        assert np.array_equal(db._trusted, ~db._flat)
 
 
 @pytest.mark.parametrize("scale", [1e-100, 1e-160])
@@ -376,3 +409,60 @@ def test_retrieve_equals_exhaustive_scan_for_arbitrary_series(case):
     db = build_hist_db(history, L, H)
     got = [(s.start, s.score) for s in retrieve(db, query, count)]
     assert got == brute_force(db, query, count)
+
+
+@st.composite
+def blocked_series(draw):
+    """Random walks, noisy ramps and quiet stretches inside loud ones, offset
+    by up to 1e9 and long enough to cross many blocks of L points."""
+    L = draw(st.integers(2, 40))
+    n = L * draw(st.integers(3, 60)) + draw(st.integers(0, L - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["walk", "ramp", "quiet"]))
+    if kind == "walk":
+        values = rng.normal(size=n).cumsum()
+    elif kind == "ramp":
+        values = draw(st.sampled_from([1e-3, 1.0, 1e3])) * np.arange(n) + rng.normal(size=n)
+    else:
+        values = 1e6 * rng.normal(size=n)
+        at = draw(st.integers(0, n - 1))
+        quiet = slice(at, at + draw(st.integers(1, 3 * L)))
+        values[quiet] = 1e-6 * rng.normal(size=values[quiet].size)
+    offset = draw(st.sampled_from([0.0, -7.5, 1e3, 1e6, 1e9]))
+    return values + offset, L
+
+
+def _exact_squares(v):
+    """Three arrays whose entries sum exactly to the squares of ``v``
+    (Veltkamp's split: each half has at most 26 significant bits)."""
+    c = 134217729.0 * v
+    hi = c - (c - v)
+    lo = v - hi
+    return hi * hi, 2.0 * hi * lo, lo * lo
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocked_series())
+def test_window_sums_lie_within_their_error_bounds(case):
+    # The bounds the approximate pass is derived from (see the comment on
+    # the error band in flairr.retrieval): with A the L1 norm and W the
+    # computed sum of squares of the two blocks a window touches, its sum is
+    # within 2.01 g A and its sum of squares within 2.6 g W of the exact
+    # values, and W >= |y|^2 (1 - 1.5 g).
+    history, L = case
+    db = build_hist_db(history, L, 1)
+    y = db._shifted
+    sums, sumsq, energy = _window_sums(y, L, len(db))
+    g = _gamma(L)
+    u = np.finfo(np.float64).eps / 2
+    parts = _exact_squares(y)
+    for i in range(len(db)):
+        window = slice(i, i + L)
+        blocks = slice(i // L * L, (i // L + 2) * L)
+        exact_sum = math.fsum(y[window])
+        exact_sumsq = math.fsum(np.concatenate([p[window] for p in parts]))
+        l1 = math.fsum(np.abs(y[blocks]))
+        # fsum rounds the exact value once: u |value| more
+        assert abs(sums[i] - exact_sum) <= 2.01 * g * l1 + u * abs(exact_sum)
+        assert abs(sumsq[i] - exact_sumsq) <= 2.6 * g * energy[i] + u * exact_sumsq
+        assert energy[i] >= exact_sumsq * (1 - 1.5 * g)

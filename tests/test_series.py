@@ -114,7 +114,10 @@ def test_timestamps_must_strictly_increase(tmp_path):
 _GOOD_CELLS = [
     "0", "-0", "1.5", " 2.25 ", "1_0", "+.5", "-3e-2", "\u00a07\u2003", "\u0663", "4.9e-324"
 ]
-_BAD_CELLS = ["1e400", "-1e400", "nan", "inf", "-Infinity", "8\x1c", "0x10", "", " ", "oops"]
+_BAD_CELLS = ["1e400", "-1e400", "nan", "inf", "-Infinity", "8\x1c", "0x10", "", " ", "oops", "é"]
+# Padding of two and of three UTF-8 bytes that float() and str.strip() take:
+# a line's length in bytes then exceeds its length in characters.
+_WIDE_PADS = ["", "", "\u00a0", "\u3000"]
 
 
 def _one_in(k):
@@ -125,19 +128,25 @@ def _one_in(k):
 
 @st.composite
 def csv_files(draw):
-    """A CSV file's bytes, a target and a timestamp column for load_csv."""
+    """A CSV file's bytes, a target, a timestamp column for load_csv and a
+    ``csv`` field size limit (None keeps the default)."""
     ncol = draw(st.integers(1, 3))
-    names = draw(st.lists(st.sampled_from(["a", "b", "ts", " a "]), min_size=ncol, max_size=ncol))
+    names = draw(
+        st.lists(st.sampled_from(["a", "b", "ts", " a ", "é"]), min_size=ncol, max_size=ncol)
+    )
     stamped = draw(st.booleans())
+    mark = draw(st.sampled_from(["", "", "é"]))  # keeps the stamps increasing
     finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
-    good = st.one_of(st.sampled_from(_GOOD_CELLS), finite)
+    padded = st.tuples(st.sampled_from(_WIDE_PADS), finite, st.sampled_from(_WIDE_PADS))
+    good = st.one_of(st.sampled_from(_GOOD_CELLS), finite, padded.map("".join))
     rows = []
     for i in range(draw(st.sampled_from([3, 1, 2, 4, 5, 6, 0]))):
         cells = []
         for j in range(ncol):
             if j == 0 and stamped:
                 # mostly increasing; a repeat or a padded stamp now and then
-                stamps = [f"2020-01-{i + 1:02d}"] * 18 + ["2020-01-01", f" 2020-01-{i + 1:02d} "]
+                stamps = [f"2020-01-{i + 1:02d}{mark}"] * 18
+                stamps += ["2020-01-01", f" 2020-01-{i + 1:02d}{mark} "]
                 cells.append(draw(st.sampled_from(stamps)))
             elif draw(_one_in(40)):
                 cells.append(draw(st.sampled_from(_BAD_CELLS)))
@@ -166,7 +175,8 @@ def csv_files(draw):
         data = data[:k] + b"\xff" + data[k:]
     target = draw(st.sampled_from([h.strip() for h in names] * 4 + [names[-1], "zz"]))
     timestamp_column = draw(st.sampled_from([None] * 8 + [names[0], "nope"]))
-    return data, target, timestamp_column
+    limit = draw(st.integers(1, 48)) if draw(_one_in(4)) else None
+    return data, target, timestamp_column, limit
 
 
 def _outcome(read, path, target, timestamp_column):
@@ -188,18 +198,26 @@ def _outcome(read, path, target, timestamp_column):
 
 @settings(max_examples=500, deadline=None)
 @given(case=csv_files())
-@example(case=(b"a,b\n1,2,3\n4\n", "a", None))  # row widths that cancel out
-@example(case=(b"a,b\n1,2\n3,nan\n", "a", None))
-@example(case=(b"t,v\n2020-01-02,1\n2020-01-01,2", "v", None))
-@example(case=(b"\n1,2\n", "a", None))
-@example(case=(b'ts,v\n"2020-01-01",1\n', "v", None))  # quotes a split would keep
-@example(case=(b"ts,v\n2020\r01,1\n", "v", None))  # a CR ends the csv row
+@example(case=(b"a,b\n1,2,3\n4\n", "a", None, None))  # row widths that cancel out
+@example(case=(b"a,b\n1,2\n3,nan\n", "a", None, None))
+@example(case=(b"t,v\n2020-01-02,1\n2020-01-01,2", "v", None, None))
+@example(case=(b"\n1,2\n", "a", None, None))
+@example(case=(b'ts,v\n"2020-01-01",1\n', "v", None, None))  # quotes a split would keep
+@example(case=(b"ts,v\n2020\r01,1\n", "v", None, None))  # a CR ends the csv row
+@example(case=("é\n1\n".encode(), "é", None, 1))  # one character in two bytes
+@example(case=(b"v\n1234\n", "v", None, 3))  # a field over the limit
 def test_load_csv_plain_path_equals_csv_module_path(tmp_path_factory, case):
-    data, target, timestamp_column = case
+    data, target, timestamp_column, limit = case
     path = tmp_path_factory.getbasetemp() / "case.csv"
     path.write_bytes(data)
-    want = _outcome(_load_with_csv, path, target, timestamp_column)
-    plain = _outcome(_load_plain, path, target, timestamp_column)
+    default = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        want = _outcome(_load_with_csv, path, target, timestamp_column)
+        plain = _outcome(_load_plain, path, target, timestamp_column)
+    finally:
+        csv.field_size_limit(default)
     assert plain is None or plain == want
 
 
@@ -238,11 +256,20 @@ def test_load_csv_takes_the_plain_path_only_for_plain_files(tmp_path):
 
 def test_load_csv_fields_over_the_csv_limit_take_the_csv_path(tmp_path):
     p = write_csv(tmp_path / "long.csv", "ts,v\n2020-01-01T00:00:00,1\n")
+    wide = write_csv(tmp_path / "wide.csv", "ts,v\n2020-01-01T00:00:00é,1\n")
     limit = csv.field_size_limit(8)
     try:
         assert _load_plain(p, "v", None) is None
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        with pytest.raises(DataError, match="unreadable row 1: field larger than field limit"):
             load_csv(p, target="v")
+        # the plain path takes a line as long as the limit, counted in bytes
+        csv.field_size_limit(21)
+        assert _load_plain(p, "v", None) is not None
+        assert _load_plain(wide, "v", None) is None  # 21 characters, 22 bytes
+        assert load_csv(wide, target="v").timestamps == ["2020-01-01T00:00:00é"]
+        csv.field_size_limit(20)
+        assert _load_plain(p, "v", None) is None
+        assert load_csv(p, target="v").target_values.tolist() == [1.0]
     finally:
         csv.field_size_limit(limit)
 
