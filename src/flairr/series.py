@@ -8,6 +8,7 @@ function, so values can be shared freely across threads.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -160,50 +161,53 @@ def _parse_cell(cell: str, row: int, column: str) -> float:
     return value
 
 
+def _parse_column(cells: list[str], column: str) -> np.ndarray:
+    """One value column's cells as floats, parsed in bulk.
+
+    ``float`` strips the same whitespace ``str.strip`` does or fails, so a
+    cell it takes keeps the bits of its stripped text. When the bulk parse
+    fails or meets a non-finite value, the cells are parsed one by one after
+    ``str.strip``: that names the first bad cell, or accepts a cell only
+    ``str.strip`` can pad (such as ``"8\\x1c"``).
+    """
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    return np.array([_parse_cell(cell.strip(), row, column) for row, cell in enumerate(cells, 1)])
+
+
 def load_csv(
     path,
     target: str,
     timestamp_column: str | None = None,
     name: str | None = None,
 ) -> TimeSeries:
-    """Load a header-first CSV into a :class:`TimeSeries`.
+    """Load a header-first UTF-8 CSV into a :class:`TimeSeries`.
 
     One timestamp column is optional: name it explicitly, or leave
     ``timestamp_column`` unset and the first column is treated as timestamps
     when its first data cell does not parse as a number. Every other cell
-    must be a finite real. NaN/Inf, ragged rows and a cell over the ``csv``
-    field size limit are load-time errors (:class:`DataError`).
+    must be a finite real. Text that is not UTF-8, a repeated header name,
+    NaN/Inf, ragged rows and a cell over the ``csv`` field size limit are
+    load-time errors (:class:`DataError`).
 
-    A file without quotes or carriage returns whose rows all have the
-    header's width, whose lines all fit the ``csv`` field size limit in
-    bytes and whose value cells are all finite is parsed a column at a time:
-    its rows and widths are checked by array scans over its bytes, and its
-    cells split from its text once. Every other file goes through the
-    ``csv`` module. Both give the same series and the same error for every
-    file.
+    Two splitters cut a file into its header and cells, and one tail picks
+    the columns and parses them. :func:`_plain_cells` takes a file without
+    quotes or carriage returns whose rows all have the header's width, as
+    array scans over its bytes show; every other file goes through
+    ``csv.reader`` in :func:`_csv_cells`, which words every error about the
+    file's structure. Both give the same cells for every file the first one
+    takes.
     """
-    table = _load_plain(path, target, timestamp_column)
-    if table is None:
-        table = _load_with_csv(path, target, timestamp_column)
-    value_names, columns, timestamps = table
-    return TimeSeries(
-        name=name if name is not None else str(path),
-        column_names=value_names,
-        columns=columns,
-        target=target,
-        timestamps=timestamps,
-    )
+    header, cells = _plain_cells(path) or _csv_cells(path)
+    ncol = len(header)
+    for i, h in enumerate(header):
+        if h in header[:i]:
+            raise DataError(f"{path}: repeated column name {h!r}; header: {header}")
 
-
-# What a CSV reader hands to TimeSeries: value column names in header order,
-# the parsed columns, and the stripped timestamps (None when there are none).
-_Table = tuple[list[str], dict[str, np.ndarray], list[str] | None]
-
-
-def _layout(
-    header: list[str], first_cell: str, target: str, timestamp_column: str | None
-) -> tuple[str | None, list[str]]:
-    """The timestamp column (None when there is none) and the value columns."""
     if timestamp_column is not None:
         if timestamp_column not in header:
             raise DataError(
@@ -213,56 +217,32 @@ def _layout(
     else:
         ts_name = None
         try:
-            float(first_cell)
+            float(cells[0])
         except ValueError:
             ts_name = header[0]
-
     value_names = [h for h in header if h != ts_name]
     if target not in value_names:
         raise DataError(f"unknown target column {target!r}; header: {header}")
-    return ts_name, value_names
-
-
-def _load_plain(path, target: str, timestamp_column: str | None) -> _Table | None:
-    """The table of a file :func:`_plain_body` accepts, parsed a column at a
-    time, or None for any other file.
-
-    Each value column is parsed by ``float`` itself, which strips the same
-    whitespace ``str.strip`` does or fails, so every accepted spelling keeps
-    its bits. A value cell that is not a finite float also gives None: the
-    ``csv`` path then raises the error that names it.
-    """
-    plain = _plain_body(path)
-    if plain is None:
-        return None
-    header_line, body, rows = plain
-    cells = body.split(",")
-    header = [h.strip() for h in header_line.split(",")]
-    ncol = len(header)
-    ts_name, value_names = _layout(header, cells[0], target, timestamp_column)
 
     timestamps: list[str] | None = None
     if ts_name is not None:
-        ts_idx = header.index(ts_name)
-        timestamps = list(map(str.strip, cells[ts_idx::ncol]))
-
-    columns: dict[str, np.ndarray] = {}
-    for col in value_names:
-        idx = header.index(col)
-        try:
-            values = np.fromiter(map(float, cells[idx::ncol]), np.float64, rows)
-        except ValueError:
-            return None
-        if not np.isfinite(values).all():
-            return None
-        columns[col] = values
-    return value_names, columns, timestamps
+        timestamps = list(map(str.strip, cells[header.index(ts_name)::ncol]))
+    columns = {
+        col: _parse_column(cells[header.index(col)::ncol], col) for col in value_names
+    }
+    return TimeSeries(
+        name=name if name is not None else str(path),
+        column_names=value_names,
+        columns=columns,
+        target=target,
+        timestamps=timestamps,
+    )
 
 
-def _plain_body(path) -> tuple[str, str, int] | None:
-    r"""The header line, the body's rows joined by commas and the row count
-    of a file the ``csv`` module would split exactly at its newlines and
-    commas, or None for any other file.
+def _plain_cells(path) -> tuple[list[str], list[str]] | None:
+    r"""The stripped header names and the body's cells row after row of a
+    file the ``csv`` module would split exactly at its newlines and commas,
+    or None for any other file.
 
     Such a file decodes as UTF-8 (a leading byte-order mark is dropped, as
     the ``csv`` path drops it), has a header and a body, no ``"`` (no
@@ -273,8 +253,7 @@ def _plain_body(path) -> tuple[str, str, int] | None:
     ``\n`` and ``,`` as single bytes that occur in no other character, and a
     line's byte length is at least its length in characters, so the limit
     check only errs toward the ``csv`` path. The bytes, the scan's arrays and
-    the decoded text are freed before the body is joined, so before the
-    caller splits out the cells.
+    the decoded text are freed before the body is joined and split.
     """
     try:
         with open(path, "rb") as fh:
@@ -296,7 +275,7 @@ def _plain_body(path) -> tuple[str, str, int] | None:
         return None
     if lengths.max() > csv.field_size_limit():
         return None
-    count, gaps = rows.size, rows[-1] - rows[0] + 1 > rows.size  # blank rows inside
+    gaps = rows[-1] - rows[0] + 1 > rows.size  # blank rows inside
     # The copies of the text below set the peak memory of a request, so the
     # scan, the bytes and the decoded text are freed as soon as they are used
     # (``raw`` is a view that keeps the bytes alive).
@@ -312,30 +291,43 @@ def _plain_body(path) -> tuple[str, str, int] | None:
         body = ",".join(filter(None, body.split("\n")))
     else:
         body = body.strip("\n").replace("\n", ",")
-    return header, body, count
+    return [h.strip() for h in header.split(",")], body.split(",")
 
 
-def _load_with_csv(path, target: str, timestamp_column: str | None) -> _Table:
-    """The table of any file, read row by row through ``csv.reader``."""
+def _csv_cells(path) -> tuple[list[str], list[str]]:
+    """The stripped header names and the body's cells row after row of any
+    file, split by ``csv.reader``. A file that cannot be read, is not UTF-8,
+    is empty, has no data rows or has an unreadable or ragged row is a
+    :class:`DataError`.
+    """
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header: list[str] | None = None
-        rows: list[list[str]] = []
-        try:
-            header = next(reader, None)
-            for row in reader:
-                if row:
-                    rows.append(row)
-        except csv.Error as exc:
-            where = "header row" if header is None else f"row {len(rows) + 1}"
-            raise DataError(f"{path}: unreadable {where}: {exc}") from None
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the decoder counts from after a byte-order mark
+        at = exc.start + (3 if data.startswith(b"\xef\xbb\xbf") else 0)
+        line = len(data[: at + 1].splitlines())
+        raise DataError(
+            f"{path}: not UTF-8 text at byte {at} (line {line}): {exc.reason}"
+        ) from None
+    del data
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header: list[str] | None = None
+    rows: list[list[str]] = []
+    try:
+        header = next(reader, None)
+        for row in reader:
+            if row:
+                rows.append(row)
+    except csv.Error as exc:
+        where = "header row" if header is None else f"row {len(rows) + 1}"
+        raise DataError(f"{path}: unreadable {where}: {exc}") from None
     if header is None:
         raise DataError(f"{path}: empty file, expected a header row")
-    header = [h.strip() for h in header]
     if not rows:
         raise DataError(f"{path}: no data rows")
     for i, row in enumerate(rows, start=1):
@@ -343,21 +335,7 @@ def _load_with_csv(path, target: str, timestamp_column: str | None) -> _Table:
             raise DataError(
                 f"{path}: ragged row {i} has {len(row)} cells, header has {len(header)}"
             )
-
-    ts_name, value_names = _layout(header, rows[0][0], target, timestamp_column)
-
-    timestamps: list[str] | None = None
-    if ts_name is not None:
-        ts_idx = header.index(ts_name)
-        timestamps = [row[ts_idx].strip() for row in rows]
-
-    columns: dict[str, np.ndarray] = {}
-    for col in value_names:
-        idx = header.index(col)
-        columns[col] = np.array(
-            [_parse_cell(row[idx].strip(), i, col) for i, row in enumerate(rows, 1)]
-        )
-    return value_names, columns, timestamps
+    return [h.strip() for h in header], [cell for row in rows for cell in row]
 
 
 def split(

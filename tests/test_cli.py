@@ -150,6 +150,21 @@ def test_a_cell_over_the_csv_field_limit_exits_two(series_csv, tmp_path, capsys,
     assert f"{data}: unreadable row 6: field larger than field limit" in err
 
 
+@pytest.mark.parametrize("command", ["forecast", "refine", "retrieve", "bench", "ablate"])
+def test_a_file_that_is_not_utf8_exits_two(tmp_path, capsys, command):
+    data = tmp_path / "latin.csv"
+    data.write_bytes(b"v\n1\n2\xff\n3\n")
+    if command in ("bench", "ablate"):
+        argv = [command, "--config", str(write_bench_config(tmp_path, data, tmp_path / "out"))]
+    else:
+        argv = [command, "--data", str(data), "--target", "v", "--context", "2", "--horizon", "1"]
+        if command == "refine":
+            argv += ["--out", str(tmp_path / "out")]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"{data}: not UTF-8 text at byte 5 (line 3): invalid start byte" in err
+
+
 def test_forecast_bad_session_value(series_csv, capsys):
     code = run_cli(
         "forecast", "--data", str(series_csv), "--target", "v",

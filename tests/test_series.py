@@ -15,8 +15,10 @@ from flairr.series import (
     Scaler,
     TimeSeries,
     WindowPair,
-    _load_plain,
-    _load_with_csv,
+    _csv_cells,
+    _parse_cell,
+    _parse_column,
+    _plain_cells,
     fit_scaler,
     invert_scaler,
     load_csv,
@@ -68,17 +70,23 @@ def test_load_csv_unknown_target(tmp_path):
         load_csv(p, target="zz")
 
 
-def test_load_csv_non_numeric_cell_names_row_and_column(tmp_path):
-    p = write_csv(tmp_path / "data.csv", "a,b\n1,2\n3,oops\n")
+# the same file split by each splitter: plainly, and by csv.reader for CRLF
+_NEWLINES = pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["plain", "crlf"])
+
+
+@_NEWLINES
+def test_load_csv_non_numeric_cell_names_row_and_column(tmp_path, newline):
+    p = write_csv(tmp_path / "data.csv", "a,b\n1,2\n3,oops\n".replace("\n", newline))
     with pytest.raises(DataError, match=r"'oops' at row 2, column 'b'"):
         load_csv(p, target="a")
 
 
-def test_load_csv_rejects_nan_and_inf(tmp_path):
-    p = write_csv(tmp_path / "data.csv", "a\nnan\n")
+@_NEWLINES
+def test_load_csv_rejects_nan_and_inf(tmp_path, newline):
+    p = write_csv(tmp_path / "data.csv", "a\nnan\n".replace("\n", newline))
     with pytest.raises(DataError, match="non-finite"):
         load_csv(p, target="a")
-    p2 = write_csv(tmp_path / "data2.csv", "a\ninf\n")
+    p2 = write_csv(tmp_path / "data2.csv", "a\ninf\n".replace("\n", newline))
     with pytest.raises(DataError, match="non-finite"):
         load_csv(p2, target="a")
 
@@ -96,6 +104,29 @@ def test_load_csv_empty_and_header_only(tmp_path):
     p2 = write_csv(tmp_path / "header.csv", "a,b\n")
     with pytest.raises(DataError, match="no data rows"):
         load_csv(p2, target="a")
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [("x,v,v\n1,2,3\n", "v"), ('x,v,"v"\n1,2,3\n', "v"), ("a, a \n1,2\n", "a")],
+    ids=["plain", "quoted", "stripped"],
+)
+def test_load_csv_rejects_a_repeated_column_name(tmp_path, text, name):
+    p = write_csv(tmp_path / "data.csv", text)
+    with pytest.raises(DataError, match=f"{p}: repeated column name '{name}'"):
+        load_csv(p, target=name)
+
+
+@pytest.mark.parametrize(
+    "data, at, line",
+    [(b"\xef\xbb\xbfv\r\n1\r\n2\xff", 10, 3), (b"\xc3\n1\n", 0, 1)],
+    ids=["bom-crlf", "header"],
+)
+def test_load_csv_names_the_byte_that_is_not_utf8(tmp_path, data, at, line):
+    p = tmp_path / "data.csv"
+    p.write_bytes(data)
+    with pytest.raises(DataError, match=f"{p}: not UTF-8 text at byte {at} \\(line {line}\\): "):
+        load_csv(p, target="v")
 
 
 def test_timestamps_must_strictly_increase(tmp_path):
@@ -179,21 +210,13 @@ def csv_files(draw):
     return data, target, timestamp_column, limit
 
 
-def _outcome(read, path, target, timestamp_column):
-    """What load_csv makes of a file through one reader: the series with its
-    columns bit for bit, or the error; None where the reader declines."""
+def _outcome(cells, path):
+    """What one splitter makes of a file: its header and cells, or its
+    error; None where it declines."""
     try:
-        table = read(path, target, timestamp_column)
-        if table is None:
-            return None
-        names, columns, timestamps = table
-        series = TimeSeries(
-            name="s", column_names=names, columns=columns, target=target, timestamps=timestamps
-        )
-    except (DataError, UnicodeDecodeError) as exc:
-        return (type(exc).__name__, str(exc))
-    bits = {k: (v.dtype.str, v.tobytes()) for k, v in series.columns.items()}
-    return (series.column_names, bits, series.timestamps)
+        return cells(path)
+    except DataError as exc:
+        return str(exc)
 
 
 @settings(max_examples=500, deadline=None)
@@ -207,18 +230,42 @@ def _outcome(read, path, target, timestamp_column):
 @example(case=("é\n1\n".encode(), "é", None, 1))  # one character in two bytes
 @example(case=(b"v\n1234\n", "v", None, 3))  # a field over the limit
 def test_load_csv_plain_path_equals_csv_module_path(tmp_path_factory, case):
-    data, target, timestamp_column, limit = case
+    data, _, _, limit = case
     path = tmp_path_factory.getbasetemp() / "case.csv"
     path.write_bytes(data)
     default = csv.field_size_limit()
     try:
         if limit is not None:
             csv.field_size_limit(limit)
-        want = _outcome(_load_with_csv, path, target, timestamp_column)
-        plain = _outcome(_load_plain, path, target, timestamp_column)
+        want = _outcome(_csv_cells, path)
+        plain = _outcome(_plain_cells, path)
     finally:
         csv.field_size_limit(default)
     assert plain is None or plain == want
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        assert want.startswith(f"{path}: not UTF-8 text at byte ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cells=st.lists(
+        st.one_of(st.sampled_from(_GOOD_CELLS + _BAD_CELLS), st.floats().map(repr)),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_parse_column_equals_parsing_each_stripped_cell(cells):
+    def outcome(parse):
+        try:
+            values = parse()
+        except DataError as exc:
+            return str(exc)
+        return values.dtype.str, values.tobytes()
+
+    want = outcome(lambda: np.array([_parse_cell(c.strip(), i, "c") for i, c in enumerate(cells, 1)]))
+    assert outcome(lambda: _parse_column(cells, "c")) == want
 
 
 @pytest.mark.parametrize(
@@ -228,7 +275,7 @@ def test_load_csv_plain_path_equals_csv_module_path(tmp_path_factory, case):
 )
 def test_load_csv_drops_a_byte_order_mark(tmp_path, body, plain):
     p = write_csv(tmp_path / "bom.csv", "\ufefftimestamp,value\n" + body)
-    assert (_load_plain(p, "value", "timestamp") is not None) == plain
+    assert (_plain_cells(p) is not None) == plain
     series = load_csv(p, target="value", timestamp_column="timestamp")
     assert series.column_names == ["value"]
     assert series.timestamps == ["2020-01-01", "2020-01-02"]
@@ -238,20 +285,23 @@ def test_load_csv_drops_a_byte_order_mark(tmp_path, body, plain):
 def test_load_csv_takes_the_plain_path_only_for_plain_files(tmp_path):
     plain = "ts , v\n\n2020-01-01, 1_0\n2020-01-02,+.5\n\n2020-01-03,\u00a0-0 "
     p = write_csv(tmp_path / "plain.csv", plain)
-    names, columns, timestamps = _load_plain(p, "v", None)
-    assert names == ["v"]
-    assert timestamps == ["2020-01-01", "2020-01-02", "2020-01-03"]
-    assert columns["v"].tolist() == [10.0, 0.5, -0.0]
+    header, cells = _plain_cells(p)
+    assert header == ["ts", "v"]
+    assert cells == ["2020-01-01", " 1_0", "2020-01-02", "+.5", "2020-01-03", "\u00a0-0 "]
+    series = load_csv(p, target="v")
+    assert series.timestamps == ["2020-01-01", "2020-01-02", "2020-01-03"]
+    assert series.target_values.tolist() == [10.0, 0.5, -0.0]
     for text in (
         'a,b\n1,"2"\n',  # quoted
         "a,b\r\n1,2\r\n",  # CRLF
         "a,b\n1,2\n3\n",  # ragged
-        "a,b\n1,2\n3,inf\n",  # non-finite
-        "a,b\n1,2\n3,x\n",  # non-numeric
         "a,b\n \n",  # a whitespace-only row is a row
     ):
         p = write_csv(tmp_path / "other.csv", text)
-        assert _load_plain(p, "a", None) is None, text
+        assert _plain_cells(p) is None, text
+    for text in ("a,b\n1,2\n3,inf\n", "a,b\n1,2\n3,x\n"):  # bad cells fail in the parse
+        p = write_csv(tmp_path / "bad.csv", text)
+        assert _plain_cells(p) is not None, text
 
 
 def test_load_csv_fields_over_the_csv_limit_take_the_csv_path(tmp_path):
@@ -259,16 +309,16 @@ def test_load_csv_fields_over_the_csv_limit_take_the_csv_path(tmp_path):
     wide = write_csv(tmp_path / "wide.csv", "ts,v\n2020-01-01T00:00:00é,1\n")
     limit = csv.field_size_limit(8)
     try:
-        assert _load_plain(p, "v", None) is None
+        assert _plain_cells(p) is None
         with pytest.raises(DataError, match="unreadable row 1: field larger than field limit"):
             load_csv(p, target="v")
         # the plain path takes a line as long as the limit, counted in bytes
         csv.field_size_limit(21)
-        assert _load_plain(p, "v", None) is not None
-        assert _load_plain(wide, "v", None) is None  # 21 characters, 22 bytes
+        assert _plain_cells(p) is not None
+        assert _plain_cells(wide) is None  # 21 characters, 22 bytes
         assert load_csv(wide, target="v").timestamps == ["2020-01-01T00:00:00é"]
         csv.field_size_limit(20)
-        assert _load_plain(p, "v", None) is None
+        assert _plain_cells(p) is None
         assert load_csv(p, target="v").target_values.tolist() == [1.0]
     finally:
         csv.field_size_limit(limit)
