@@ -113,8 +113,8 @@ class ExperimentConfig:
                 dataset_name=dataset.get("name"),
                 dataset_description=dataset.get("description", ""),
                 timestamp_column=dataset.get("timestamp_column"),
-                horizons=tuple(int(h) for h in doc.get("horizons", [])),
-                methods=tuple(doc.get("methods", [])),
+                horizons=_json_array(doc, "horizons", int, p),
+                methods=_json_array(doc, "methods", str, p),
                 runs=int(doc.get("runs", 5)),
                 train_fraction=float(doc.get("train_fraction", 0.7)),
                 max_test_windows=int(doc.get("max_test_windows", 20)),
@@ -124,6 +124,19 @@ class ExperimentConfig:
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{p}: bad experiment config value: {exc}") from exc
+
+
+def _json_array(doc: dict, key: str, kind: type, path: Path) -> tuple:
+    """``doc[key]`` (default empty) as a tuple; it must be a JSON array of
+    ``kind`` items (``int`` or ``str``), and a bool is no integer here."""
+    items = doc.get(key, [])
+    what = f"{key} must be a JSON array of {'integers' if kind is int else 'strings'}"
+    if not isinstance(items, list):
+        raise ConfigError(f"{path}: {what}, got {items!r}")
+    for item in items:
+        if not isinstance(item, kind) or isinstance(item, bool):
+            raise ConfigError(f"{path}: {what}, got the item {item!r}")
+    return tuple(items)
 
 
 @dataclass

@@ -101,9 +101,8 @@ class PromptTemplate:
 class TemplateLibrary:
     """Immutable id -> template map loaded from a manifest directory."""
 
-    def __init__(self, templates: dict[str, PromptTemplate], version: int = 1):
+    def __init__(self, templates: dict[str, PromptTemplate]):
         self._templates = dict(templates)
-        self.version = version
 
     @classmethod
     def from_dir(cls, path) -> "TemplateLibrary":
@@ -128,7 +127,7 @@ class TemplateLibrary:
             if tid in templates:
                 raise TemplateError(f"duplicate template id {tid!r} in manifest")
             templates[tid] = PromptTemplate(id=tid, kind=kind, body=body)
-        return cls(templates, version=int(manifest.get("version", 1)))
+        return cls(templates)
 
     @classmethod
     @functools.cache
@@ -155,12 +154,6 @@ class TemplateLibrary:
 
     def list_asps(self) -> list[str]:
         return sorted(t.id for t in self._templates.values() if t.kind == "asp-strategy")
-
-    def __contains__(self, template_id: str) -> bool:
-        return template_id in self._templates
-
-    def __iter__(self):
-        return iter(sorted(self._templates))
 
 
 @dataclass(frozen=True)

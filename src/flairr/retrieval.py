@@ -116,7 +116,8 @@ class HistDB:
     """Sliding-window index over a history vector.
 
     Window i covers ``history[i : i+L]`` and its outcome is the next H
-    points, so the last indexable window starts at ``len(history) - L - H``.
+    points, so the last indexable window starts at ``len(history) - L - H``;
+    ``len(db)`` counts the windows, and :func:`retrieve` is the only reader.
     Nothing of size windows x L is stored. The index keeps the read-only
     history, the history shifted once by its mean, and per window: the mean
     and the sum of squared deviations of the shifted window (from blocked
@@ -163,21 +164,6 @@ class HistDB:
 
     def __len__(self) -> int:
         return self._count
-
-    @property
-    def source_length(self) -> int:
-        return int(self._history.size)
-
-    def window(self, i: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """(start, context, outcome) for window i; arrays are read-only views."""
-        if not 0 <= i < self._count:
-            raise IndexError(f"window index {i} out of range [0, {self._count})")
-        L, H = self.context_length, self.horizon
-        return i, self._history[i : i + L], self._history[i + L : i + L + H]
-
-    def windows(self):
-        for i in range(self._count):
-            yield self.window(i)
 
 
 def build_hist_db(history, context_length: int, horizon: int) -> HistDB:

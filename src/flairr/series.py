@@ -90,25 +90,23 @@ def invert_scaler(scaler: Scaler, values) -> np.ndarray:
 class TimeSeries:
     """A named multivariate series with one designated target column.
 
-    ``columns`` maps column name to a float array; ``column_names`` preserves
-    header order. ``timestamps`` are opaque text carried for reporting only
-    (windowing is purely positional); when present they must be strictly
-    increasing under string comparison, which holds for ISO-8601 stamps.
+    ``columns`` maps each column name to a float array in header order;
+    ``column_names`` lists its keys, so every name appears once.
+    ``timestamps`` are opaque text carried for reporting only (windowing is
+    purely positional); when present they must be strictly increasing under
+    string comparison, which holds for ISO-8601 stamps.
     ``scalers`` is populated by :func:`split` when it standardizes columns.
     """
 
     name: str
-    column_names: list[str]
     columns: dict[str, np.ndarray]
     target: str
     timestamps: list[str] | None = None
     scalers: dict[str, Scaler] | None = None
 
     def __post_init__(self):
-        if not self.column_names:
+        if not self.columns:
             raise DataError("series must have at least one column")
-        if set(self.column_names) != set(self.columns):
-            raise DataError("column_names and columns disagree")
         if self.target not in self.columns:
             raise DataError(
                 f"unknown target column {self.target!r}; available: {self.column_names}"
@@ -135,6 +133,10 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.columns[self.target])
+
+    @property
+    def column_names(self) -> list[str]:
+        return list(self.columns)
 
     @property
     def target_values(self) -> np.ndarray:
@@ -195,14 +197,16 @@ def load_csv(
     load-time errors (:class:`DataError`).
 
     Two splitters cut a file into its header and cells, and one tail picks
-    the columns and parses them. :func:`_plain_cells` takes a file without
-    quotes or carriage returns whose rows all have the header's width, as
-    array scans over its bytes show; every other file goes through
+    the columns and parses them. :func:`_plain_cells` reads and decodes the
+    file once, so a pipe works like a file. It splits a file without quotes
+    or carriage returns whose rows all have the header's width, as array
+    scans over its bytes show, and hands the text of every other file to
     ``csv.reader`` in :func:`_csv_cells`, which words every error about the
     file's structure. Both give the same cells for every file the first one
     takes.
     """
-    header, cells = _plain_cells(path) or _csv_cells(path)
+    cells = _plain_cells(path)
+    header, cells = _csv_cells(cells, path) if isinstance(cells, str) else cells
     ncol = len(header)
     for i, h in enumerate(header):
         if h in header[:i]:
@@ -232,39 +236,60 @@ def load_csv(
     }
     return TimeSeries(
         name=name if name is not None else str(path),
-        column_names=value_names,
         columns=columns,
         target=target,
         timestamps=timestamps,
     )
 
 
-def _plain_cells(path) -> tuple[list[str], list[str]] | None:
+def _plain_cells(path) -> tuple[list[str], list[str]] | str:
     r"""The stripped header names and the body's cells row after row of a
     file the ``csv`` module would split exactly at its newlines and commas,
-    or None for any other file.
+    or the text of any other file. A file that cannot be read or is not
+    UTF-8 is a :class:`DataError`.
 
-    Such a file decodes as UTF-8 (a leading byte-order mark is dropped, as
-    the ``csv`` path drops it), has a header and a body, no ``"`` (no
-    quoting) and no ``\r`` (every row ends at a ``\n``, and only empty
-    lines are blank rows), every row has the header's width, and no line
-    exceeds the ``csv`` field size limit. The file is read once, as bytes,
-    and its structure is checked on them: UTF-8 encodes ``"``, ``\r``,
-    ``\n`` and ``,`` as single bytes that occur in no other character, and a
-    line's byte length is at least its length in characters, so the limit
-    check only errs toward the ``csv`` path. The bytes, the scan's arrays and
-    the decoded text are freed before the body is joined and split.
+    The file is read once, as bytes, and :func:`_plain_scan` checks its
+    structure on them. It is decoded once, whichever splitter takes it, and
+    a leading byte-order mark is dropped. The bytes and the decoded text are
+    freed before the body is joined and split: those copies of the text set
+    the peak memory of a request.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-    except OSError:
-        return None
-    if data.startswith(b"\xef\xbb\xbf"):
-        data = data[3:]
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    gaps = _plain_scan(data)
+    text = _decode(data, path)
+    del data
+    if gaps is None:
+        return text
+    header, _, body = text.partition("\n")
+    del text
+    if gaps:
+        body = ",".join(filter(None, body.split("\n")))
+    else:
+        body = body.strip("\n").replace("\n", ",")
+    return [h.strip() for h in header.split(",")], body.split(",")
+
+
+def _plain_scan(data: bytes) -> bool | None:
+    r"""Whether blank rows lie inside the body of a file the ``csv`` module
+    would split exactly at its newlines and commas, or None for any other
+    file.
+
+    Such a file has a header and a body, no ``"`` (no quoting) and no ``\r``
+    (every row ends at a ``\n``, and only empty lines are blank rows), every
+    row has the header's width, and no line exceeds the ``csv`` field size
+    limit. UTF-8 encodes ``"``, ``\r``, ``\n`` and ``,`` as single bytes that
+    occur in no other character, and a line's byte length is at least its
+    length in characters, so the limit check only errs toward the ``csv``
+    path.
+    """
     if b'"' in data or b"\r" in data:
         return None
-    raw = np.frombuffer(data, dtype=np.uint8)
+    bom = 3 if data.startswith(b"\xef\xbb\xbf") else 0
+    raw = np.frombuffer(data, dtype=np.uint8, offset=bom)
     ends = np.append(np.flatnonzero(raw == ord("\n")), raw.size)  # per line
     lengths = np.diff(ends, prepend=-1) - 1
     commas = np.diff(np.searchsorted(np.flatnonzero(raw == ord(",")), ends), prepend=0)
@@ -275,38 +300,14 @@ def _plain_cells(path) -> tuple[list[str], list[str]] | None:
         return None
     if lengths.max() > csv.field_size_limit():
         return None
-    gaps = rows[-1] - rows[0] + 1 > rows.size  # blank rows inside
-    # The copies of the text below set the peak memory of a request, so the
-    # scan, the bytes and the decoded text are freed as soon as they are used
-    # (``raw`` is a view that keeps the bytes alive).
-    del raw, ends, lengths, commas, rows
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    del data
-    header, _, body = text.partition("\n")
-    del text
-    if gaps:
-        body = ",".join(filter(None, body.split("\n")))
-    else:
-        body = body.strip("\n").replace("\n", ",")
-    return [h.strip() for h in header.split(",")], body.split(",")
+    return bool(rows[-1] - rows[0] + 1 > rows.size)
 
 
-def _csv_cells(path) -> tuple[list[str], list[str]]:
-    """The stripped header names and the body's cells row after row of any
-    file, split by ``csv.reader``. A file that cannot be read, is not UTF-8,
-    is empty, has no data rows or has an unreadable or ragged row is a
-    :class:`DataError`.
-    """
+def _decode(data: bytes, path) -> str:
+    """``data`` as UTF-8 text without a leading byte-order mark; text that
+    is not UTF-8 is a :class:`DataError` naming its byte and line."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    try:
-        text = data.decode("utf-8-sig")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # the decoder counts from after a byte-order mark
         at = exc.start + (3 if data.startswith(b"\xef\xbb\xbf") else 0)
@@ -314,7 +315,13 @@ def _csv_cells(path) -> tuple[list[str], list[str]]:
         raise DataError(
             f"{path}: not UTF-8 text at byte {at} (line {line}): {exc.reason}"
         ) from None
-    del data
+
+
+def _csv_cells(text: str, path) -> tuple[list[str], list[str]]:
+    """The stripped header names and the body's cells row after row of any
+    file's text, split by ``csv.reader``. A file that is empty, has no data
+    rows or has an unreadable or ragged row is a :class:`DataError`.
+    """
     reader = csv.reader(io.StringIO(text, newline=""))
     header: list[str] | None = None
     rows: list[list[str]] = []
@@ -360,19 +367,16 @@ def split(
 
     scalers: dict[str, Scaler] | None = None
     if scale:
-        scalers = {
-            col: fit_scaler(series.columns[col][:cut]) for col in series.column_names
-        }
+        scalers = {col: fit_scaler(v[:cut]) for col, v in series.columns.items()}
 
     def _part(lo: int, hi: int) -> TimeSeries:
         cols = {}
-        for col in series.column_names:
-            piece = series.columns[col][lo:hi]
+        for col, values in series.columns.items():
+            piece = values[lo:hi]
             cols[col] = scalers[col].apply(piece) if scalers else np.array(piece)
         ts = series.timestamps[lo:hi] if series.timestamps is not None else None
         return TimeSeries(
             name=series.name,
-            column_names=list(series.column_names),
             columns=cols,
             target=series.target,
             timestamps=ts,

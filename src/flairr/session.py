@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +42,6 @@ __all__ = [
     "SampleRecord",
     "RefinementRecord",
     "SessionResult",
-    "EvaluationOutcome",
-    "RefineOutcome",
     "FORMAT_RETRY_SUFFIX",
     "DEFAULT_META",
     "make_validation_windows",
@@ -146,20 +144,16 @@ class RefinementRecord:
 class SessionResult:
     """Outcome of a refinement session.
 
-    ``final_instructions`` is None when the selected prompt is the bare base
-    prompt.
+    The selected prompt is the ``forecaster-base`` template with
+    ``final_instructions``, which is None when that prompt is the bare base
+    prompt; :func:`forecast_with` forecasts with it.
     """
 
-    base_template_id: str
     final_instructions: InstructionBlock | None
     early_stop: bool
     best_iteration: int
     best_mae: float
     history: list[RefinementRecord]
-
-    @property
-    def prompt_out(self) -> tuple[str, InstructionBlock | None]:
-        return (self.base_template_id, self.final_instructions)
 
     @property
     def iterations_used(self) -> int:
@@ -443,14 +437,7 @@ def _iteration_log_record(rec: RefinementRecord) -> dict:
             }
             for s in rec.per_sample
         ],
-        "refiner": None
-        if rec.refiner_reply is None
-        else {
-            "learnings": rec.refiner_reply.learnings,
-            "done": rec.refiner_reply.done,
-            "confidence": rec.refiner_reply.confidence,
-            "rationale": rec.refiner_reply.rationale,
-        },
+        "refiner": None if rec.refiner_reply is None else asdict(rec.refiner_reply),
         "parse_failures": rec.parse_failures,
         "skipped_samples": rec.skipped_samples,
         "tokens_in": rec.tokens_in,
@@ -499,19 +486,7 @@ def run_session(
     session_log.write(
         {
             "kind": "session",
-            "config": {
-                "context_length": cfg.context_length,
-                "horizon": cfg.horizon,
-                "analog_count": cfg.effective_analog_count,
-                "max_iterations": cfg.max_iterations,
-                "stop_threshold_pct": cfg.stop_threshold_pct,
-                "sample_size": cfg.sample_size,
-                "precision": cfg.precision,
-                "parse_retries": cfg.parse_retries,
-                "retrieval_enabled": cfg.retrieval_enabled,
-                "refinement_enabled": cfg.refinement_enabled,
-                "seed": cfg.seed,
-            },
+            "config": {**asdict(cfg), "analog_count": cfg.effective_analog_count},
             "base_template": "forecaster-base",
             "strategy": strategy,
             "validation_origins": [w.origin for w in windows],
@@ -568,7 +543,6 @@ def run_session(
 
     final = current if early_stop else best_instructions
     result = SessionResult(
-        base_template_id="forecaster-base",
         final_instructions=final,
         early_stop=early_stop,
         best_iteration=best_iteration,
@@ -603,7 +577,7 @@ def forecast_reply_for(
 
 
 def forecast_with(
-    prompt_out,
+    result: SessionResult,
     window: WindowPair,
     cfg: SessionConfig,
     db: HistDB | None,
@@ -611,15 +585,9 @@ def forecast_with(
     meta: DatasetMeta | None = None,
     strategy: str | None = None,
 ) -> tuple[float, ...]:
-    """Forecast one window with the selected prompt.
-
-    ``prompt_out`` is a (base template id, instructions) pair or a
-    :class:`SessionResult`; returns the parsed H-step prediction vector.
-    """
-    if isinstance(prompt_out, SessionResult):
-        instructions = prompt_out.final_instructions
-    else:
-        _, instructions = prompt_out
+    """Forecast one window with the prompt a session selected; returns the
+    parsed H-step prediction vector."""
+    instructions = result.final_instructions
     reply = forecast_reply_for(
         window, cfg, db, backend, instructions=instructions, meta=meta, strategy=strategy
     )

@@ -168,14 +168,30 @@ def test_experiment_config_from_json_errors(tmp_path):
         ExperimentConfig.from_json(no_target)
 
 
+_GRID = {"dataset": {"target": "v"}, "horizons": [8], "methods": ["simple"]}
+
+
 @pytest.mark.parametrize(
     "doc, what",
-    [([1, 2], "experiment config"), ({"dataset": 5}, "dataset"), ({"dataset": "target"}, "dataset")],
+    [
+        ([1, 2], "experiment config"),
+        ({"dataset": 5}, "dataset"),
+        ({"dataset": "target"}, "dataset"),
+        ({**_GRID, "horizons": "24"}, "horizons"),  # not (2, 4)
+        ({**_GRID, "horizons": 24}, "horizons"),
+        ({**_GRID, "horizons": {"24": 1}}, "horizons"),
+        ({**_GRID, "horizons": ["24"]}, "horizons"),
+        ({**_GRID, "horizons": [24.0]}, "horizons"),
+        ({**_GRID, "horizons": [8, True]}, "horizons"),
+        ({**_GRID, "methods": "flairr"}, "methods"),  # not 'f', 'l', ...
+        ({**_GRID, "methods": [1]}, "methods"),
+    ],
 )
 def test_experiment_config_from_json_rejects_non_objects(tmp_path, doc, what):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match=f"{what} must be a JSON object"):
+    kind = "array" if what in ("horizons", "methods") else "object"
+    with pytest.raises(ConfigError, match=f"{what} must be a JSON {kind}"):
         ExperimentConfig.from_json(path)
 
 

@@ -133,6 +133,22 @@ def test_forecast_missing_data_file(tmp_path, capsys):
     assert "cannot open" in capsys.readouterr().err
 
 
+def test_forecast_reads_a_crlf_csv_from_a_pipe(capsys):
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"a,b\r\n1,2\r\n3,4\r\n5,6\r\n")
+    os.close(write_end)
+    try:
+        code = run_cli(
+            "forecast", "--data", f"/dev/fd/{read_end}", "--target", "b",
+            "--context", "2", "--horizon", "1", "--no-retrieval",
+        )
+    finally:
+        os.close(read_end)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "predicted_values: [" in captured.out
+
+
 @pytest.mark.parametrize("command", ["forecast", "refine", "retrieve", "bench", "ablate"])
 def test_a_cell_over_the_csv_field_limit_exits_two(series_csv, tmp_path, capsys, command):
     rows = series_csv.read_text().splitlines()

@@ -39,7 +39,7 @@ META = DatasetMeta(name="power", description="hourly transformer readings", targ
 def test_builtin_library_contents():
     lib = TemplateLibrary.builtin()
     for tid in ("forecaster-base", "refiner", "synthesis"):
-        assert tid in lib
+        assert lib.get(tid).id == tid
     asps = lib.list_asps()
     assert asps == sorted(asps)
     assert len(asps) == 14
@@ -77,8 +77,10 @@ def test_library_from_dir(tmp_path):
         "Learnings: {current_learnings}\n" + SYNTHESIS_CUE
     )
     lib = TemplateLibrary.from_dir(tmp_path)
-    assert lib.version == 2
-    assert "only" in lib and list(lib) == ["only"]
+    assert lib.get("only").kind == "synthesis"
+    assert lib.list_asps() == []
+    with pytest.raises(TemplateError, match=r"available: \['only'\]"):
+        lib.get("forecaster-base")
 
 
 def test_library_from_dir_errors(tmp_path):

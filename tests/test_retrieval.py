@@ -81,27 +81,37 @@ def test_histdb_window_count():
     assert len(build_hist_db(np.arange(10.0), 4, 2)) == 5  # 10 - 4 - 2 + 1
     assert len(build_hist_db(np.arange(6.0), 4, 2)) == 1
     assert len(build_hist_db(np.arange(5.0), 4, 2)) == 0
-    assert build_hist_db(np.arange(5.0), 4, 2).source_length == 5
+
+
+def history_windows(history, L, H):
+    """(start, context, outcome) of every window an index over ``history``
+    holds, cut from the history itself."""
+    history = np.asarray(history, dtype=np.float64)
+    return [
+        (i, history[i : i + L], history[i + L : i + L + H])
+        for i in range(history.size - L - H + 1)
+    ]
 
 
 def test_histdb_window_contents_and_bounds():
-    db = build_hist_db(np.arange(10.0), 4, 2)
-    start, ctx, out = db.window(3)
-    assert start == 3
-    assert ctx.tolist() == [3.0, 4.0, 5.0, 6.0]
-    assert out.tolist() == [7.0, 8.0]
-    assert [w[0] for w in db.windows()] == [0, 1, 2, 3, 4]
-    with pytest.raises(IndexError):
-        db.window(5)
-    with pytest.raises(IndexError):
-        db.window(-1)
+    # the index holds exactly the windows of its history, read via retrieve
+    history = np.random.default_rng(7).normal(size=10).cumsum()
+    db = build_hist_db(history, 4, 2)
+    segs = sorted(retrieve(db, history[-4:], 100), key=lambda s: s.start)
+    want = history_windows(history, 4, 2)
+    assert [s.start for s in segs] == [start for start, _, _ in want] == [0, 1, 2, 3, 4]
+    for seg, (_, ctx, out) in zip(segs, want):
+        assert seg.context.tolist() == ctx.tolist()
+        assert seg.outcome.tolist() == out.tolist()
 
 
 def test_histdb_windows_are_read_only():
-    db = build_hist_db(np.arange(10.0), 4, 2)
-    _, ctx, _ = db.window(0)
+    db = build_hist_db(np.arange(10.0) ** 1.5, 4, 2)
+    seg = retrieve(db, np.arange(4.0), 1)[0]
     with pytest.raises(ValueError):
-        ctx[0] = 99.0
+        seg.context[0] = 99.0
+    with pytest.raises(ValueError):
+        seg.outcome[0] = 99.0
 
 
 def test_histdb_validation():
@@ -113,9 +123,9 @@ def test_histdb_validation():
         build_hist_db(np.arange(10.0), 2, 0)
 
 
-def brute_force(db, query, count):
+def brute_force(history, L, H, query, count):
     scored = []
-    for start, ctx, out in db.windows():
+    for start, ctx, _ in history_windows(history, L, H):
         r = pearson(ctx, query)
         if r is None:
             continue
@@ -135,7 +145,7 @@ def test_retrieve_matches_brute_force_scan():
         query = rng.normal(size=L).cumsum()
         for count in (1, 3, 7):
             got = [(s.start, s.score) for s in retrieve(db, query, count)]
-            assert got == brute_force(db, query, count)
+            assert got == brute_force(history, L, H, query, count)
 
 
 @pytest.mark.parametrize(
@@ -154,7 +164,7 @@ def test_retrieve_matches_brute_force_on_long_histories(n, L, H, kind):
     for query in (history[-L:], rng.normal(size=L).cumsum()):
         for count in (1, 5):
             got = [(s.start, s.score) for s in retrieve(db, query, count)]
-            assert got == brute_force(db, query, count)
+            assert got == brute_force(history[: n - L], L, H, query, count)
 
 
 def test_every_non_flat_window_of_a_long_history_is_trusted():
@@ -178,7 +188,7 @@ def test_retrieve_matches_brute_force_when_sums_of_squares_underflow(scale, nois
     query = values[-L:]
     for count in (1, 3, len(db)):
         got = [(s.start, s.score) for s in retrieve(db, query, count)]
-        assert got == brute_force(db, query, count)
+        assert got == brute_force(values[: values.size - L], L, 8, query, count)
         assert got and all(-1.0 <= score <= 1.0 for _, score in got)
 
 
@@ -209,7 +219,7 @@ def test_retrieve_matches_brute_force_when_sums_of_squares_overflow(scale, noise
     query = values[-L:]
     for count in (1, 3, len(db)):
         got = [(s.start, s.score) for s in retrieve(db, query, count)]
-        assert got == brute_force(db, query, count)
+        assert got == brute_force(values[: values.size - L], L, 8, query, count)
     unscaled = retrieve(build_hist_db(base[: base.size - L], L, 8), base[-L:], 3)
     top = retrieve(db, query, 3)
     assert [s.score for s in top] == pytest.approx([s.score for s in unscaled], rel=1e-12)
@@ -243,7 +253,7 @@ def test_flat_mask_equals_ptp_on_flat_and_near_flat_runs():
     values[203] = 0.0
     for L in (2, 3, 8, 16, 40):
         db = build_hist_db(values, L, 1)
-        want = np.array([np.ptp(ctx) == 0.0 for _, ctx, _ in db.windows()])
+        want = np.array([np.ptp(ctx) == 0.0 for _, ctx, _ in history_windows(values, L, 1)])
         assert want.any() and not want.all()
         assert np.array_equal(db._flat, want)
 
@@ -408,7 +418,7 @@ def test_retrieve_equals_exhaustive_scan_for_arbitrary_series(case):
     history, L, H, query, count = case
     db = build_hist_db(history, L, H)
     got = [(s.start, s.score) for s in retrieve(db, query, count)]
-    assert got == brute_force(db, query, count)
+    assert got == brute_force(history, L, H, query, count)
 
 
 @st.composite

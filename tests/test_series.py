@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import os
 import random
 
 import numpy as np
@@ -16,6 +17,7 @@ from flairr.series import (
     TimeSeries,
     WindowPair,
     _csv_cells,
+    _decode,
     _parse_cell,
     _parse_column,
     _plain_cells,
@@ -57,6 +59,23 @@ def test_load_csv_explicit_timestamp_column(tmp_path):
     series = load_csv(p, target="v", timestamp_column="idx")
     assert series.timestamps == ["10", "20"]
     assert series.column_names == ["v"]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"a,b\n1,2\n3,4\n5,6\n", b"a,b\r\n1,2\r\n3,4\r\n5,6\r\n", b'a,b\n1,"2"\n3,4\n5,6\n'],
+    ids=["plain", "crlf", "quoted"],
+)
+def test_load_csv_reads_a_pipe_once(data):
+    read_end, write_end = os.pipe()
+    os.write(write_end, data)
+    os.close(write_end)
+    try:
+        series = load_csv(f"/dev/fd/{read_end}", target="b")
+    finally:
+        os.close(read_end)
+    assert series.column_names == ["a", "b"]
+    assert series.target_values.tolist() == [2.0, 4.0, 6.0]
 
 
 def test_load_csv_missing_file():
@@ -212,11 +231,11 @@ def csv_files(draw):
 
 def _outcome(cells, path):
     """What one splitter makes of a file: its header and cells, or its
-    error; None where it declines."""
+    error; the file's text where it declines."""
     try:
         return cells(path)
     except DataError as exc:
-        return str(exc)
+        return DataError, str(exc)
 
 
 @settings(max_examples=500, deadline=None)
@@ -237,15 +256,18 @@ def test_load_csv_plain_path_equals_csv_module_path(tmp_path_factory, case):
     try:
         if limit is not None:
             csv.field_size_limit(limit)
-        want = _outcome(_csv_cells, path)
+        want = _outcome(lambda p: _csv_cells(_decode(p.read_bytes(), p), p), path)
         plain = _outcome(_plain_cells, path)
     finally:
         csv.field_size_limit(default)
-    assert plain is None or plain == want
+    if isinstance(plain, str):
+        assert plain == data.decode("utf-8-sig")
+    else:
+        assert plain == want
     try:
         data.decode("utf-8")
     except UnicodeDecodeError:
-        assert want.startswith(f"{path}: not UTF-8 text at byte ")
+        assert want[1].startswith(f"{path}: not UTF-8 text at byte ")
 
 
 @settings(max_examples=300, deadline=None)
@@ -275,7 +297,7 @@ def test_parse_column_equals_parsing_each_stripped_cell(cells):
 )
 def test_load_csv_drops_a_byte_order_mark(tmp_path, body, plain):
     p = write_csv(tmp_path / "bom.csv", "\ufefftimestamp,value\n" + body)
-    assert (_plain_cells(p) is not None) == plain
+    assert isinstance(_plain_cells(p), tuple) == plain
     series = load_csv(p, target="value", timestamp_column="timestamp")
     assert series.column_names == ["value"]
     assert series.timestamps == ["2020-01-01", "2020-01-02"]
@@ -298,10 +320,10 @@ def test_load_csv_takes_the_plain_path_only_for_plain_files(tmp_path):
         "a,b\n \n",  # a whitespace-only row is a row
     ):
         p = write_csv(tmp_path / "other.csv", text)
-        assert _plain_cells(p) is None, text
+        assert _plain_cells(p) == text, text
     for text in ("a,b\n1,2\n3,inf\n", "a,b\n1,2\n3,x\n"):  # bad cells fail in the parse
         p = write_csv(tmp_path / "bad.csv", text)
-        assert _plain_cells(p) is not None, text
+        assert isinstance(_plain_cells(p), tuple), text
 
 
 def test_load_csv_fields_over_the_csv_limit_take_the_csv_path(tmp_path):
@@ -309,16 +331,16 @@ def test_load_csv_fields_over_the_csv_limit_take_the_csv_path(tmp_path):
     wide = write_csv(tmp_path / "wide.csv", "ts,v\n2020-01-01T00:00:00é,1\n")
     limit = csv.field_size_limit(8)
     try:
-        assert _plain_cells(p) is None
+        assert isinstance(_plain_cells(p), str)
         with pytest.raises(DataError, match="unreadable row 1: field larger than field limit"):
             load_csv(p, target="v")
         # the plain path takes a line as long as the limit, counted in bytes
         csv.field_size_limit(21)
-        assert _plain_cells(p) is not None
-        assert _plain_cells(wide) is None  # 21 characters, 22 bytes
+        assert isinstance(_plain_cells(p), tuple)
+        assert isinstance(_plain_cells(wide), str)  # 21 characters, 22 bytes
         assert load_csv(wide, target="v").timestamps == ["2020-01-01T00:00:00é"]
         csv.field_size_limit(20)
-        assert _plain_cells(p) is None
+        assert isinstance(_plain_cells(p), str)
         assert load_csv(p, target="v").target_values.tolist() == [1.0]
     finally:
         csv.field_size_limit(limit)
@@ -326,20 +348,15 @@ def test_load_csv_fields_over_the_csv_limit_take_the_csv_path(tmp_path):
 
 def test_timeseries_validation():
     with pytest.raises(DataError, match="unequal lengths"):
-        TimeSeries(
-            name="x",
-            column_names=["a", "b"],
-            columns={"a": np.ones(3), "b": np.ones(2)},
-            target="a",
-        )
+        TimeSeries(name="x", columns={"a": np.ones(3), "b": np.ones(2)}, target="a")
     with pytest.raises(DataError, match="unknown target"):
-        TimeSeries(name="x", column_names=["a"], columns={"a": np.ones(3)}, target="b")
+        TimeSeries(name="x", columns={"a": np.ones(3)}, target="b")
+    with pytest.raises(DataError, match="at least one column"):
+        TimeSeries(name="x", columns={}, target="a")
 
 
 def test_timeseries_arrays_are_read_only():
-    series = TimeSeries(
-        name="x", column_names=["a"], columns={"a": np.ones(3)}, target="a"
-    )
+    series = TimeSeries(name="x", columns={"a": np.ones(3)}, target="a")
     with pytest.raises(ValueError):
         series.target_values[0] = 5.0
 
@@ -377,12 +394,7 @@ def test_fit_scaler_rejects_empty():
 
 def _series(n, seed=0):
     rng = np.random.default_rng(seed)
-    return TimeSeries(
-        name="s",
-        column_names=["v"],
-        columns={"v": rng.normal(size=n) * 3 + 7},
-        target="v",
-    )
+    return TimeSeries(name="s", columns={"v": rng.normal(size=n) * 3 + 7}, target="v")
 
 
 def test_split_unscaled_concat_recovers_original():
@@ -392,6 +404,18 @@ def test_split_unscaled_concat_recovers_original():
     assert len(test) == 31
     joined = np.concatenate([train.target_values, test.target_values])
     assert np.array_equal(joined, series.target_values)
+
+
+def test_split_keeps_the_header_column_order(tmp_path):
+    p = write_csv(tmp_path / "data.csv", "t,z,a,m\n1,1,5,2\n2,3,4,2\n3,2,6,7\n4,5,5,1\n")
+    series = load_csv(p, target="a", timestamp_column="t")
+    assert series.column_names == ["z", "a", "m"]
+    for scale in (False, True):
+        for part in split(series, 0.5, scale=scale):
+            assert part.column_names == ["z", "a", "m"]
+            assert list(part.columns) == part.column_names
+            if scale:
+                assert list(part.scalers) == part.column_names
 
 
 def test_split_scales_with_train_statistics_only():

@@ -3,6 +3,7 @@ consultation, and full session traces with controlled error sequences."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
@@ -567,11 +568,19 @@ def test_session_log_is_json_lines_with_header_and_result(tmp_path):
     lines = [json.loads(line) for line in log_path.read_text().splitlines()]
     assert [entry["kind"] for entry in lines] == ["session", "iteration", "iteration", "result"]
     header = lines[0]
+    assert list(header["config"]) == [f.name for f in dataclasses.fields(SessionConfig)]
     assert header["config"]["max_iterations"] == 2
     assert header["config"]["retrieval_enabled"] is False
+    assert header["config"]["analog_count"] == 0  # the effective count
+    assert header["base_template"] == "forecaster-base"
     assert header["validation_origins"] == [10]
     assert lines[1]["iteration"] == 0
-    assert lines[1]["refiner"]["done"] is False
+    assert lines[1]["refiner"] == {
+        "learnings": "l0",
+        "done": False,
+        "confidence": "Medium",
+        "rationale": "fixture rationale",
+    }
     assert lines[2]["refiner"]["done"] is True
     tail = lines[-1]
     assert tail["early_stop"] is True
@@ -639,7 +648,6 @@ def test_session_result_token_totals_sum_history():
     assert len(spy.requests) == 6
     assert sum(rec.tokens_in for rec in result.history) == 10 * len(spy.requests)
     assert sum(rec.tokens_out for rec in result.history) == 3 * len(spy.requests)
-    assert result.prompt_out == ("forecaster-base", result.final_instructions)
 
 
 # --- single-window forecasting ----------------------------------------------
@@ -675,19 +683,30 @@ def test_validation_and_test_forecasts_send_the_same_prompt():
     assert [r.prompt for r in test_time.requests] == [prompt]
 
 
-def test_forecast_with_accepts_result_or_pair():
-    cfg = small_cfg()
-    window = make_validation_windows(VALUES, cfg)[0]
-    backend = SyntheticOracleBackend(seed=1, noise_scale=0.0)
-    from_pair = forecast_with(("forecaster-base", None), window, cfg, None, backend)
+def test_forecast_with_uses_the_session_instructions():
+    cfg = SessionConfig(context_length=16, horizon=4, sample_size=1)
+    values = seasonal_series(120, period=12, trend=0.01, amplitude=0.4, noise=0.05, seed=3)
     result = SessionResult(
-        base_template_id="forecaster-base",
-        final_instructions=None,
-        early_stop=False,
+        final_instructions=InstructionBlock(items=("Track the daily cycle.",), source_iteration=1),
+        early_stop=True,
         best_iteration=0,
         best_mae=0.0,
         history=[],
     )
-    from_result = forecast_with(result, window, cfg, None, backend)
-    assert from_pair == from_result
-    assert len(from_pair) == 2
+    window = window_at(values, 110, cfg.context_length, cfg.horizon)
+    db = build_hist_db(values[:80], cfg.context_length, cfg.horizon)
+    via_result = SpyBackend(SyntheticOracleBackend(seed=4))
+    values_out = forecast_with(result, window, cfg, db, via_result, strategy="deep-stl")
+    direct = SpyBackend(SyntheticOracleBackend(seed=4))
+    reply = forecast_reply_for(
+        window,
+        cfg,
+        db,
+        direct,
+        instructions=result.final_instructions,
+        strategy="deep-stl",
+    )
+    assert values_out == tuple(reply.values)
+    assert len(values_out) == cfg.horizon
+    assert [r.prompt for r in via_result.requests] == [r.prompt for r in direct.requests]
+    assert "Track the daily cycle." in via_result.requests[0].prompt
