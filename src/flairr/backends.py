@@ -98,13 +98,16 @@ class Backend:
 
 
 class CallMeter(Backend):
-    """Counts calls per tag and token usage on the way through; the one
-    place that sums :attr:`CompletionReply.token_counts`."""
+    """Counts calls per tag, re-asks and token usage on the way through; the
+    one place that sums :attr:`CompletionReply.token_counts`. A re-ask is a
+    call with ``attempt > 0``, sent only after the reply before failed to parse.
+    """
 
     def __init__(self, inner: Backend):
         self.inner = inner
         self.backend_id = inner.backend_id
         self.calls = dict.fromkeys(TAGS, 0)
+        self.reasks = 0
         self.tokens_in = 0
         self.tokens_out = 0
         self._lock = threading.Lock()
@@ -113,6 +116,7 @@ class CallMeter(Backend):
         reply = self.inner.complete(request)
         with self._lock:
             self.calls[request.tag] += 1
+            self.reasks += request.attempt > 0
             if reply.token_counts is not None:
                 self.tokens_in += reply.token_counts[0]
                 self.tokens_out += reply.token_counts[1]

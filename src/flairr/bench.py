@@ -14,6 +14,7 @@ import hashlib
 import json
 import statistics
 import threading
+import typing
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -41,14 +42,19 @@ __all__ = [
 
 DEFAULT_CONTEXT_LENGTH = 96
 
-KNOWN_METHODS = ("simple", "retrieval-only", "ir-only", "flairr")
+# method id -> the SessionConfig fields it sets, in presentation order
+_METHOD_FIELDS = {
+    "simple": {"retrieval_enabled": False, "refinement_enabled": False},
+    "retrieval-only": {"retrieval_enabled": True, "refinement_enabled": False},
+    "ir-only": {"retrieval_enabled": False, "refinement_enabled": True},
+    "flairr": {"retrieval_enabled": True, "refinement_enabled": True},
+}
+
+KNOWN_METHODS = tuple(_METHOD_FIELDS)
 
 # (method id, display label), in the fixed presentation order
-ABLATION_CONDITIONS = (
-    ("simple", "Simple"),
-    ("retrieval-only", "Simple+Retrieval"),
-    ("ir-only", "Simple+IR"),
-    ("flairr", "FLAIRR"),
+ABLATION_CONDITIONS = tuple(
+    zip(KNOWN_METHODS, ("Simple", "Simple+Retrieval", "Simple+IR", "FLAIRR"))
 )
 
 
@@ -101,40 +107,69 @@ class ExperimentConfig:
             raise ConfigError(f"malformed experiment config {p}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{p}: experiment config must be a JSON object")
-        dataset = doc.get("dataset", {})
-        if not isinstance(dataset, dict):
-            raise ConfigError(f"{p}: dataset must be a JSON object")
+        dataset = _field(doc, "dataset", "object", {}, p)
         if "target" not in dataset:
             raise ConfigError(f"{p}: dataset.target is required")
-        try:
-            return cls(
-                target=dataset["target"],
-                dataset_path=dataset.get("path"),
-                dataset_name=dataset.get("name"),
-                dataset_description=dataset.get("description", ""),
-                timestamp_column=dataset.get("timestamp_column"),
-                horizons=_json_array(doc, "horizons", int, p),
-                methods=_json_array(doc, "methods", str, p),
-                runs=int(doc.get("runs", 5)),
-                train_fraction=float(doc.get("train_fraction", 0.7)),
-                max_test_windows=int(doc.get("max_test_windows", 20)),
-                output_dir=str(doc.get("output_dir", "bench-out")),
-                seed=int(doc.get("seed", 0)),
-                session_overrides=dict(doc.get("session", {})),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{p}: bad experiment config value: {exc}") from exc
+        session = _field(doc, "session", "object", {}, p)
+        hints = typing.get_type_hints(SessionConfig)
+        for key, value in session.items():
+            kind = _SESSION_JSON_TYPES.get(hints.get(key))
+            if kind and type(value) not in _JSON_TYPES[kind]:
+                raise ConfigError(f"{p}: session.{key} must be a JSON {kind}, got {value!r}")
+
+        def text(key, default=None):
+            return _field(dataset, key, "string", default, p, "dataset.")
+
+        return cls(
+            target=text("target", ""),  # present, so the default only bars null
+            dataset_path=text("path"),
+            dataset_name=text("name"),
+            dataset_description=text("description", ""),
+            timestamp_column=text("timestamp_column"),
+            horizons=_json_array(doc, "horizons", "integer", p),
+            methods=_json_array(doc, "methods", "string", p),
+            runs=_field(doc, "runs", "integer", 5, p),
+            train_fraction=float(_field(doc, "train_fraction", "number", 0.7, p)),
+            max_test_windows=_field(doc, "max_test_windows", "integer", 20, p),
+            output_dir=_field(doc, "output_dir", "string", "bench-out", p),
+            seed=_field(doc, "seed", "integer", 0, p),
+            session_overrides=session,
+        )
 
 
-def _json_array(doc: dict, key: str, kind: type, path: Path) -> tuple:
+# JSON type name -> the exact Python types ``json.loads`` gives for it, so
+# a bool is neither an integer nor a number
+_JSON_TYPES = {
+    "object": (dict,),
+    "array": (list,),
+    "string": (str,),
+    "integer": (int,),
+    "number": (int, float),
+    "boolean": (bool,),
+}
+
+# JSON type a session override must have, by its SessionConfig field type
+_SESSION_JSON_TYPES = {int: "integer", float: "number", bool: "boolean"}
+
+
+def _field(obj: dict, key: str, json_type: str, default, path: Path, prefix: str = ""):
+    """``obj[key]``, else ``default``; it must have the JSON type
+    ``json_type``, or be null where the default is None."""
+    value = obj.get(key, default)
+    if (value is None and default is None) or type(value) in _JSON_TYPES[json_type]:
+        return value
+    raise ConfigError(f"{path}: {prefix}{key} must be a JSON {json_type}, got {value!r}")
+
+
+def _json_array(doc: dict, key: str, item_type: str, path: Path) -> tuple:
     """``doc[key]`` (default empty) as a tuple; it must be a JSON array of
-    ``kind`` items (``int`` or ``str``), and a bool is no integer here."""
+    ``item_type`` items."""
     items = doc.get(key, [])
-    what = f"{key} must be a JSON array of {'integers' if kind is int else 'strings'}"
+    what = f"{key} must be a JSON array of {item_type}s"
     if not isinstance(items, list):
         raise ConfigError(f"{path}: {what}, got {items!r}")
     for item in items:
-        if not isinstance(item, kind) or isinstance(item, bool):
+        if type(item) not in _JSON_TYPES[item_type]:
             raise ConfigError(f"{path}: {what}, got the item {item!r}")
     return tuple(items)
 
@@ -212,39 +247,30 @@ class _ReplyMemo(Backend):
         return reply
 
 
-def method_wiring(method: str) -> tuple[bool, bool, str | None]:
-    """(retrieval_enabled, refinement_enabled, strategy) for a method id."""
-    if method == "simple":
-        return False, False, None
-    if method == "retrieval-only":
-        return True, False, None
-    if method == "ir-only":
-        return False, True, None
-    if method == "flairr":
-        return True, True, None
-    if method.startswith("asp:"):
-        name = method[len("asp:") :]
-        if not name:
-            raise ConfigError("asp method needs a strategy name, e.g. 'asp:deep-stl'")
-        # a static strategy prompt evaluated with retrieval, no refinement
-        return True, False, name
-    raise ConfigError(f"unknown method {method!r}")
+def _method_fields(method: str) -> dict:
+    """The :class:`SessionConfig` fields a method id sets."""
+    if method in _METHOD_FIELDS:
+        return _METHOD_FIELDS[method]
+    if not method.startswith("asp:"):
+        raise ConfigError(f"unknown method {method!r}")
+    name = method[len("asp:") :]
+    if not name:
+        raise ConfigError("asp method needs a strategy name, e.g. 'asp:deep-stl'")
+    # a static strategy prompt evaluated with retrieval, no refinement
+    return {"retrieval_enabled": True, "refinement_enabled": False, "strategy": name}
 
 
 def _session_config(cfg: ExperimentConfig, horizon: int, method: str, run: int) -> SessionConfig:
-    retrieval, refinement, _ = method_wiring(method)
+    if "strategy" in cfg.session_overrides:
+        raise ConfigError("session.strategy is not an override; use the method 'asp:<name>'")
     fields = {
         "context_length": DEFAULT_CONTEXT_LENGTH,
+        **cfg.session_overrides,
+        # the method, the grid's horizon and the run index win over overrides
+        **_method_fields(method),
         "horizon": horizon,
-        "retrieval_enabled": retrieval,
-        "refinement_enabled": refinement,
         "seed": cfg.seed + run,
     }
-    overrides = dict(cfg.session_overrides)
-    overrides.pop("horizon", None)  # the grid owns the horizon
-    for key in ("retrieval_enabled", "refinement_enabled", "seed"):
-        overrides.pop(key, None)  # method wiring and run index own these
-    fields.update(overrides)
     try:
         return SessionConfig(**fields)
     except TypeError as exc:
@@ -291,16 +317,8 @@ def _run_cell(
 
     Returns (test MAE, iterations used, early stop, test windows).
     """
-    _, _, strategy = method_wiring(method)
     session_cfg = _session_config(cfg, horizon, method, run)
-    result = run_session(
-        session_cfg,
-        train_values,
-        backend,
-        meta=meta,
-        strategy=strategy,
-        log_path=log_path,
-    )
+    result = run_session(session_cfg, train_values, backend, meta=meta, log_path=log_path)
 
     origins = _test_origins(
         split_idx,
@@ -322,9 +340,7 @@ def _run_cell(
     window_maes = []
     for origin in origins:
         window = window_at(full_values, origin, session_cfg.context_length, horizon)
-        values = forecast_with(
-            result, window, session_cfg, db, backend, meta=meta, strategy=strategy
-        )
+        values = forecast_with(result, window, session_cfg, db, backend, meta=meta)
         window_maes.append(mae(values, window.truth))
     return (
         float(np.mean(window_maes)),
@@ -349,6 +365,8 @@ def _run_grid(
     report columns count each method's own requests, memo hits included,
     while ``backend`` sees each distinct request once. An ordinal script
     bypasses the memo."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     ordinal = _ordinal_script(backend)
     if ordinal and jobs > 1:
         raise ConfigError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -252,6 +253,7 @@ def cmd_forecast(args) -> int:
         retrieval_enabled=not args.no_retrieval,
         precision=args.precision,
         seed=args.seed,
+        strategy=args.strategy,
     )
     if values.size < cfg.context_length + 1:
         raise DataError(
@@ -267,14 +269,7 @@ def cmd_forecast(args) -> int:
         db = build_hist_db(
             values[: values.size - cfg.context_length], cfg.context_length, cfg.horizon
         )
-    reply = forecast_reply_for(
-        window,
-        cfg,
-        db,
-        backend,
-        meta=_meta_from_args(args),
-        strategy=args.strategy,
-    )
+    reply = forecast_reply_for(window, cfg, db, backend, meta=_meta_from_args(args))
     print(f"predicted_values: [{format_numbers(reply.values, args.precision)}]")
     if reply.reasoning:
         print(f"reasoning: {reply.reasoning}")
@@ -297,6 +292,7 @@ def cmd_refine(args) -> int:
         precision=args.precision,
         retrieval_enabled=not args.no_retrieval,
         seed=args.seed,
+        strategy=args.strategy,
     )
     backend = _make_backend(args)
     out_dir = Path(args.out)
@@ -306,7 +302,6 @@ def cmd_refine(args) -> int:
         np.asarray(series.target_values),
         backend,
         meta=_meta_from_args(args),
-        strategy=args.strategy,
         log_path=log_path,
     )
     print(f"session_log: {log_path}")
@@ -376,10 +371,15 @@ def cmd_retrieve(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built on the first :func:`main` call and kept: a build costs ten parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -69,7 +69,9 @@ class SessionConfig:
     """Knobs for one refinement session.
 
     ``analog_count`` applies only while retrieval is enabled; the effective
-    count is 0 whenever retrieval is switched off.
+    count is 0 whenever retrieval is switched off. ``strategy`` names the
+    alternate strategy preamble every forecaster prompt of the session
+    carries, validation and test time alike; None means the base prompt.
     """
 
     context_length: int
@@ -83,6 +85,7 @@ class SessionConfig:
     retrieval_enabled: bool = True
     refinement_enabled: bool = True
     seed: int = 0
+    strategy: str | None = None
 
     def __post_init__(self):
         if self.context_length < 2:
@@ -166,7 +169,6 @@ class EvaluationOutcome:
 
     batch_mae: float
     per_sample: list[SampleRecord]
-    parse_failures: int = 0
     skipped_samples: int = 0
 
 
@@ -177,7 +179,6 @@ class RefineOutcome:
     next_instructions: InstructionBlock | None
     done: bool
     reply: RefinerReply
-    parse_failures: int = 0
 
 
 def make_validation_windows(values, cfg: SessionConfig) -> list[WindowPair]:
@@ -204,12 +205,11 @@ def _complete_parsed(
     cfg: SessionConfig,
 ):
     """Issue a completion and parse it, re-asking with a corrective suffix on
-    grammar violations, up to ``parse_retries`` extra attempts.
-
-    Returns (parsed, failures).
+    grammar violations, up to ``parse_retries`` extra attempts; returns the
+    parsed reply. Each re-ask is a request with ``attempt > 0``, which is
+    how a :class:`CallMeter` counts it.
     """
     attempts = 1 + cfg.parse_retries
-    failures = 0
     last: ReplyParseError | None = None
     current_prompt = prompt
     for attempt in range(attempts):
@@ -222,9 +222,8 @@ def _complete_parsed(
         )
         reply = backend.complete(request)
         try:
-            return parser(reply.text), failures
+            return parser(reply.text)
         except ReplyParseError as exc:
-            failures += 1
             last = exc
             current_prompt = prompt + FORMAT_RETRY_SUFFIX
     raise ParseRetryError(
@@ -240,13 +239,9 @@ def _forecast_window(
     db: HistDB | None,
     backend: Backend,
     meta: DatasetMeta | None,
-    strategy: str | None,
 ):
     """The one retrieve-augment-forecast-parse pass behind both validation
-    and test-time forecasts.
-
-    Returns (prompt, parsed reply, parse failures).
-    """
+    and test-time forecasts; returns (prompt, parsed reply)."""
     raft = None
     if cfg.retrieval_enabled and db is not None:
         segments = retrieve(db, window.context, cfg.effective_analog_count)
@@ -257,16 +252,16 @@ def _forecast_window(
         format_numbers(window.context, cfg.precision),
         instructions=instructions,
         raft_context=raft,
-        strategy=strategy,
+        strategy=cfg.strategy,
     )
-    parsed, failures = _complete_parsed(
+    parsed = _complete_parsed(
         backend,
         prompt,
         "forecaster",
         lambda text: parse_forecast_reply(text, cfg.horizon),
         cfg,
     )
-    return prompt, parsed, failures
+    return prompt, parsed
 
 
 def evaluate_prompt(
@@ -276,31 +271,26 @@ def evaluate_prompt(
     db: HistDB | None,
     backend: Backend,
     meta: DatasetMeta | None = None,
-    strategy: str | None = None,
 ) -> EvaluationOutcome:
     """Evaluate one instruction block over the validation windows.
 
     A sample whose reply stays malformed past the retry budget is skipped
-    and counted; the evaluation only fails when every sample does.
+    and counted; the evaluation only fails when every sample does. Re-asks
+    are not counted here: a :class:`CallMeter` around ``backend`` sees them.
     """
     if not windows:
         raise ValueError("evaluate_prompt needs a non-empty window batch")
     per_sample: list[SampleRecord] = []
-    failures = 0
     skipped = 0
     last_error: ParseRetryError | None = None
     for window in windows:
         try:
-            prompt, parsed, sample_failures = _forecast_window(
-                window, instructions, cfg, db, backend, meta, strategy
-            )
+            prompt, parsed = _forecast_window(window, instructions, cfg, db, backend, meta)
         except ParseRetryError as exc:
-            failures += 1 + cfg.parse_retries
             skipped += 1
             last_error = exc
             log.warning("skipping window at %d: %s", window.origin, exc)
             continue
-        failures += sample_failures
         per_sample.append(
             SampleRecord(
                 origin=window.origin,
@@ -316,12 +306,7 @@ def evaluate_prompt(
             last_error=last_error.last_error if last_error else None,
         )
     batch_mae = float(np.mean([s.mae for s in per_sample]))
-    return EvaluationOutcome(
-        batch_mae=batch_mae,
-        per_sample=per_sample,
-        parse_failures=failures,
-        skipped_samples=skipped,
-    )
+    return EvaluationOutcome(batch_mae=batch_mae, per_sample=per_sample, skipped_samples=skipped)
 
 
 def _instructions_text(block: InstructionBlock | None) -> str:
@@ -358,7 +343,7 @@ def refine_step(
         history=pairs,
         precision=cfg.precision,
     )
-    reply, failures = _complete_parsed(backend, prompt, "refiner", parse_refiner_reply, cfg)
+    reply = _complete_parsed(backend, prompt, "refiner", parse_refiner_reply, cfg)
 
     done = reply.done
     if done and latest.iteration == 0:
@@ -372,7 +357,7 @@ def refine_step(
         next_instructions = latest.instructions
         if reply.learnings.strip():
             synth_prompt = render_synthesis_prompt(reply.learnings)
-            next_instructions, synth_failures = _complete_parsed(
+            next_instructions = _complete_parsed(
                 backend,
                 synth_prompt,
                 "synthesis",
@@ -381,13 +366,7 @@ def refine_step(
                 ),
                 cfg,
             )
-            failures += synth_failures
-    return RefineOutcome(
-        next_instructions=next_instructions,
-        done=done,
-        reply=reply,
-        parse_failures=failures,
-    )
+    return RefineOutcome(next_instructions=next_instructions, done=done, reply=reply)
 
 
 def strict_json(value, **kwargs) -> str:
@@ -451,7 +430,6 @@ def run_session(
     backend: Backend,
     validation_windows: list[WindowPair] | None = None,
     meta: DatasetMeta | None = None,
-    strategy: str | None = None,
     log_path=None,
 ) -> SessionResult:
     """Run one refinement session over ``train_values``.
@@ -482,11 +460,13 @@ def run_session(
                 "before the validation windows"
             )
 
+    config = {**asdict(cfg), "analog_count": cfg.effective_analog_count}
+    strategy = config.pop("strategy")  # logged beside the config, not in it
     session_log = _SessionLog(log_path)
     session_log.write(
         {
             "kind": "session",
-            "config": {**asdict(cfg), "analog_count": cfg.effective_analog_count},
+            "config": config,
             "base_template": "forecaster-base",
             "strategy": strategy,
             "validation_origins": [w.origin for w in windows],
@@ -502,15 +482,16 @@ def run_session(
 
     try:
         for k in range(cfg.max_iterations):
-            # a fresh meter per iteration: its totals are the record's tokens
+            # a fresh meter per iteration: its totals are the record's tokens,
+            # its re-asks plus the skipped samples its parse failures
             meter = CallMeter(backend)
-            outcome = evaluate_prompt(current, windows, cfg, db, meter, meta, strategy)
+            outcome = evaluate_prompt(current, windows, cfg, db, meter, meta)
             record = RefinementRecord(
                 iteration=k,
                 instructions=current,
                 batch_mae=outcome.batch_mae,
                 per_sample=outcome.per_sample,
-                parse_failures=outcome.parse_failures,
+                parse_failures=meter.reasks + outcome.skipped_samples,
                 skipped_samples=outcome.skipped_samples,
                 tokens_in=meter.tokens_in,
                 tokens_out=meter.tokens_out,
@@ -527,7 +508,7 @@ def run_session(
 
             refinement = refine_step(records, cfg, meter)
             record.refiner_reply = refinement.reply
-            record.parse_failures += refinement.parse_failures
+            record.parse_failures = meter.reasks + record.skipped_samples
             record.tokens_in, record.tokens_out = meter.tokens_in, meter.tokens_out
             session_log.write(_iteration_log_record(record))
 
@@ -569,11 +550,10 @@ def forecast_reply_for(
     backend: Backend,
     instructions: InstructionBlock | None = None,
     meta: DatasetMeta | None = None,
-    strategy: str | None = None,
 ):
     """One retrieve-augment-forecast-parse pass; returns the full parsed
     reply (values, reasoning, certainty)."""
-    return _forecast_window(window, instructions, cfg, db, backend, meta, strategy)[1]
+    return _forecast_window(window, instructions, cfg, db, backend, meta)[1]
 
 
 def forecast_with(
@@ -583,12 +563,8 @@ def forecast_with(
     db: HistDB | None,
     backend: Backend,
     meta: DatasetMeta | None = None,
-    strategy: str | None = None,
 ) -> tuple[float, ...]:
     """Forecast one window with the prompt a session selected; returns the
     parsed H-step prediction vector."""
-    instructions = result.final_instructions
-    reply = forecast_reply_for(
-        window, cfg, db, backend, instructions=instructions, meta=meta, strategy=strategy
-    )
+    reply = forecast_reply_for(window, cfg, db, backend, result.final_instructions, meta)
     return tuple(reply.values)

@@ -4,6 +4,7 @@ end-to-end runs against the deterministic oracle backend."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import statistics
 import sys
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from flairr.backends import (
     Backend,
+    CallMeter,
     CompletionReply,
     CompletionRequest,
     RecordingBackend,
@@ -28,9 +30,10 @@ from flairr.bench import (
     KNOWN_METHODS,
     ExperimentConfig,
     ReportRow,
+    _METHOD_FIELDS,
     _ReplyMemo,
+    _session_config,
     emit_report,
-    method_wiring,
     run_ablation,
     run_experiment,
 )
@@ -185,27 +188,93 @@ _GRID = {"dataset": {"target": "v"}, "horizons": [8], "methods": ["simple"]}
         ({**_GRID, "horizons": [8, True]}, "horizons"),
         ({**_GRID, "methods": "flairr"}, "methods"),  # not 'f', 'l', ...
         ({**_GRID, "methods": [1]}, "methods"),
+        ({**_GRID, "runs": 1.9}, "runs"),  # not 1 run
+        ({**_GRID, "runs": True}, "runs"),
+        ({**_GRID, "runs": "3"}, "runs"),
+        ({**_GRID, "max_test_windows": 1.5}, "max_test_windows"),
+        ({**_GRID, "seed": None}, "seed"),
+        ({**_GRID, "train_fraction": "0.7"}, "train_fraction"),
+        ({**_GRID, "train_fraction": False}, "train_fraction"),
+        ({**_GRID, "output_dir": 7}, "output_dir"),
+        ({**_GRID, "dataset": {"target": 5}}, "dataset.target"),
+        ({**_GRID, "dataset": {"target": "v", "name": 5}}, "dataset.name"),
+        ({**_GRID, "dataset": {"target": "v", "path": 3}}, "dataset.path"),  # no fd 3
+        ({**_GRID, "dataset": {"target": "v", "description": None}}, "dataset.description"),
+        ({**_GRID, "dataset": {"target": "v", "timestamp_column": 0}}, "dataset.timestamp_column"),
+        ({**_GRID, "session": [["context_length", 16]]}, "session"),  # not a dict
+        ({**_GRID, "session": {"context_length": 16.5}}, "session.context_length"),
+        ({**_GRID, "session": {"sample_size": True}}, "session.sample_size"),
+        ({**_GRID, "session": {"stop_threshold_pct": "5"}}, "session.stop_threshold_pct"),
+        ({**_GRID, "session": {"retrieval_enabled": 1}}, "session.retrieval_enabled"),
     ],
 )
 def test_experiment_config_from_json_rejects_non_objects(tmp_path, doc, what):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(doc))
-    kind = "array" if what in ("horizons", "methods") else "object"
+    kind = _JSON_KIND.get(what, "object")
     with pytest.raises(ConfigError, match=f"{what} must be a JSON {kind}"):
         ExperimentConfig.from_json(path)
 
 
+# the JSON type each checked field must have; every other one is an object
+_JSON_KIND = {
+    "horizons": "array",
+    "methods": "array",
+    "runs": "integer",
+    "max_test_windows": "integer",
+    "seed": "integer",
+    "train_fraction": "number",
+    "session.context_length": "integer",
+    "session.sample_size": "integer",
+    "session.stop_threshold_pct": "number",
+    "session.retrieval_enabled": "boolean",
+    **{key: "string" for key in (
+        "output_dir", "dataset.target", "dataset.name", "dataset.path",
+        "dataset.description", "dataset.timestamp_column",
+    )},
+}
+
+
+def test_experiment_config_from_json_keeps_typed_values(tmp_path):
+    path = tmp_path / "exp.json"
+    doc = {
+        **_GRID,
+        "dataset": {"target": "v", "path": None, "name": None, "timestamp_column": None},
+        "train_fraction": 1,  # an integer is a JSON number
+        "session": {"stop_threshold_pct": 2, "strategy": "deep-stl", "nonsense_knob": 1.5},
+    }
+    path.write_text(json.dumps(doc))
+    cfg = ExperimentConfig.from_json(path)
+    assert cfg.dataset_path is None and cfg.timestamp_column is None
+    assert cfg.train_fraction == 1.0 and isinstance(cfg.train_fraction, float)
+    # a knob that is no SessionConfig field, or that the method owns, is
+    # refused when the grid builds the session (see the tests below)
+    assert cfg.session_overrides == doc["session"]
+
+
 def test_method_wiring():
-    assert method_wiring("simple") == (False, False, None)
-    assert method_wiring("retrieval-only") == (True, False, None)
-    assert method_wiring("ir-only") == (False, True, None)
-    assert method_wiring("flairr") == (True, True, None)
-    assert method_wiring("asp:deep-stl") == (True, False, "deep-stl")
+    cfg = ExperimentConfig(target="v", horizons=(8,), methods=("simple",), seed=3)
+
+    def wiring(method):
+        session = _session_config(cfg, 8, method, 1)
+        assert (session.horizon, session.seed) == (8, 4)
+        return session.retrieval_enabled, session.refinement_enabled, session.strategy
+
+    assert wiring("simple") == (False, False, None)
+    assert wiring("retrieval-only") == (True, False, None)
+    assert wiring("ir-only") == (False, True, None)
+    assert wiring("flairr") == (True, True, None)
+    assert wiring("asp:deep-stl") == (True, False, "deep-stl")
     with pytest.raises(ConfigError, match="strategy name"):
-        method_wiring("asp:")
+        wiring("asp:")
     with pytest.raises(ConfigError, match="unknown method"):
-        method_wiring("mystery")
+        wiring("mystery")
     assert set(KNOWN_METHODS) == {"simple", "retrieval-only", "ir-only", "flairr"}
+
+
+def test_ablation_conditions_follow_the_method_table():
+    assert [method for method, _ in ABLATION_CONDITIONS] == list(_METHOD_FIELDS)
+    assert KNOWN_METHODS == tuple(_METHOD_FIELDS)
 
 
 # --- experiment runs --------------------------------------------------------
@@ -340,6 +409,27 @@ def test_run_experiment_bad_session_override_key(toy_csv, tmp_path):
     )
     with pytest.raises(ConfigError, match="bad session override"):
         run_experiment(broken, SyntheticOracleBackend(seed=5), emit=False)
+
+
+@pytest.mark.parametrize("method", ["simple", "asp:monte-hall"])
+def test_a_session_strategy_override_is_refused(toy_csv, tmp_path, method):
+    cfg = exp_config(toy_csv, tmp_path / "out", methods=(method,), runs=1)
+    overrides = {**cfg.session_overrides, "strategy": "deep-stl"}
+    broken = dataclasses.replace(cfg, session_overrides=overrides)
+    match = r"session.strategy is not an override; use the method 'asp:<name>'"
+    with pytest.raises(ConfigError, match=match):
+        run_experiment(broken, SyntheticOracleBackend(seed=5), emit=False)
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_grid_refuses_fewer_than_one_job(toy_csv, tmp_path, jobs):
+    out = tmp_path / "out"
+    backend = CallMeter(SyntheticOracleBackend(seed=5))
+    with pytest.raises(ConfigError, match=f"--jobs must be >= 1, got {jobs}"):
+        run_experiment(exp_config(toy_csv, out), backend, jobs=jobs)
+    with pytest.raises(ConfigError, match="--jobs must be >= 1"):
+        run_ablation(exp_config(toy_csv, out), backend, jobs=jobs)
+    assert sum(backend.calls.values()) == 0 and not out.exists()
 
 
 def test_failed_grid_saves_partial_report(toy_csv, tmp_path):

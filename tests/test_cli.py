@@ -71,17 +71,22 @@ def test_forecast_list_strategies(capsys):
     assert "simple" in names and "deep-stl" in names
 
 
-def test_module_entry_point_runs_the_cli():
+def run_cli_process(*argv):
+    """Run ``python -m flairr.cli`` in a fresh interpreter."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "flairr.cli", "forecast", "--list-strategies"],
+    return subprocess.run(
+        [sys.executable, "-m", "flairr.cli", *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_module_entry_point_runs_the_cli():
+    done = run_cli_process("forecast", "--list-strategies")
     assert done.returncode == 0, done.stderr
     assert "deep-stl" in done.stdout.splitlines()
 
@@ -443,6 +448,78 @@ def test_bench_rejects_a_non_object_config(doc, tmp_path, capsys):
     config.write_text(json.dumps(doc))
     assert run_cli("bench", "--config", str(config)) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        (lambda doc: doc["dataset"].update(name=5), "dataset.name"),
+        (lambda doc: doc["session"].update(context_length=16.5), "session.context_length"),
+    ],
+    ids=["dataset-name", "session-context-length"],
+)
+def test_a_config_value_of_the_wrong_json_type_exits_one(
+    change, field, series_csv, tmp_path
+):
+    out_dir = tmp_path / "grid-out"
+    config = write_bench_config(tmp_path, series_csv, out_dir, methods=("simple",))
+    doc = json.loads(config.read_text())
+    change(doc)
+    config.write_text(json.dumps(doc))
+    done = run_cli_process("bench", "--config", str(config))
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and f"{field} must be a JSON" in done.stderr
+    assert not out_dir.exists()
+
+
+def test_a_session_strategy_in_the_config_exits_one(series_csv, tmp_path, capsys):
+    config = write_bench_config(tmp_path, series_csv, tmp_path / "grid-out", methods=("simple",))
+    doc = json.loads(config.read_text())
+    doc["session"]["strategy"] = "deep-stl"
+    config.write_text(json.dumps(doc))
+    assert run_cli("bench", "--config", str(config), "--runs", "1") == 1
+    assert "'asp:<name>'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bench", "ablate"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_grid_jobs_below_one_exits_one(command, jobs, series_csv, tmp_path, capsys):
+    out_dir = tmp_path / "grid-out"
+    config = write_bench_config(tmp_path, series_csv, out_dir)
+    assert run_cli(command, "--config", str(config), "--jobs", jobs) == 1
+    assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["forecast", "refine", "bench"])
+def test_the_strategy_reaches_every_forecaster_prompt(command, series_csv, tmp_path):
+    recording = tmp_path / "rec.jsonl"
+    config = write_bench_config(
+        tmp_path, series_csv, tmp_path / "grid-out", methods=("asp:deep-stl",)
+    )
+    data = ["--data", str(series_csv), "--target", "v", "--context", "16", "--horizon", "4"]
+    argv = {
+        "forecast": ["forecast", *data, "--strategy", "deep-stl"],
+        "refine": ["refine", *data, "--strategy", "deep-stl", "--out", str(tmp_path / "out")],
+        "bench": ["bench", "--config", str(config), "--runs", "1"],
+    }[command]
+    assert run_cli(*argv, "--record", str(recording)) == 0
+    calls = [json.loads(line) for line in recording.read_text().splitlines()]
+    prompts = [call["prompt"] for call in calls if call["tag"] == "forecaster"]
+    # forecast: one call; refine: its validation samples; bench: those and
+    # the test windows
+    assert len(prompts) >= {"forecast": 1, "refine": 3, "bench": 5}[command]
+    assert all("Forecasting Strategy\nPerform an STL-style" in p for p in prompts)
+
+
+def test_main_builds_its_parser_once(capsys):
+    from flairr import cli
+
+    assert run_cli("forecast", "--list-strategies") == 0
+    parser = cli._parser()
+    assert run_cli("--help") == 0
+    assert cli._parser() is parser
 
 
 @pytest.mark.parametrize("record", [False, True], ids=["bare", "recorded"])

@@ -6,12 +6,17 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flairr.backends import (
     Backend,
+    CallMeter,
     CompletionReply,
     RecordingBackend,
     ScriptedBackend,
@@ -180,11 +185,12 @@ def test_evaluate_prompt_averages_per_sample_mae():
         forecast_reply([23.0, 24.0]),  # +1.0 on truth [22, 23]
         forecast_reply([29.5, 30.5]),  # +1.5 on truth [28, 29]
     )
-    outcome = evaluate_prompt(None, windows, cfg, None, backend)
+    meter = CallMeter(backend)
+    outcome = evaluate_prompt(None, windows, cfg, None, meter)
     assert [s.mae for s in outcome.per_sample] == pytest.approx([0.5, 1.0, 1.5])
     assert outcome.batch_mae == pytest.approx(1.0)
     assert [s.origin for s in outcome.per_sample] == [16, 22, 28]
-    assert outcome.parse_failures == 0 and outcome.skipped_samples == 0
+    assert meter.reasks == 0 and outcome.skipped_samples == 0
     assert all(s.prompt for s in outcome.per_sample)
 
 
@@ -213,8 +219,9 @@ def test_evaluate_prompt_retries_with_corrective_suffix():
     cfg = small_cfg(parse_retries=1)
     windows = make_validation_windows(VALUES, cfg)
     spy = SpyBackend(ordinal("Predicted Values: [broken", forecast_reply([10.0, 11.0])))
-    outcome = evaluate_prompt(None, windows, cfg, None, spy)
-    assert outcome.parse_failures == 1
+    meter = CallMeter(spy)
+    outcome = evaluate_prompt(None, windows, cfg, None, meter)
+    assert meter.reasks == 1
     assert outcome.skipped_samples == 0
     assert len(spy.requests) == 2
     assert spy.requests[1].prompt == spy.requests[0].prompt + FORMAT_RETRY_SUFFIX
@@ -224,8 +231,9 @@ def test_evaluate_prompt_retries_a_non_finite_forecast():
     cfg = small_cfg(parse_retries=1)
     windows = make_validation_windows(VALUES, cfg)
     spy = SpyBackend(ordinal("Predicted Values: [nan, inf]", forecast_reply([10.0, 11.0])))
-    outcome = evaluate_prompt(None, windows, cfg, None, spy)
-    assert outcome.parse_failures == 1
+    meter = CallMeter(spy)
+    outcome = evaluate_prompt(None, windows, cfg, None, meter)
+    assert meter.reasks == 1
     assert outcome.per_sample[0].predictions == (10.0, 11.0)
     assert spy.requests[1].prompt == spy.requests[0].prompt + FORMAT_RETRY_SUFFIX
 
@@ -239,9 +247,11 @@ def test_evaluate_prompt_skips_a_hopeless_sample():
         "garbage again",  # window 1, attempt 2 -> skipped
         forecast_reply([29.0, 30.0]),  # window 2 succeeds (truth [28, 29])
     )
-    outcome = evaluate_prompt(None, windows, cfg, None, backend)
+    meter = CallMeter(backend)
+    outcome = evaluate_prompt(None, windows, cfg, None, meter)
     assert outcome.skipped_samples == 1
-    assert outcome.parse_failures == 2  # the skipped sample burned both attempts
+    # the skipped sample burned both attempts: one re-ask, then the skip
+    assert meter.reasks + outcome.skipped_samples == 2
     assert len(outcome.per_sample) == 1
     assert outcome.per_sample[0].origin == 28
     assert outcome.batch_mae == pytest.approx(1.0)
@@ -293,8 +303,72 @@ def test_recorded_parse_retries_replay_attempt_by_attempt(tmp_path):
         RecordingBackend(MalformedTwice(), sink), "prompt", "forecaster", parser, cfg
     )
     replayed = _complete_parsed(load_script(sink), "prompt", "forecaster", parser, cfg)
-    assert replayed[:2] == live[:2]
-    assert replayed[0].values == (10.0, 11.0) and replayed[1] == 2
+    assert replayed == live
+    assert replayed.values == (10.0, 11.0)
+
+
+class MalformedAt(Backend):
+    """Answers ``{malformed}`` (which no agent grammar accepts) at the
+    seeded call positions and forwards every other call to ``inner``;
+    ``sent`` keeps (tag, malformed) per call, in order."""
+
+    def __init__(self, inner, positions):
+        self.inner = inner
+        self.positions = positions
+        self.sent = []
+
+    def complete(self, request):
+        malformed = len(self.sent) in self.positions
+        self.sent.append((request.tag, malformed))
+        if malformed:
+            return CompletionReply(text="{malformed}")
+        return self.inner.complete(request)
+
+
+def malformed_per_iteration(sent):
+    """Malformed replies per iteration, counted from the call sequence: an
+    iteration runs from its first forecaster call up to the next forecaster
+    call that follows a refiner or synthesis call."""
+    counts = []
+    previous = None
+    for tag, malformed in sent:
+        if tag == "forecaster" and previous in (None, "refiner", "synthesis"):
+            counts.append(0)
+        counts[-1] += malformed
+        previous = tag
+    return counts
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    positions=st.frozensets(st.integers(0, 15), max_size=6),
+    parse_retries=st.integers(0, 2),
+    sample_size=st.integers(1, 2),
+    max_iterations=st.integers(1, 3),
+    refinement=st.booleans(),
+)
+def test_logged_parse_failures_equal_the_malformed_replies_sent(
+    positions, parse_retries, sample_size, max_iterations, refinement
+):
+    cfg = small_cfg(
+        parse_retries=parse_retries,
+        sample_size=sample_size,
+        max_iterations=max_iterations,
+        refinement_enabled=refinement,
+    )
+    backend = MalformedAt(SyntheticOracleBackend(seed=3), positions)
+    with tempfile.TemporaryDirectory() as tmp:
+        log_path = Path(tmp) / "session.jsonl"
+        try:
+            run_session(cfg, np.arange(30.0), backend, log_path=log_path)
+        except Exception as exc:
+            # the one way bad replies end a session: a sample batch or an
+            # agent reply that stays malformed past its retry budget
+            assert isinstance(exc, ParseRetryError), exc
+            return
+        lines = [json.loads(line) for line in log_path.read_text().splitlines()]
+    logged = [line["parse_failures"] for line in lines if line["kind"] == "iteration"]
+    assert logged == malformed_per_iteration(backend.sent)
 
 
 # --- refine_step ------------------------------------------------------------
@@ -380,9 +454,10 @@ def test_refine_step_retries_placeholder_leak_in_synthesis():
             ]
         )
     )
-    outcome = refine_step([record_for(0, None, 1.0)], small_cfg(parse_retries=1), backend)
+    meter = CallMeter(backend)
+    outcome = refine_step([record_for(0, None, 1.0)], small_cfg(parse_retries=1), meter)
     assert outcome.next_instructions.items == ("use the recent values",)
-    assert outcome.parse_failures == 1
+    assert meter.reasks == 1
 
 
 # --- run_session traces -----------------------------------------------------
@@ -568,7 +643,11 @@ def test_session_log_is_json_lines_with_header_and_result(tmp_path):
     lines = [json.loads(line) for line in log_path.read_text().splitlines()]
     assert [entry["kind"] for entry in lines] == ["session", "iteration", "iteration", "result"]
     header = lines[0]
-    assert list(header["config"]) == [f.name for f in dataclasses.fields(SessionConfig)]
+    # the strategy is logged beside the config, not in it
+    assert list(header["config"]) == [
+        f.name for f in dataclasses.fields(SessionConfig) if f.name != "strategy"
+    ]
+    assert header["strategy"] is None
     assert header["config"]["max_iterations"] == 2
     assert header["config"]["retrieval_enabled"] is False
     assert header["config"]["analog_count"] == 0  # the effective count
@@ -664,27 +743,39 @@ def test_forecast_reply_for_returns_full_reply():
 
 
 def test_validation_and_test_forecasts_send_the_same_prompt():
-    cfg = SessionConfig(context_length=16, horizon=4, sample_size=1, analog_count=2)
+    cfg = SessionConfig(
+        context_length=16, horizon=4, sample_size=1, analog_count=2, strategy="deep-stl"
+    )
     values = seasonal_series(120, period=12, trend=0.01, amplitude=0.4, noise=0.05, seed=3)
     window = window_at(values, 100, cfg.context_length, cfg.horizon)
     db = build_hist_db(values[:80], cfg.context_length, cfg.horizon)
     instructions = InstructionBlock(items=("Track the daily cycle.",), source_iteration=1)
     validation = SpyBackend(SyntheticOracleBackend(seed=4))
-    outcome = evaluate_prompt(
-        instructions, [window], cfg, db, validation, strategy="deep-stl"
-    )
+    outcome = evaluate_prompt(instructions, [window], cfg, db, validation)
     test_time = SpyBackend(SyntheticOracleBackend(seed=4))
-    forecast_reply_for(
-        window, cfg, db, test_time, instructions=instructions, strategy="deep-stl"
-    )
+    forecast_reply_for(window, cfg, db, test_time, instructions=instructions)
     prompt = outcome.per_sample[0].prompt
     assert "Segment 2 (similarity " in prompt and "Track the daily cycle." in prompt
     assert [r.prompt for r in validation.requests] == [prompt]
     assert [r.prompt for r in test_time.requests] == [prompt]
 
 
+def test_the_config_strategy_reaches_every_forecaster_prompt(tmp_path):
+    cfg = small_cfg(max_iterations=2, strategy="deep-stl")
+    spy = SpyBackend(SyntheticOracleBackend(seed=1))
+    log_path = tmp_path / "session.jsonl"
+    result = run_session(cfg, VALUES, spy, log_path=log_path)
+    window = make_validation_windows(VALUES, cfg)[0]
+    forecast_with(result, window, cfg, None, spy)
+    forecaster = [r.prompt for r in spy.requests if r.tag == "forecaster"]
+    assert len(forecaster) == 3  # two validation passes and the test forecast
+    assert all("Forecasting Strategy\nPerform an STL-style" in p for p in forecaster)
+    header = json.loads(log_path.read_text().splitlines()[0])
+    assert header["strategy"] == "deep-stl" and "strategy" not in header["config"]
+
+
 def test_forecast_with_uses_the_session_instructions():
-    cfg = SessionConfig(context_length=16, horizon=4, sample_size=1)
+    cfg = SessionConfig(context_length=16, horizon=4, sample_size=1, strategy="deep-stl")
     values = seasonal_series(120, period=12, trend=0.01, amplitude=0.4, noise=0.05, seed=3)
     result = SessionResult(
         final_instructions=InstructionBlock(items=("Track the daily cycle.",), source_iteration=1),
@@ -696,16 +787,9 @@ def test_forecast_with_uses_the_session_instructions():
     window = window_at(values, 110, cfg.context_length, cfg.horizon)
     db = build_hist_db(values[:80], cfg.context_length, cfg.horizon)
     via_result = SpyBackend(SyntheticOracleBackend(seed=4))
-    values_out = forecast_with(result, window, cfg, db, via_result, strategy="deep-stl")
+    values_out = forecast_with(result, window, cfg, db, via_result)
     direct = SpyBackend(SyntheticOracleBackend(seed=4))
-    reply = forecast_reply_for(
-        window,
-        cfg,
-        db,
-        direct,
-        instructions=result.final_instructions,
-        strategy="deep-stl",
-    )
+    reply = forecast_reply_for(window, cfg, db, direct, instructions=result.final_instructions)
     assert values_out == tuple(reply.values)
     assert len(values_out) == cfg.horizon
     assert [r.prompt for r in via_result.requests] == [r.prompt for r in direct.requests]
