@@ -15,10 +15,12 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
+from typing import TYPE_CHECKING
 
 from .errors import BackendError, ConfigError
+
+if TYPE_CHECKING:
+    import requests
 
 __all__ = [
     "TAGS",
@@ -302,6 +304,9 @@ class HttpBackend(Backend):
     with a numeric ``Retry-After`` waits at least that long (an HTTP date
     or an unparsable value keeps the jittered wait). Anything else surfaces
     immediately as a :class:`BackendError` carrying a body excerpt.
+
+    ``requests`` is imported when the first instance is built, not with this
+    module, so runs on the offline backends load no HTTP code.
     """
 
     backend_id = "http"
@@ -319,6 +324,8 @@ class HttpBackend(Backend):
             raise ConfigError("endpoint_url must be set for the HTTP backend")
         if not model_name:
             raise ConfigError("model_name must be set for the HTTP backend")
+        import requests
+
         self.endpoint_url = endpoint_url
         self.model_name = model_name
         self.timeout_s = timeout_s
@@ -330,6 +337,8 @@ class HttpBackend(Backend):
             self._headers["Authorization"] = f"Bearer {key}"
 
     def complete(self, request: CompletionRequest) -> CompletionReply:
+        import requests  # loaded by __init__; this only binds the name
+
         payload: dict = {
             "model": self.model_name,
             "messages": [{"role": "user", "content": request.prompt}],

@@ -24,7 +24,7 @@ import numpy as np
 
 from .backends import Backend, CallMeter, CompletionReply, CompletionRequest, ScriptedBackend
 from .errors import ConfigError
-from .prompts import DatasetMeta
+from .prompts import DatasetMeta, TemplateLibrary
 from .retrieval import build_hist_db
 from .series import TimeSeries, load_csv, split, window_at, mae
 from .session import SessionConfig, forecast_with, run_session, strict_json
@@ -256,6 +256,7 @@ def _method_fields(method: str) -> dict:
     name = method[len("asp:") :]
     if not name:
         raise ConfigError("asp method needs a strategy name, e.g. 'asp:deep-stl'")
+    TemplateLibrary.builtin().get_asp(name)  # an unknown name fails here
     # a static strategy prompt evaluated with retrieval, no refinement
     return {"retrieval_enabled": True, "refinement_enabled": False, "strategy": name}
 
@@ -302,10 +303,8 @@ def _test_origins(
 
 
 def _run_cell(
-    cfg: ExperimentConfig,
-    method: str,
-    horizon: int,
-    run: int,
+    session_cfg: SessionConfig,
+    max_test_windows: int,
     train_values: np.ndarray,
     full_values: np.ndarray,
     split_idx: int,
@@ -317,7 +316,7 @@ def _run_cell(
 
     Returns (test MAE, iterations used, early stop, test windows).
     """
-    session_cfg = _session_config(cfg, horizon, method, run)
+    horizon = session_cfg.horizon
     result = run_session(session_cfg, train_values, backend, meta=meta, log_path=log_path)
 
     origins = _test_origins(
@@ -325,7 +324,7 @@ def _run_cell(
         full_values.size,
         session_cfg.context_length,
         horizon,
-        cfg.max_test_windows,
+        max_test_windows,
     )
     if not origins:
         raise ConfigError(
@@ -375,7 +374,14 @@ def _run_grid(
         )
     if not ordinal:
         backend = _ReplyMemo(backend)
-    run_dir = _make_run_dir(cfg.output_dir) if emit else None
+    # every cell's session is configured before a directory is made or a
+    # call is sent, so a bad config fails the grid with nothing spent
+    session_cfgs = {
+        (horizon, method, run): _session_config(cfg, horizon, method, run)
+        for horizon in cfg.horizons
+        for method, _ in methods
+        for run in range(cfg.runs)
+    }
     data = _load_series(cfg)
     train, test = split(data, cfg.train_fraction, scale=True)
     scaler = train.target_scaler
@@ -387,6 +393,7 @@ def _run_grid(
         description=cfg.dataset_description or "a time series dataset",
         target=data.target,
     )
+    run_dir = _make_run_dir(cfg.output_dir) if emit else None
 
     cells = []
     for horizon in cfg.horizons:
@@ -406,8 +413,8 @@ def _run_grid(
                 safe = method.replace(":", "-")
                 log_path = run_dir / f"{_safe_name(data.name)}-h{horizon}-{safe}-run{run}.jsonl"
             cell_mae, used, stopped, test_windows = _run_cell(
-                cfg, method, horizon, run, train_values, full_values,
-                split_idx, meter, meta, log_path,
+                session_cfgs[horizon, method, run], cfg.max_test_windows,
+                train_values, full_values, split_idx, meter, meta, log_path,
             )
             maes.append(cell_mae)
             iterations.append(used)

@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import json
 import sys
 from pathlib import Path
 
@@ -297,13 +298,22 @@ def cmd_refine(args) -> int:
     backend = _make_backend(args)
     out_dir = Path(args.out)
     log_path = out_dir / "session.jsonl"
-    result = run_session(
-        cfg,
-        np.asarray(series.target_values),
-        backend,
-        meta=_meta_from_args(args),
-        log_path=log_path,
-    )
+    try:
+        result = run_session(
+            cfg,
+            np.asarray(series.target_values),
+            backend,
+            meta=_meta_from_args(args),
+            log_path=log_path,
+        )
+    except Exception as exc:
+        if hasattr(exc, "partial_history"):  # the log was started: say how far
+            print(
+                f"aborted after {_logged_iterations(log_path)} logged iteration(s); "
+                f"session_log: {log_path}",
+                file=sys.stderr,
+            )
+        raise
     print(f"session_log: {log_path}")
     print(f"early_stop: {'true' if result.early_stop else 'false'}")
     print(f"iterations_used: {result.iterations_used}")
@@ -315,6 +325,11 @@ def cmd_refine(args) -> int:
         print("selected_instructions:")
         print(result.final_instructions.render())
     return 0
+
+
+def _logged_iterations(log_path: Path) -> int:
+    with open(log_path, encoding="utf-8") as fh:
+        return sum(json.loads(line)["kind"] == "iteration" for line in fh)
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:

@@ -438,6 +438,11 @@ def run_session(
     the series; the retrieval database is built strictly from the region
     before the earliest validation context, so no window can retrieve
     itself or its future.
+
+    An exception raised once the log is started carries
+    ``partial_history``: the records of the iterations begun so far. The
+    log holds each finished iteration. The last record can be one whose
+    refiner or synthesis call failed; that record is not in the log.
     """
     arr = np.asarray(train_values, dtype=np.float64)
     if validation_windows is None:

@@ -267,6 +267,8 @@ def test_method_wiring():
     assert wiring("asp:deep-stl") == (True, False, "deep-stl")
     with pytest.raises(ConfigError, match="strategy name"):
         wiring("asp:")
+    with pytest.raises(TemplateError, match="unknown strategy 'no-such'"):
+        wiring("asp:no-such")
     with pytest.raises(ConfigError, match="unknown method"):
         wiring("mystery")
     assert set(KNOWN_METHODS) == {"simple", "retrieval-only", "ir-only", "flairr"}
@@ -433,10 +435,16 @@ def test_grid_refuses_fewer_than_one_job(toy_csv, tmp_path, jobs):
 
 
 def test_failed_grid_saves_partial_report(toy_csv, tmp_path):
+    class RefinerGoesAway(SyntheticOracleBackend):  # Simple never asks it
+        def complete(self, request):
+            if request.tag == "refiner":
+                raise BackendError("endpoint went away")
+            return super().complete(request)
+
     out = tmp_path / "out"
-    cfg = exp_config(toy_csv, out, methods=("simple", "asp:missing-strategy"), runs=1)
-    with pytest.raises(TemplateError, match="unknown strategy"):
-        run_experiment(cfg, SyntheticOracleBackend(seed=5))
+    cfg = exp_config(toy_csv, out, methods=("simple", "flairr"), runs=1)
+    with pytest.raises(BackendError, match="went away"):
+        run_experiment(cfg, RefinerGoesAway(seed=5))
     run_dirs = list(out.glob("run-*"))
     assert len(run_dirs) == 1
     partial = run_dirs[0] / "report.partial.csv"

@@ -14,8 +14,15 @@ from pathlib import Path
 
 import pytest
 
+from flairr import cli
 from flairr.cli import main
-from flairr.testing import forecast_reply, instructions_reply, refiner_reply, seasonal_series
+from flairr.testing import (
+    SyntheticOracleBackend,
+    forecast_reply,
+    instructions_reply,
+    refiner_reply,
+    seasonal_series,
+)
 
 
 @pytest.fixture
@@ -71,18 +78,37 @@ def test_forecast_list_strategies(capsys):
     assert "simple" in names and "deep-stl" in names
 
 
-def run_cli_process(*argv):
-    """Run ``python -m flairr.cli`` in a fresh interpreter."""
+def run_python(*args):
+    """Run ``python *args`` in a fresh interpreter that imports this checkout."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "flairr.cli", *argv],
+        [sys.executable, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def run_cli_process(*argv):
+    """Run ``python -m flairr.cli`` in a fresh interpreter."""
+    return run_python("-m", "flairr.cli", *argv)
+
+
+def test_importing_the_cli_loads_no_http_code():
+    code = """
+import sys
+import flairr, flairr.cli, flairr.bench
+http = ("requests", "urllib3", "http.client")
+print(*[name for name in http if name in sys.modules])
+flairr.backends.HttpBackend("http://127.0.0.1:9/v1", "m")
+print("requests" in sys.modules)
+"""
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["", "True"]
 
 
 def test_module_entry_point_runs_the_cli():
@@ -319,6 +345,34 @@ def test_refine_early_stop_via_script(series_csv, tmp_path, capsys):
     assert "selected_instructions:\n- Smooth the forecast." in out
 
 
+def test_an_aborted_refine_says_how_far_it_got(series_csv, tmp_path, capsys):
+    script = tmp_path / "script.jsonl"
+    entries = [
+        {"match": {"tag": "forecaster"}, "reply": forecast_reply([0.1, 0.2, 0.3, 0.4])},
+        {
+            "match": {"contains": "for this Iteration 1:"},
+            "reply": refiner_reply("keep smoothing", done=False),
+        },
+        {"match": {"contains": "for this Iteration 2:"}, "reply": "no verdict at all"},
+        {"match": {"tag": "synthesis"}, "reply": instructions_reply(["Smooth the forecast."])},
+    ]
+    script.write_text("\n".join(json.dumps(e) for e in entries) + "\n")
+    out_dir = tmp_path / "run"
+    code = run_cli(
+        "refine", "--data", str(series_csv), "--target", "v",
+        "--context", "16", "--horizon", "4", "--samples", "2",
+        "--out", str(out_dir),
+        "--backend", "scripted", "--script", str(script),
+    )
+    assert code == 4
+    log_path = out_dir / "session.jsonl"
+    kinds = [json.loads(line)["kind"] for line in log_path.read_text().splitlines()]
+    assert kinds == ["session", "iteration"]
+    aborted, error = capsys.readouterr().err.splitlines()
+    assert aborted == f"aborted after 1 logged iteration(s); session_log: {log_path}"
+    assert error.startswith("error: refiner reply still malformed after 4 attempts")
+
+
 def test_refine_single_iteration(series_csv, tmp_path, capsys):
     code = run_cli(
         "refine", "--data", str(series_csv), "--target", "v",
@@ -473,6 +527,37 @@ def test_a_config_value_of_the_wrong_json_type_exits_one(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "command, change",
+    [
+        ("bench", lambda doc: doc["session"].update(bogus_key=3)),
+        ("ablate", lambda doc: doc["session"].update(bogus_key=3)),
+        ("bench", lambda doc: doc.update(methods=["flairr", "asp:"])),
+        ("bench", lambda doc: doc.update(methods=["simple", "asp:no-such"])),
+    ],
+    ids=["bench-session-key", "ablate-session-key", "asp-without-name", "asp-unknown"],
+)
+def test_a_bad_grid_config_fails_before_any_call_or_directory(
+    command, change, series_csv, tmp_path, capsys, monkeypatch
+):
+    sent = []
+
+    class Spy(SyntheticOracleBackend):
+        def complete(self, request):
+            sent.append(request)
+            return super().complete(request)
+
+    monkeypatch.setattr(cli, "SyntheticOracleBackend", Spy)
+    out_dir = tmp_path / "grid-out"
+    config = write_bench_config(tmp_path, series_csv, out_dir)
+    doc = json.loads(config.read_text())
+    change(doc)
+    config.write_text(json.dumps(doc))
+    assert run_cli(command, "--config", str(config)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sent == [] and not list(out_dir.glob("run-*"))
+
+
 def test_a_session_strategy_in_the_config_exits_one(series_csv, tmp_path, capsys):
     config = write_bench_config(tmp_path, series_csv, tmp_path / "grid-out", methods=("simple",))
     doc = json.loads(config.read_text())
@@ -514,8 +599,6 @@ def test_the_strategy_reaches_every_forecaster_prompt(command, series_csv, tmp_p
 
 
 def test_main_builds_its_parser_once(capsys):
-    from flairr import cli
-
     assert run_cli("forecast", "--list-strategies") == 0
     parser = cli._parser()
     assert run_cli("--help") == 0
