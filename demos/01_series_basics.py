@@ -16,19 +16,22 @@ def main() -> None:
 
     with TemporaryDirectory() as tmp:
         csv_path = Path(tmp) / "demand.csv"
-        csv_path.write_text("demand\n" + "\n".join(repr(float(v)) for v in values) + "\n")
+        # A second value column rides along: load_csv checks its cells too,
+        # but keeps only the target.
+        rows = [f"{repr(float(v))},{i % 24}" for i, v in enumerate(values)]
+        csv_path.write_text("demand,hour\n" + "\n".join(rows) + "\n")
         series = load_csv(csv_path, target="demand", name="demand")
-    print(f"loaded {series.name!r}: {len(series)} rows, columns {series.column_names}")
+    print(f"loaded {series.name!r}: {len(series)} rows of {series.target!r}")
 
     # Split chronologically, scaling both parts with train-only statistics so
     # no test information leaks into the scaler.
     train, test = split(series, train_fraction=0.7)
-    scaler = train.target_scaler
+    scaler = train.scaler
     print(f"train {len(train)} rows / test {len(test)} rows")
     print(f"train scaler: mean {scaler.mean:.4f}, std {scaler.std:.4f}")
 
     # A forecasting window: 24 steps of context, the 8 that follow as truth.
-    window = window_at(train.target_values, t=200, context_length=24, horizon=8)
+    window = window_at(train.values, t=200, context_length=24, horizon=8)
     print(f"window at t=200: context tail {window.context[-3:].round(3).tolist()}"
           f" -> truth head {window.truth[:3].round(3).tolist()}")
 

@@ -16,7 +16,7 @@ import statistics
 import threading
 import typing
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,7 +27,7 @@ from .errors import ConfigError
 from .prompts import DatasetMeta, TemplateLibrary
 from .retrieval import build_hist_db
 from .series import TimeSeries, load_csv, split, window_at, mae
-from .session import SessionConfig, forecast_with, run_session, strict_json
+from .session import SessionConfig, check_session_fits, forecast_with, run_session, strict_json
 
 __all__ = [
     "DEFAULT_CONTEXT_LENGTH",
@@ -117,24 +117,43 @@ class ExperimentConfig:
             if kind and type(value) not in _JSON_TYPES[kind]:
                 raise ConfigError(f"{p}: session.{key} must be a JSON {kind}, got {value!r}")
 
-        def text(key, default=None):
-            return _field(dataset, key, "string", default, p, "dataset.")
-
-        return cls(
-            target=text("target", ""),  # present, so the default only bars null
-            dataset_path=text("path"),
-            dataset_name=text("name"),
-            dataset_description=text("description", ""),
-            timestamp_column=text("timestamp_column"),
-            horizons=_json_array(doc, "horizons", "integer", p),
-            methods=_json_array(doc, "methods", "string", p),
-            runs=_field(doc, "runs", "integer", 5, p),
-            train_fraction=float(_field(doc, "train_fraction", "number", 0.7, p)),
-            max_test_windows=_field(doc, "max_test_windows", "integer", 20, p),
-            output_dir=_field(doc, "output_dir", "string", "bench-out", p),
-            seed=_field(doc, "seed", "integer", 0, p),
-            session_overrides=session,
+        # an absent key leaves its field at the dataclass default
+        defaults = {f.name: f.default for f in fields(cls)}
+        values = {
+            name: _field(dataset, key, "string", defaults[name], p, "dataset.")
+            for key, name in _DATASET_FIELDS.items()
+            if key in dataset
+        }
+        values["horizons"] = _json_array(doc, "horizons", "integer", p)
+        values["methods"] = _json_array(doc, "methods", "string", p)
+        values.update(
+            (key, _field(doc, key, json_type, defaults[key], p))
+            for key, json_type in _GRID_FIELD_TYPES.items()
+            if key in doc
         )
+        if "train_fraction" in values:
+            values["train_fraction"] = float(values["train_fraction"])
+        return cls(**values, session_overrides=session)
+
+
+# ExperimentConfig field of each (string) key of the config's dataset object
+_DATASET_FIELDS = {
+    "target": "target",
+    "path": "dataset_path",
+    "name": "dataset_name",
+    "description": "dataset_description",
+    "timestamp_column": "timestamp_column",
+}
+
+# JSON type of each top-level config key that sets the ExperimentConfig
+# field of its name
+_GRID_FIELD_TYPES = {
+    "runs": "integer",
+    "train_fraction": "number",
+    "max_test_windows": "integer",
+    "output_dir": "string",
+    "seed": "integer",
+}
 
 
 # JSON type name -> the exact Python types ``json.loads`` gives for it, so
@@ -154,7 +173,8 @@ _SESSION_JSON_TYPES = {int: "integer", float: "number", bool: "boolean"}
 
 def _field(obj: dict, key: str, json_type: str, default, path: Path, prefix: str = ""):
     """``obj[key]``, else ``default``; it must have the JSON type
-    ``json_type``, or be null where the default is None."""
+    ``json_type``, or be null where the default is None (not where it is a
+    required field's ``MISSING``)."""
     value = obj.get(key, default)
     if (value is None and default is None) or type(value) in _JSON_TYPES[json_type]:
         return value
@@ -290,24 +310,30 @@ def _load_series(cfg: ExperimentConfig) -> TimeSeries:
 
 
 def _test_origins(
-    split_idx: int, total: int, context_length: int, horizon: int, cap: int
+    split_idx: int, total: int, session_cfg: SessionConfig, cap: int
 ) -> list[int]:
-    """Non-overlapping truth windows tiling the test region, stride = horizon."""
+    """Non-overlapping truth windows tiling the test region, stride = horizon;
+    a region without one is a :class:`ConfigError`."""
+    context_length, horizon = session_cfg.context_length, session_cfg.horizon
     origins = []
     t = split_idx
     while t + horizon <= total and len(origins) < cap:
         if t - context_length >= 0:
             origins.append(t)
         t += horizon
+    if not origins:
+        raise ConfigError(
+            f"test region too short for a single (context={context_length}, "
+            f"horizon={horizon}) window"
+        )
     return origins
 
 
 def _run_cell(
     session_cfg: SessionConfig,
-    max_test_windows: int,
+    origins: list[int],
     train_values: np.ndarray,
     full_values: np.ndarray,
-    split_idx: int,
     backend: Backend,
     meta: DatasetMeta,
     log_path: Path | None,
@@ -318,19 +344,6 @@ def _run_cell(
     """
     horizon = session_cfg.horizon
     result = run_session(session_cfg, train_values, backend, meta=meta, log_path=log_path)
-
-    origins = _test_origins(
-        split_idx,
-        full_values.size,
-        session_cfg.context_length,
-        horizon,
-        max_test_windows,
-    )
-    if not origins:
-        raise ConfigError(
-            f"test region too short for a single (context={session_cfg.context_length}, "
-            f"horizon={horizon}) window"
-        )
     db = (
         build_hist_db(train_values, session_cfg.context_length, horizon)
         if session_cfg.retrieval_enabled
@@ -384,10 +397,16 @@ def _run_grid(
     }
     data = _load_series(cfg)
     train, test = split(data, cfg.train_fraction, scale=True)
-    scaler = train.target_scaler
-    train_values = np.asarray(train.target_values)
-    full_values = np.concatenate([train_values, np.asarray(test.target_values)])
-    split_idx = train_values.size
+    train_values = train.values
+    full_values = np.concatenate([train_values, test.values])
+    # so is every cell's data shape: its validation windows, its retrieval
+    # history and its test windows
+    origins = {}
+    for key, session_cfg in session_cfgs.items():
+        check_session_fits(session_cfg, train_values)
+        origins[key] = _test_origins(
+            train_values.size, full_values.size, session_cfg, cfg.max_test_windows
+        )
     meta = DatasetMeta(
         name=data.name,
         description=cfg.dataset_description or "a time series dataset",
@@ -395,10 +414,7 @@ def _run_grid(
     )
     run_dir = _make_run_dir(cfg.output_dir) if emit else None
 
-    cells = []
-    for horizon in cfg.horizons:
-        for method, label in methods:
-            cells.append((horizon, method, label))
+    cells = [(horizon, method, label) for horizon in cfg.horizons for method, label in methods]
 
     rows: list[ReportRow] = []
 
@@ -413,8 +429,8 @@ def _run_grid(
                 safe = method.replace(":", "-")
                 log_path = run_dir / f"{_safe_name(data.name)}-h{horizon}-{safe}-run{run}.jsonl"
             cell_mae, used, stopped, test_windows = _run_cell(
-                session_cfgs[horizon, method, run], cfg.max_test_windows,
-                train_values, full_values, split_idx, meter, meta, log_path,
+                session_cfgs[horizon, method, run], origins[horizon, method, run],
+                train_values, full_values, meter, meta, log_path,
             )
             maes.append(cell_mae)
             iterations.append(used)
@@ -431,8 +447,8 @@ def _run_grid(
             tokens_out=meter.tokens_out,
             refiner_calls=meter.calls["refiner"],
             mae_space="scaled",
-            scaler_mean=scaler.mean if scaler else 0.0,
-            scaler_std=scaler.std if scaler else 1.0,
+            scaler_mean=train.scaler.mean,
+            scaler_std=train.scaler.std,
             test_windows=test_windows,
             max_test_windows=cfg.max_test_windows,
         )
@@ -512,28 +528,14 @@ def run_ablation(
 
 
 def _row_record(row: ReportRow) -> dict:
-    record = {
-        "dataset": row.dataset,
-        "horizon": row.horizon,
-        "method": row.method,
-    }
-    for idx, value in enumerate(row.run_maes, start=1):
-        record[f"run_{idx}_mae"] = value
-    record.update(
-        {
-            "median_mae": row.median_mae,
-            "iterations_mean": row.iterations_mean,
-            "early_stop_rate": row.early_stop_rate,
-            "tokens_in": row.tokens_in,
-            "tokens_out": row.tokens_out,
-            "refiner_calls": row.refiner_calls,
-            "mae_space": row.mae_space,
-            "scaler_mean": row.scaler_mean,
-            "scaler_std": row.scaler_std,
-            "test_windows": row.test_windows,
-            "max_test_windows": row.max_test_windows,
-        }
-    )
+    """The row's fields in declaration order, ``run_maes`` expanded in
+    place into ``run_<i>_mae`` columns."""
+    record = {}
+    for f in fields(row):
+        if f.name == "run_maes":
+            record.update((f"run_{i}_mae", v) for i, v in enumerate(row.run_maes, 1))
+        else:
+            record[f.name] = getattr(row, f.name)
     return record
 
 

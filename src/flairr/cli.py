@@ -246,7 +246,7 @@ def cmd_forecast(args) -> int:
         raise ConfigError(f"forecast requires {', '.join(missing)}")
     library.get_asp(args.strategy)  # fail fast with the listing on a typo
     series = load_csv(args.data, args.target, timestamp_column=args.timestamp_column)
-    values = np.asarray(series.target_values)
+    values = series.values
     cfg = SessionConfig(
         context_length=args.context,
         horizon=args.horizon,
@@ -300,11 +300,7 @@ def cmd_refine(args) -> int:
     log_path = out_dir / "session.jsonl"
     try:
         result = run_session(
-            cfg,
-            np.asarray(series.target_values),
-            backend,
-            meta=_meta_from_args(args),
-            log_path=log_path,
+            cfg, series.values, backend, meta=_meta_from_args(args), log_path=log_path
         )
     except Exception as exc:
         if hasattr(exc, "partial_history"):  # the log was started: say how far
@@ -361,7 +357,7 @@ def cmd_grid(args) -> int:
 
 def cmd_retrieve(args) -> int:
     series = load_csv(args.data, args.target, timestamp_column=args.timestamp_column)
-    values = np.asarray(series.target_values)
+    values = series.values
     t = args.t if args.t is not None else values.size
     if t - args.context < 0 or t > values.size:
         raise DataError(

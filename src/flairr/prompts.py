@@ -439,6 +439,16 @@ def render_synthesis_prompt(learnings: str) -> str:
     return text
 
 
+def _reject_placeholders(text: str, what: str) -> None:
+    """A brace-wrapped placeholder token in a reply would reach a later
+    prompt, which refuses to render with one, so the reply is malformed."""
+    leak = _PLACEHOLDER_RE.search(text)
+    if leak:
+        raise ReplyParseError(
+            f"{what} contain placeholder token {leak.group(0)}", offending=leak.group(0)
+        )
+
+
 def _excerpt(text: str, limit: int = 120) -> str:
     snippet = " ".join(text.split())
     return snippet[:limit] + ("..." if len(snippet) > limit else "")
@@ -530,7 +540,8 @@ _CONFIDENCE_RE = re.compile(r"\b(high|medium|low)\b", re.IGNORECASE)
 def parse_refiner_reply(text: str) -> RefinerReply:
     """Parse a refiner reply: Learnings section, then the Done verdict, then
     an optional confidence line. Learnings must precede Done; an empty
-    learnings section is only legal when Done is True."""
+    learnings section is only legal when Done is True, and learnings with a
+    brace-wrapped placeholder token are never legal."""
     lines = text.splitlines()
     done_line_idx: int | None = None
     for idx, line in enumerate(lines):
@@ -564,6 +575,7 @@ def parse_refiner_reply(text: str) -> RefinerReply:
         if stripped:
             learnings_lines.append(stripped)
     learnings = "\n".join(learnings_lines).strip()
+    _reject_placeholders(learnings, "learnings")
     if not learnings and not done:
         raise ReplyParseError(
             "learnings must be non-empty when Done is False", offending=_excerpt(text)
@@ -598,12 +610,7 @@ def parse_instructions_reply(text: str, source_iteration: int = 0) -> Instructio
     cue_pos = body.rfind(SYNTHESIS_CUE)
     if cue_pos >= 0:
         body = body[cue_pos + len(SYNTHESIS_CUE) :]
-    leak = _PLACEHOLDER_RE.search(body)
-    if leak:
-        raise ReplyParseError(
-            f"instructions contain placeholder token {leak.group(0)}",
-            offending=leak.group(0),
-        )
+    _reject_placeholders(body, "instructions")
     body = body.strip()
     if not body:
         raise ReplyParseError("empty instructions reply", offending=_excerpt(text))

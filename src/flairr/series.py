@@ -88,38 +88,26 @@ def invert_scaler(scaler: Scaler, values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """A named multivariate series with one designated target column.
+    """One named series: the values of the column ``target``.
 
-    ``columns`` maps each column name to a float array in header order;
-    ``column_names`` lists its keys, so every name appears once.
+    ``values`` is a read-only float array of at least one row.
     ``timestamps`` are opaque text carried for reporting only (windowing is
     purely positional); when present they must be strictly increasing under
     string comparison, which holds for ISO-8601 stamps.
-    ``scalers`` is populated by :func:`split` when it standardizes columns.
+    ``scaler`` is set by :func:`split` when it standardizes the values.
     """
 
     name: str
-    columns: dict[str, np.ndarray]
     target: str
+    values: np.ndarray
     timestamps: list[str] | None = None
-    scalers: dict[str, Scaler] | None = None
+    scaler: Scaler | None = None
 
     def __post_init__(self):
-        if not self.columns:
-            raise DataError("series must have at least one column")
-        if self.target not in self.columns:
-            raise DataError(
-                f"unknown target column {self.target!r}; available: {self.column_names}"
-            )
-        lengths = {name: len(col) for name, col in self.columns.items()}
-        if len(set(lengths.values())) != 1:
-            raise DataError(f"columns have unequal lengths: {lengths}")
-        n = next(iter(lengths.values()))
+        n = len(self.values)
         if n < 1:
             raise DataError("series must contain at least one row")
-        object.__setattr__(
-            self, "columns", {k: _readonly(v) for k, v in self.columns.items()}
-        )
+        object.__setattr__(self, "values", _readonly(self.values))
         if self.timestamps is not None:
             if len(self.timestamps) != n:
                 raise DataError(
@@ -132,21 +120,7 @@ class TimeSeries:
                     )
 
     def __len__(self) -> int:
-        return len(self.columns[self.target])
-
-    @property
-    def column_names(self) -> list[str]:
-        return list(self.columns)
-
-    @property
-    def target_values(self) -> np.ndarray:
-        return self.columns[self.target]
-
-    @property
-    def target_scaler(self) -> Scaler | None:
-        if self.scalers is None:
-            return None
-        return self.scalers.get(self.target)
+        return len(self.values)
 
 
 def _parse_cell(cell: str, row: int, column: str) -> float:
@@ -187,14 +161,16 @@ def load_csv(
     timestamp_column: str | None = None,
     name: str | None = None,
 ) -> TimeSeries:
-    """Load a header-first UTF-8 CSV into a :class:`TimeSeries`.
+    """Load the column ``target`` of a header-first UTF-8 CSV into a
+    :class:`TimeSeries`.
 
     One timestamp column is optional: name it explicitly, or leave
     ``timestamp_column`` unset and the first column is treated as timestamps
-    when its first data cell does not parse as a number. Every other cell
-    must be a finite real. Text that is not UTF-8, a repeated header name,
-    NaN/Inf, ragged rows and a cell over the ``csv`` field size limit are
-    load-time errors (:class:`DataError`).
+    when its first data cell does not parse as a number. Every other cell,
+    of the target or not, must be a finite real: each column is parsed in
+    header order and only the target is kept. Text that is not UTF-8, a
+    repeated header name, NaN/Inf, ragged rows and a cell over the ``csv``
+    field size limit are load-time errors (:class:`DataError`).
 
     Two splitters cut a file into its header and cells, and one tail picks
     the columns and parses them. :func:`_plain_cells` reads and decodes the
@@ -231,13 +207,14 @@ def load_csv(
     timestamps: list[str] | None = None
     if ts_name is not None:
         timestamps = list(map(str.strip, cells[header.index(ts_name)::ncol]))
-    columns = {
-        col: _parse_column(cells[header.index(col)::ncol], col) for col in value_names
-    }
+    for col in value_names:  # a bad cell fails the load in any column
+        parsed = _parse_column(cells[header.index(col)::ncol], col)
+        if col == target:
+            values = parsed
     return TimeSeries(
         name=name if name is not None else str(path),
-        columns=columns,
         target=target,
+        values=values,
         timestamps=timestamps,
     )
 
@@ -352,9 +329,10 @@ def split(
 ) -> tuple[TimeSeries, TimeSeries]:
     """Chronological split at ``floor(n * train_fraction)``.
 
-    With ``scale=True`` (the default) every column is standardized with a
+    With ``scale=True`` (the default) the values are standardized with a
     scaler fit on the train part only and applied to both parts; the fitted
-    scalers ride along on the returned series so raw values stay recoverable.
+    scaler rides along on both returned series so raw values stay
+    recoverable.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
@@ -364,23 +342,16 @@ def split(
         raise ValueError(
             f"train_fraction {train_fraction} leaves an empty part for length {n}"
         )
-
-    scalers: dict[str, Scaler] | None = None
-    if scale:
-        scalers = {col: fit_scaler(v[:cut]) for col, v in series.columns.items()}
+    scaler = fit_scaler(series.values[:cut]) if scale else None
 
     def _part(lo: int, hi: int) -> TimeSeries:
-        cols = {}
-        for col, values in series.columns.items():
-            piece = values[lo:hi]
-            cols[col] = scalers[col].apply(piece) if scalers else np.array(piece)
-        ts = series.timestamps[lo:hi] if series.timestamps is not None else None
+        piece = series.values[lo:hi]
         return TimeSeries(
             name=series.name,
-            columns=cols,
             target=series.target,
-            timestamps=ts,
-            scalers=scalers,
+            values=scaler.apply(piece) if scaler else piece,
+            timestamps=series.timestamps[lo:hi] if series.timestamps is not None else None,
+            scaler=scaler,
         )
 
     return _part(0, cut), _part(cut, n)

@@ -197,6 +197,28 @@ def make_validation_windows(values, cfg: SessionConfig) -> list[WindowPair]:
     return [window_at(arr, t, L, H) for t in sorted(origins)]
 
 
+def _retrieval_end(windows: list[WindowPair], cfg: SessionConfig) -> int:
+    """Where the retrieval history ends: at the earliest validation context,
+    so no window can retrieve itself or its future. A history too short for
+    one analog is a :class:`ValueError`."""
+    end = min(w.origin for w in windows) - cfg.context_length
+    if end < cfg.context_length + cfg.horizon:
+        raise ValueError(
+            "training series too short to build a retrieval database "
+            "before the validation windows"
+        )
+    return end
+
+
+def check_session_fits(cfg: SessionConfig, train_values) -> None:
+    """Raise the error :func:`run_session` would raise, before it sends a
+    call, when ``train_values`` cannot host ``cfg``'s validation windows
+    or, with retrieval, one analog before them."""
+    windows = make_validation_windows(train_values, cfg)
+    if cfg.retrieval_enabled:
+        _retrieval_end(windows, cfg)
+
+
 def _complete_parsed(
     backend: Backend,
     prompt: str,
@@ -457,13 +479,8 @@ def run_session(
 
     db: HistDB | None = None
     if cfg.retrieval_enabled:
-        boundary = min(w.origin for w in windows) - cfg.context_length
-        db = build_hist_db(arr[:boundary], cfg.context_length, cfg.horizon)
-        if len(db) == 0:
-            raise ValueError(
-                "training series too short to build a retrieval database "
-                "before the validation windows"
-            )
+        end = _retrieval_end(windows, cfg)
+        db = build_hist_db(arr[:end], cfg.context_length, cfg.horizon)
 
     config = {**asdict(cfg), "analog_count": cfg.effective_analog_count}
     strategy = config.pop("strategy")  # logged beside the config, not in it

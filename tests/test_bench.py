@@ -158,6 +158,15 @@ def test_experiment_config_from_json(tmp_path):
     assert cfg.session_overrides == {"context_length": 48}
 
 
+def test_experiment_config_from_json_leaves_absent_keys_at_the_defaults(tmp_path):
+    path = tmp_path / "exp.json"
+    doc = {"dataset": {"target": "v", "path": "x.csv"}, "horizons": [8], "methods": ["simple"]}
+    path.write_text(json.dumps(doc))
+    assert ExperimentConfig.from_json(path) == ExperimentConfig(
+        target="v", horizons=(8,), methods=("simple",), dataset_path="x.csv"
+    )
+
+
 def test_experiment_config_from_json_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         ExperimentConfig.from_json(tmp_path / "missing.json")

@@ -528,17 +528,35 @@ def test_a_config_value_of_the_wrong_json_type_exits_one(
 
 
 @pytest.mark.parametrize(
-    "command, change",
+    "command, change, message",
     [
-        ("bench", lambda doc: doc["session"].update(bogus_key=3)),
-        ("ablate", lambda doc: doc["session"].update(bogus_key=3)),
-        ("bench", lambda doc: doc.update(methods=["flairr", "asp:"])),
-        ("bench", lambda doc: doc.update(methods=["simple", "asp:no-such"])),
+        ("bench", lambda doc: doc["session"].update(bogus_key=3), "bogus_key"),
+        ("ablate", lambda doc: doc["session"].update(bogus_key=3), "bogus_key"),
+        ("bench", lambda doc: doc.update(methods=["flairr", "asp:"]), "strategy name"),
+        ("bench", lambda doc: doc.update(methods=["simple", "asp:no-such"]), "no-such"),
+        # the data shape no cell can use (200 rows): a test split of 6 holds
+        # no 8-step window; a training split of 140 cannot host 3 windows of
+        # 68; or it hosts the validation windows but no analog before them,
+        # which only the retrieving cells after the simple ones need
+        ("bench", lambda doc: doc.update(train_fraction=0.97), "test region too short"),
+        (
+            "bench",
+            lambda doc: doc["session"].update(context_length=60, sample_size=3),
+            "series of length 140 cannot host 3 non-overlapping validation windows",
+        ),
+        (
+            "ablate",
+            lambda doc: doc["session"].update(context_length=36, sample_size=3),
+            "too short to build a retrieval database",
+        ),
     ],
-    ids=["bench-session-key", "ablate-session-key", "asp-without-name", "asp-unknown"],
+    ids=[
+        "bench-session-key", "ablate-session-key", "asp-without-name", "asp-unknown",
+        "test-windows", "validation-windows", "retrieval-history",
+    ],
 )
 def test_a_bad_grid_config_fails_before_any_call_or_directory(
-    command, change, series_csv, tmp_path, capsys, monkeypatch
+    command, change, message, series_csv, tmp_path, capsys, monkeypatch
 ):
     sent = []
 
@@ -554,7 +572,8 @@ def test_a_bad_grid_config_fails_before_any_call_or_directory(
     change(doc)
     config.write_text(json.dumps(doc))
     assert run_cli(command, "--config", str(config)) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert sent == [] and not list(out_dir.glob("run-*"))
 
 
@@ -619,3 +638,98 @@ def test_grid_jobs_refuses_an_ordinal_script(record, series_csv, tmp_path, capsy
     assert run_cli(*argv) == 1
     assert "--jobs" in capsys.readouterr().err
     assert not out_dir.exists() and not recording.exists()
+
+
+# --- non-target columns -------------------------------------------------------
+
+
+def _run_every_data_command(work: Path, capsys):
+    """Run forecast, retrieve, refine and bench on ``work/data.csv`` under
+    the oracle; returns each command's exit code and stdout, and the text
+    of every file the commands wrote, keyed by path relative to ``work``."""
+    data = ["--data", str(work / "data.csv"), "--target", "load"]
+    session = ["--context", "16", "--horizon", "4"]
+    config = work / "experiment.json"
+    config.write_text(json.dumps({
+        "dataset": {"path": str(work / "data.csv"), "target": "load", "name": "toy"},
+        "horizons": [8],
+        "methods": ["simple", "flairr"],
+        "runs": 1,
+        "max_test_windows": 3,
+        "output_dir": str(work / "bench-out"),
+        "session": {"context_length": 16, "sample_size": 2, "max_iterations": 2},
+    }))
+    refine_out = work / "refine-out"
+    outputs = {}
+    for argv in (
+        ["forecast", *data, *session],
+        ["retrieve", *data, *session, "--m", "3"],
+        ["refine", *data, *session, "--samples", "2", "--max-iter", "2", "--out", str(refine_out)],
+        ["bench", "--config", str(config)],
+    ):
+        code = run_cli(*argv)
+        outputs[argv[0]] = (code, capsys.readouterr().out)
+    (run_dir,) = (work / "bench-out").glob("run-*")
+
+    def same_name(text):  # the run directory is named after the clock
+        return text.replace(run_dir.name, "run-*").replace(str(work), "WORK")
+
+    written = {
+        same_name(str(path)): path.read_text()
+        for path in sorted(refine_out.iterdir()) + sorted(run_dir.iterdir())
+    }
+    return {name: (code, same_name(out)) for name, (code, out) in outputs.items()}, written
+
+
+def _write_stamped_csv(path: Path, aux_cells):
+    values = seasonal_series(200, period=16, trend=0.02, amplitude=0.5, noise=0.05, seed=8)
+    rows = [
+        f"2020-01-01T{i // 60:02d}:{i % 60:02d},{aux},{float(v)!r}"
+        for i, (aux, v) in enumerate(zip(aux_cells, values))
+    ]
+    path.write_text("stamp,aux,load\n" + "\n".join(rows) + "\n")
+
+
+def test_outputs_ignore_the_non_target_columns(tmp_path, capsys):
+    results = []
+    for name, aux in (
+        ("first", [str(i % 7) for i in range(200)]),
+        ("rewritten", [repr(-1e3 * i) for i in range(200)]),
+        ("quoted", [f'"{i * 0.5!r}"' for i in range(200)]),  # takes the csv splitter
+    ):
+        work = tmp_path / name
+        work.mkdir()
+        _write_stamped_csv(work / "data.csv", aux)
+        results.append(_run_every_data_command(work, capsys))
+    outputs, written = results[0]
+    assert [code for code, _ in outputs.values()] == [0, 0, 0, 0]
+    assert sorted(written) == [
+        "WORK/bench-out/run-*/report.csv",
+        "WORK/bench-out/run-*/report.json",
+        "WORK/bench-out/run-*/toy-h8-flairr-run0.jsonl",
+        "WORK/bench-out/run-*/toy-h8-simple-run0.jsonl",
+        "WORK/refine-out/session.jsonl",
+    ]
+    for other in results[1:]:
+        assert other == results[0]
+
+
+@pytest.mark.parametrize("cell, what", [("nan", "non-finite value 'nan'"), ("oops", "non-numeric cell 'oops'")])
+@pytest.mark.parametrize("command", ["forecast", "retrieve", "refine", "bench"])
+def test_a_bad_non_target_cell_exits_two(command, cell, what, tmp_path, capsys):
+    aux = ["1"] * 200
+    aux[4] = cell
+    _write_stamped_csv(tmp_path / "data.csv", aux)
+    data = ["--data", str(tmp_path / "data.csv"), "--target", "load"]
+    config = write_bench_config(tmp_path, tmp_path / "data.csv", tmp_path / "grid-out")
+    doc = json.loads(config.read_text())
+    doc["dataset"]["target"] = "load"
+    config.write_text(json.dumps(doc))
+    argv = {
+        "forecast": ["forecast", *data, "--context", "16", "--horizon", "4"],
+        "retrieve": ["retrieve", *data, "--context", "16", "--horizon", "4"],
+        "refine": ["refine", *data, "--context", "16", "--horizon", "4", "--out", str(tmp_path / "out")],
+        "bench": ["bench", "--config", str(config)],
+    }[command]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: {what} at row 5, column 'aux'\n"

@@ -468,6 +468,17 @@ def test_parse_refiner_reply_learnings_without_header():
     assert reply.learnings == "the errors cluster at night"
 
 
+def test_parse_refiner_reply_rejects_placeholder_tokens():
+    # the learnings reach the synthesis prompt, which refuses to render one
+    with pytest.raises(ReplyParseError, match=r"learnings contain placeholder token \{trend\}"):
+        parse_refiner_reply("Learnings: Separate the {trend} from the noise.\nDone: False")
+    with pytest.raises(ReplyParseError, match=r"\{a1\}"):
+        parse_refiner_reply("Learnings: keep {a1}\nDone: True")
+    # braces around anything but a placeholder name stay legal
+    reply = parse_refiner_reply("Learnings: keep {0, 1} and {Trend} apart\nDone: False")
+    assert reply.learnings == "keep {0, 1} and {Trend} apart"
+
+
 def test_parse_refiner_reply_confidence_variants():
     assert parse_refiner_reply("Learnings: x\nDone: False\nConfidence in output: LOW").confidence == "Low"
     assert parse_refiner_reply("Learnings: x\nDone: False").confidence is None

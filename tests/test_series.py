@@ -41,9 +41,9 @@ def test_load_csv_auto_detects_timestamp_column(tmp_path):
         "date,HUFL,OT\n2016-07-01 00:00:00,5.827,30.531\n2016-07-01 01:00:00,5.693,27.787\n",
     )
     series = load_csv(p, target="OT")
-    assert series.column_names == ["HUFL", "OT"]
+    assert series.target == "OT"
     assert series.timestamps == ["2016-07-01 00:00:00", "2016-07-01 01:00:00"]
-    assert series.target_values.tolist() == [30.531, 27.787]
+    assert series.values.tolist() == [30.531, 27.787]
     assert len(series) == 2
 
 
@@ -51,14 +51,14 @@ def test_load_csv_numeric_first_column_is_data(tmp_path):
     p = write_csv(tmp_path / "data.csv", "a,b\n1,2\n3,4\n")
     series = load_csv(p, target="a")
     assert series.timestamps is None
-    assert series.column_names == ["a", "b"]
+    assert series.values.tolist() == [1.0, 3.0]
 
 
 def test_load_csv_explicit_timestamp_column(tmp_path):
     p = write_csv(tmp_path / "data.csv", "idx,v\n10,1.5\n20,2.5\n")
     series = load_csv(p, target="v", timestamp_column="idx")
     assert series.timestamps == ["10", "20"]
-    assert series.column_names == ["v"]
+    assert series.values.tolist() == [1.5, 2.5]
 
 
 @pytest.mark.parametrize(
@@ -74,8 +74,8 @@ def test_load_csv_reads_a_pipe_once(data):
         series = load_csv(f"/dev/fd/{read_end}", target="b")
     finally:
         os.close(read_end)
-    assert series.column_names == ["a", "b"]
-    assert series.target_values.tolist() == [2.0, 4.0, 6.0]
+    assert series.target == "b"
+    assert series.values.tolist() == [2.0, 4.0, 6.0]
 
 
 def test_load_csv_missing_file():
@@ -299,9 +299,9 @@ def test_load_csv_drops_a_byte_order_mark(tmp_path, body, plain):
     p = write_csv(tmp_path / "bom.csv", "\ufefftimestamp,value\n" + body)
     assert isinstance(_plain_cells(p), tuple) == plain
     series = load_csv(p, target="value", timestamp_column="timestamp")
-    assert series.column_names == ["value"]
+    assert series.target == "value"
     assert series.timestamps == ["2020-01-01", "2020-01-02"]
-    assert series.target_values.tolist() == [1.0, 2.0]
+    assert series.values.tolist() == [1.0, 2.0]
 
 
 def test_load_csv_takes_the_plain_path_only_for_plain_files(tmp_path):
@@ -312,7 +312,7 @@ def test_load_csv_takes_the_plain_path_only_for_plain_files(tmp_path):
     assert cells == ["2020-01-01", " 1_0", "2020-01-02", "+.5", "2020-01-03", "\u00a0-0 "]
     series = load_csv(p, target="v")
     assert series.timestamps == ["2020-01-01", "2020-01-02", "2020-01-03"]
-    assert series.target_values.tolist() == [10.0, 0.5, -0.0]
+    assert series.values.tolist() == [10.0, 0.5, -0.0]
     for text in (
         'a,b\n1,"2"\n',  # quoted
         "a,b\r\n1,2\r\n",  # CRLF
@@ -341,24 +341,27 @@ def test_load_csv_fields_over_the_csv_limit_take_the_csv_path(tmp_path):
         assert load_csv(wide, target="v").timestamps == ["2020-01-01T00:00:00é"]
         csv.field_size_limit(20)
         assert isinstance(_plain_cells(p), str)
-        assert load_csv(p, target="v").target_values.tolist() == [1.0]
+        assert load_csv(p, target="v").values.tolist() == [1.0]
     finally:
         csv.field_size_limit(limit)
 
 
 def test_timeseries_validation():
-    with pytest.raises(DataError, match="unequal lengths"):
-        TimeSeries(name="x", columns={"a": np.ones(3), "b": np.ones(2)}, target="a")
-    with pytest.raises(DataError, match="unknown target"):
-        TimeSeries(name="x", columns={"a": np.ones(3)}, target="b")
-    with pytest.raises(DataError, match="at least one column"):
-        TimeSeries(name="x", columns={}, target="a")
+    with pytest.raises(DataError, match="at least one row"):
+        TimeSeries(name="x", target="a", values=np.ones(0))
+    with pytest.raises(DataError, match="timestamp count 2 != row count 3"):
+        TimeSeries(name="x", target="a", values=np.ones(3), timestamps=["1", "2"])
+    with pytest.raises(DataError, match="strictly increasing"):
+        TimeSeries(name="x", target="a", values=np.ones(2), timestamps=["2", "1"])
 
 
 def test_timeseries_arrays_are_read_only():
-    series = TimeSeries(name="x", columns={"a": np.ones(3)}, target="a")
+    source = np.ones(3)
+    series = TimeSeries(name="x", target="a", values=source)
     with pytest.raises(ValueError):
-        series.target_values[0] = 5.0
+        series.values[0] = 5.0
+    source[0] = 5.0  # the series holds its own copy
+    assert series.values.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_scaler_round_trip_identity():
@@ -394,7 +397,7 @@ def test_fit_scaler_rejects_empty():
 
 def _series(n, seed=0):
     rng = np.random.default_rng(seed)
-    return TimeSeries(name="s", columns={"v": rng.normal(size=n) * 3 + 7}, target="v")
+    return TimeSeries(name="s", target="v", values=rng.normal(size=n) * 3 + 7)
 
 
 def test_split_unscaled_concat_recovers_original():
@@ -402,34 +405,35 @@ def test_split_unscaled_concat_recovers_original():
     train, test = split(series, 0.7, scale=False)
     assert len(train) == 70  # floor(101 * 0.7)
     assert len(test) == 31
-    joined = np.concatenate([train.target_values, test.target_values])
-    assert np.array_equal(joined, series.target_values)
+    joined = np.concatenate([train.values, test.values])
+    assert np.array_equal(joined, series.values)
+    assert train.scaler is None and test.scaler is None
 
 
-def test_split_keeps_the_header_column_order(tmp_path):
+def test_split_carries_the_target_of_a_multi_column_file(tmp_path):
     p = write_csv(tmp_path / "data.csv", "t,z,a,m\n1,1,5,2\n2,3,4,2\n3,2,6,7\n4,5,5,1\n")
-    series = load_csv(p, target="a", timestamp_column="t")
-    assert series.column_names == ["z", "a", "m"]
-    for scale in (False, True):
-        for part in split(series, 0.5, scale=scale):
-            assert part.column_names == ["z", "a", "m"]
-            assert list(part.columns) == part.column_names
-            if scale:
-                assert list(part.scalers) == part.column_names
+    series = load_csv(p, target="a", timestamp_column="t", name="toy")
+    assert (series.name, series.target) == ("toy", "a")
+    assert series.values.tolist() == [5.0, 4.0, 6.0, 5.0]
+    train, test = split(series, 0.5, scale=True)
+    assert train.scaler == test.scaler == Scaler(mean=4.5, std=0.5)
+    for part, raw, stamps in ((train, [5.0, 4.0], ["1", "2"]), (test, [6.0, 5.0], ["3", "4"])):
+        assert (part.name, part.target, part.timestamps) == ("toy", "a", stamps)
+        assert part.scaler.invert(part.values).tolist() == raw
 
 
 def test_split_scales_with_train_statistics_only():
     series = _series(200, seed=3)
     train, test = split(series, 0.5, scale=True)
-    scaler = train.target_scaler
-    assert scaler is not None and test.target_scaler == scaler
-    raw_train = series.target_values[:100]
+    scaler = train.scaler
+    assert scaler is not None and test.scaler == scaler
+    raw_train = series.values[:100]
     assert abs(scaler.mean - float(np.mean(raw_train))) <= 1e-12
     assert abs(scaler.std - float(np.std(raw_train))) <= 1e-12
     # train part is standardized; the test part keeps the train transform
-    assert abs(float(np.mean(train.target_values))) <= 1e-12
-    expected_test = (series.target_values[100:] - scaler.mean) / scaler.std
-    assert np.max(np.abs(test.target_values - expected_test)) <= 1e-12
+    assert abs(float(np.mean(train.values))) <= 1e-12
+    expected_test = (series.values[100:] - scaler.mean) / scaler.std
+    assert np.max(np.abs(test.values - expected_test)) <= 1e-12
 
 
 def test_split_rejects_bad_fractions():

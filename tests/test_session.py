@@ -463,6 +463,33 @@ def test_refine_step_retries_placeholder_leak_in_synthesis():
 # --- run_session traces -----------------------------------------------------
 
 
+LEAKY_LEARNINGS = refiner_reply("Separate the {trend} from the noise.", done=False)
+
+
+def test_session_re_asks_a_refiner_reply_with_a_placeholder_token(tmp_path):
+    backend = ordinal(
+        forecast_reply([10.2, 11.2]),
+        LEAKY_LEARNINGS,
+        refiner_reply("Separate the trend from the noise.", done=False),
+        instructions_reply(["Separate the trend from the noise."]),
+    )
+    log_path = tmp_path / "session.jsonl"
+    cfg = small_cfg(max_iterations=1, parse_retries=1)
+    result = run_session(cfg, VALUES, backend, log_path=log_path)
+    assert backend.remaining == 0
+    assert result.history[0].refiner_reply.learnings == "Separate the trend from the noise."
+    assert result.history[0].parse_failures == 1
+    lines = [json.loads(line) for line in log_path.read_text().splitlines()]
+    assert [line["parse_failures"] for line in lines if line["kind"] == "iteration"] == [1]
+
+
+def test_session_fails_on_a_refiner_placeholder_token_that_stays():
+    backend = ordinal(forecast_reply([10.2, 11.2]), LEAKY_LEARNINGS, LEAKY_LEARNINGS)
+    cfg = small_cfg(max_iterations=1, parse_retries=1)
+    with pytest.raises(ParseRetryError, match=r"refiner reply still malformed after 2 attempts.*\{trend\}"):
+        run_session(cfg, VALUES, backend)
+
+
 def test_session_early_stop_returns_current_instructions_not_best():
     cfg = small_cfg(max_iterations=5)
     backend = ordinal(
