@@ -53,17 +53,17 @@ RETRY_BACKOFF_S = (1.0, 2.0)
 
 @dataclass(frozen=True)
 class CompletionRequest:
-    """One completion call: the prompt, a routing tag, and sampling knobs.
+    """One completion call: the prompt, the agent tag, a seed and the try.
 
-    ``attempt`` numbers the tries of one parse-retry loop from 0, so a
-    re-ask is a different request from the try before it even when its
-    prompt is the same.
+    The tag fixes the sampling settings: a backend that sends them uses
+    ``DEFAULT_TEMPERATURES[tag]`` and ``DEFAULT_MAX_TOKENS``. ``attempt``
+    numbers the tries of one parse-retry loop from 0, so a re-ask is a
+    different request from the try before it even when its prompt is the
+    same.
     """
 
     prompt: str
     tag: str
-    temperature: float = 0.0
-    max_tokens: int = DEFAULT_MAX_TOKENS
     seed: int | None = None
     attempt: int = 0
 
@@ -72,10 +72,6 @@ class CompletionRequest:
             raise ValueError("prompt must be non-empty")
         if self.tag not in TAGS:
             raise ValueError(f"tag must be one of {TAGS}, got {self.tag!r}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if self.max_tokens < 1:
-            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
         if self.attempt < 0:
             raise ValueError(f"attempt must be >= 0, got {self.attempt}")
 
@@ -296,10 +292,11 @@ class HttpBackend(Backend):
     """Chat-completion client over HTTP.
 
     Sends the widely deployed JSON shape (model, messages, temperature,
-    max_tokens) with a Bearer credential taken from the ``FLAIRR_API_KEY``
-    environment variable. Transport failures, 5xx, and 429 are retried up to
-    three attempts. The waits between them are drawn uniformly from
-    [b/2, b] for the backoffs b = 1 s and then 2 s ("equal jitter"), so
+    max_tokens), the last two from the request's tag, with a Bearer
+    credential taken from the ``FLAIRR_API_KEY`` environment variable.
+    Transport failures, 5xx, and 429 are retried up to three attempts. The
+    waits between them are drawn uniformly from [b/2, b] for the backoffs
+    b = 1 s and then 2 s ("equal jitter"), so
     clients that failed together do not retry together; a 429 or 503 reply
     with a numeric ``Retry-After`` waits at least that long (an HTTP date
     or an unparsable value keeps the jittered wait). Anything else surfaces
@@ -342,8 +339,8 @@ class HttpBackend(Backend):
         payload: dict = {
             "model": self.model_name,
             "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
+            "temperature": DEFAULT_TEMPERATURES[request.tag],
+            "max_tokens": DEFAULT_MAX_TOKENS,
         }
         if request.seed is not None:
             payload["seed"] = request.seed

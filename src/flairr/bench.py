@@ -24,9 +24,9 @@ import numpy as np
 
 from .backends import Backend, CallMeter, CompletionReply, CompletionRequest, ScriptedBackend
 from .errors import ConfigError
-from .prompts import DatasetMeta, TemplateLibrary
+from .prompts import DEFAULT_DESCRIPTION, DatasetMeta, TemplateLibrary
 from .retrieval import build_hist_db
-from .series import TimeSeries, load_csv, split, window_at, mae
+from .series import DEFAULT_TRAIN_FRACTION, TimeSeries, load_csv, split, window_at, mae
 from .session import SessionConfig, check_session_fits, forecast_with, run_session, strict_json
 
 __all__ = [
@@ -70,7 +70,7 @@ class ExperimentConfig:
     dataset_description: str = ""
     timestamp_column: str | None = None
     runs: int = 5
-    train_fraction: float = 0.7
+    train_fraction: float = DEFAULT_TRAIN_FRACTION
     max_test_windows: int = 20
     output_dir: str = "bench-out"
     seed: int = 0
@@ -107,36 +107,31 @@ class ExperimentConfig:
             raise ConfigError(f"malformed experiment config {p}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{p}: experiment config must be a JSON object")
-        dataset = _field(doc, "dataset", "object", {}, p)
+        hints = typing.get_type_hints(cls)
+        dataset = _checked(doc.get("dataset", {}), dict, "dataset", p)
         if "target" not in dataset:
             raise ConfigError(f"{p}: dataset.target is required")
-        session = _field(doc, "session", "object", {}, p)
-        hints = typing.get_type_hints(SessionConfig)
+        session = _checked(doc.get("session", {}), hints["session_overrides"], "session", p)
+        session_hints = typing.get_type_hints(SessionConfig)
         for key, value in session.items():
-            kind = _SESSION_JSON_TYPES.get(hints.get(key))
-            if kind and type(value) not in _JSON_TYPES[kind]:
-                raise ConfigError(f"{p}: session.{key} must be a JSON {kind}, got {value!r}")
+            # a key that names no field, and the strategy that a method
+            # sets, fail when the grid builds its sessions
+            if key in session_hints and key != "strategy":
+                _checked(value, session_hints[key], f"session.{key}", p)
 
-        # an absent key leaves its field at the dataclass default
-        defaults = {f.name: f.default for f in fields(cls)}
-        values = {
-            name: _field(dataset, key, "string", defaults[name], p, "dataset.")
-            for key, name in _DATASET_FIELDS.items()
-            if key in dataset
-        }
-        values["horizons"] = _json_array(doc, "horizons", "integer", p)
-        values["methods"] = _json_array(doc, "methods", "string", p)
-        values.update(
-            (key, _field(doc, key, json_type, defaults[key], p))
-            for key, json_type in _GRID_FIELD_TYPES.items()
-            if key in doc
-        )
-        if "train_fraction" in values:
-            values["train_fraction"] = float(values["train_fraction"])
+        # an absent key leaves its field at the dataclass default; absent
+        # horizons or methods stay empty, which __post_init__ refuses
+        values = {"horizons": (), "methods": ()}
+        for key, name in _DATASET_FIELDS.items():
+            if key in dataset:
+                values[name] = _checked(dataset[key], hints[name], f"dataset.{key}", p)
+        for name in hints:
+            if name in doc and name not in (*_DATASET_FIELDS.values(), "session_overrides"):
+                values[name] = _checked(doc[name], hints[name], name, p)
         return cls(**values, session_overrides=session)
 
 
-# ExperimentConfig field of each (string) key of the config's dataset object
+# ExperimentConfig field of each key of the config's dataset object
 _DATASET_FIELDS = {
     "target": "target",
     "path": "dataset_path",
@@ -145,53 +140,38 @@ _DATASET_FIELDS = {
     "timestamp_column": "timestamp_column",
 }
 
-# JSON type of each top-level config key that sets the ExperimentConfig
-# field of its name
-_GRID_FIELD_TYPES = {
-    "runs": "integer",
-    "train_fraction": "number",
-    "max_test_windows": "integer",
-    "output_dir": "string",
-    "seed": "integer",
-}
-
-
-# JSON type name -> the exact Python types ``json.loads`` gives for it, so
-# a bool is neither an integer nor a number
+# Python type of a config field -> its JSON type name and the exact Python
+# types ``json.loads`` gives for it, so a bool is never an integer or a
+# number, while an integer is a number
 _JSON_TYPES = {
-    "object": (dict,),
-    "array": (list,),
-    "string": (str,),
-    "integer": (int,),
-    "number": (int, float),
-    "boolean": (bool,),
+    dict: ("object", (dict,)),
+    str: ("string", (str,)),
+    int: ("integer", (int,)),
+    float: ("number", (int, float)),
+    bool: ("boolean", (bool,)),
 }
 
-# JSON type a session override must have, by its SessionConfig field type
-_SESSION_JSON_TYPES = {int: "integer", float: "number", bool: "boolean"}
 
-
-def _field(obj: dict, key: str, json_type: str, default, path: Path, prefix: str = ""):
-    """``obj[key]``, else ``default``; it must have the JSON type
-    ``json_type``, or be null where the default is None (not where it is a
-    required field's ``MISSING``)."""
-    value = obj.get(key, default)
-    if (value is None and default is None) or type(value) in _JSON_TYPES[json_type]:
-        return value
-    raise ConfigError(f"{path}: {prefix}{key} must be a JSON {json_type}, got {value!r}")
-
-
-def _json_array(doc: dict, key: str, item_type: str, path: Path) -> tuple:
-    """``doc[key]`` (default empty) as a tuple; it must be a JSON array of
-    ``item_type`` items."""
-    items = doc.get(key, [])
-    what = f"{key} must be a JSON array of {item_type}s"
-    if not isinstance(items, list):
-        raise ConfigError(f"{path}: {what}, got {items!r}")
-    for item in items:
-        if type(item) not in _JSON_TYPES[item_type]:
-            raise ConfigError(f"{path}: {what}, got the item {item!r}")
-    return tuple(items)
+def _checked(value, hint, name: str, path: Path):
+    """``value`` if it has the JSON type of the field type ``hint`` (``T``,
+    ``T | None`` or ``tuple[T, ...]``): a JSON array as a tuple, a number as
+    a float; otherwise a :class:`ConfigError` naming ``name``."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        kind, types = _JSON_TYPES[args[0]]
+        what = f"{name} must be a JSON array of {kind}s"
+        if type(value) is not list:
+            raise ConfigError(f"{path}: {what}, got {value!r}")
+        for item in value:
+            if type(item) not in types:
+                raise ConfigError(f"{path}: {what}, got the item {item!r}")
+        return tuple(value)
+    if value is None and type(None) in args:
+        return None
+    kind, types = _JSON_TYPES[args[0] if args else hint]
+    if type(value) not in types:
+        raise ConfigError(f"{path}: {name} must be a JSON {kind}, got {value!r}")
+    return float(value) if kind == "number" else value
 
 
 @dataclass
@@ -223,7 +203,8 @@ class _ReplyMemo(Backend):
     """Sends each distinct request of one grid to ``inner`` once.
 
     A request is keyed on the SHA-256 digest of everything its reply may
-    depend on: tag, seed, temperature, max_tokens, attempt and prompt. The
+    depend on: tag, seed, attempt and prompt. The tag also fixes the
+    sampling settings a backend sends (see :class:`CompletionRequest`). The
     attempt keeps a parse retry, which re-sends one prompt on purpose, from
     being served the malformed reply of the try before. Only digests are
     held, not prompts.
@@ -242,10 +223,7 @@ class _ReplyMemo(Backend):
 
     @staticmethod
     def _key(request: CompletionRequest) -> bytes:
-        head = (
-            f"{request.tag}|{request.seed}|{request.temperature!r}|"
-            f"{request.max_tokens}|{request.attempt}|"
-        )
+        head = f"{request.tag}|{request.seed}|{request.attempt}|"
         return hashlib.sha256((head + request.prompt).encode("utf-8")).digest()
 
     def complete(self, request: CompletionRequest) -> CompletionReply:
@@ -409,7 +387,7 @@ def _run_grid(
         )
     meta = DatasetMeta(
         name=data.name,
-        description=cfg.dataset_description or "a time series dataset",
+        description=cfg.dataset_description or DEFAULT_DESCRIPTION,
         target=data.target,
     )
     run_dir = _make_run_dir(cfg.output_dir) if emit else None

@@ -25,7 +25,7 @@ from .backends import (
     RecordingBackend,
     load_script,
 )
-from .bench import ExperimentConfig, run_ablation, run_experiment
+from .bench import DEFAULT_CONTEXT_LENGTH, ExperimentConfig, run_ablation, run_experiment
 from .errors import (
     BackendError,
     ConfigError,
@@ -33,7 +33,7 @@ from .errors import (
     ParseRetryError,
     TemplateError,
 )
-from .prompts import DatasetMeta, TemplateLibrary, format_numbers
+from .prompts import DEFAULT_DESCRIPTION, DatasetMeta, TemplateLibrary, format_numbers
 from .retrieval import build_hist_db, retrieve
 from .series import WindowPair, load_csv
 from .session import (
@@ -99,7 +99,9 @@ def _add_data_flags(parser: argparse.ArgumentParser, required: bool = True) -> N
 
 
 def _add_session_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument("--context", type=int, default=96, help="context length L")
+    parser.add_argument(
+        "--context", type=int, default=DEFAULT_CONTEXT_LENGTH, help="context length L"
+    )
     parser.add_argument("--horizon", type=int, required=required, help="forecast horizon H")
     parser.add_argument("--m", type=int, default=2, help="retrieved analog count M")
     parser.add_argument(
@@ -200,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=formatter,
     )
     _add_data_flags(p_retrieve)
-    p_retrieve.add_argument("--context", type=int, default=96, help="context length L")
+    p_retrieve.add_argument(
+        "--context", type=int, default=DEFAULT_CONTEXT_LENGTH, help="context length L"
+    )
     p_retrieve.add_argument(
         "--horizon", type=int, required=True, help="outcome length H"
     )
@@ -222,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _meta_from_args(args) -> DatasetMeta:
     return DatasetMeta(
         name=Path(args.data).stem,
-        description="a time series dataset",
+        description=DEFAULT_DESCRIPTION,
         target=args.target,
     )
 

@@ -21,7 +21,9 @@ class DataError(FlairrError):
 
 
 class TemplateError(FlairrError):
-    """Unknown template id or an unresolved placeholder in rendered text."""
+    """Unknown template or strategy, a template placeholder outside its
+    kind's documented set or without a value, or an instruction item that
+    holds a placeholder token."""
 
 
 class BackendError(FlairrError):

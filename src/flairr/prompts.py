@@ -2,9 +2,11 @@
 refiner, synthesis), and marker-based parsers for the structured replies.
 
 Renderers are pure functions over the built-in template library, which is
-loaded once per process; every renderer finishes with a scan that rejects any
-leftover brace-wrapped placeholder, so an unresolved token can never reach a
-backend. Parsers are line-anchored marker scans; violations raise
+loaded once per process. No template placeholder can reach a backend: each
+template's placeholders are checked against its kind's documented set when
+it loads, and substitution is one pass that fails on a placeholder without a
+value. Braces inside substituted values, such as a dataset name, are text.
+Parsers are line-anchored marker scans; violations raise
 :class:`ReplyParseError`, which the session layer treats as retryable.
 """
 
@@ -46,7 +48,7 @@ __all__ = [
 TEMPLATE_KINDS = ("forecaster-base", "refiner", "synthesis", "asp-strategy")
 
 # Placeholders are brace-wrapped lowercase snake-case names; the same pattern
-# drives substitution, the post-render scan, and instruction-reply rejection.
+# drives substitution, the instruction-item check, and reply rejection.
 _PLACEHOLDER_RE = re.compile(r"\{([a-z][a-z0-9_]*)\}")
 
 _ALLOWED_PLACEHOLDERS = {
@@ -154,6 +156,10 @@ class TemplateLibrary:
 
     def list_asps(self) -> list[str]:
         return sorted(t.id for t in self._templates.values() if t.kind == "asp-strategy")
+
+
+# what the forecaster prompt says of a dataset that has no description
+DEFAULT_DESCRIPTION = "a time series dataset"
 
 
 @dataclass(frozen=True)
@@ -287,15 +293,6 @@ def _substitute(template: PromptTemplate, values: dict[str, str]) -> str:
     return _PLACEHOLDER_RE.sub(repl, template.body)
 
 
-def _assert_resolved(text: str, origin: str) -> str:
-    leftover = _PLACEHOLDER_RE.search(text)
-    if leftover:
-        raise TemplateError(
-            f"{origin}: unresolved placeholder {leftover.group(0)} survived rendering"
-        )
-    return text
-
-
 def _tidy(text: str) -> str:
     """Collapse runs of blank lines left by empty conditional sections."""
     return re.sub(r"\n{3,}", "\n\n", text).strip("\n") + "\n"
@@ -324,14 +321,20 @@ def render_forecaster_prompt(
 
     strategy_section = ""
     if strategy is not None:
-        body = lib.get_asp(strategy).body.strip()
+        body = _substitute(lib.get_asp(strategy), {"sequence_length": str(horizon)}).strip()
         if body:
-            body = body.replace("{sequence_length}", str(horizon))
             strategy_section = f"Forecasting Strategy\n{body}\n\n"
 
     instructions_section = ""
     if instructions is not None:
-        instructions_section = f"Forecasting Instructions:\n{instructions.render()}\n\n"
+        items = instructions.render()
+        leftover = _PLACEHOLDER_RE.search(items)
+        if leftover:
+            raise TemplateError(
+                f"forecaster prompt: unresolved placeholder {leftover.group(0)} "
+                "in the instructions"
+            )
+        instructions_section = f"Forecasting Instructions:\n{items}\n\n"
 
     analog_section = ""
     if raft_context is not None and raft_context.strip():
@@ -356,7 +359,7 @@ def render_forecaster_prompt(
             "history_text": history_text,
         },
     )
-    return _assert_resolved(_tidy(text), "forecaster prompt")
+    return _tidy(text)
 
 
 # characters of each sample's forecaster prompt quoted in the refiner prompt
@@ -421,7 +424,7 @@ def render_refiner_prompt(
             "samples_section": "\n\n".join(sample_blocks),
         },
     )
-    return _assert_resolved(_tidy(text), "refiner prompt")
+    return _tidy(text)
 
 
 def render_synthesis_prompt(learnings: str) -> str:
@@ -433,15 +436,15 @@ def render_synthesis_prompt(learnings: str) -> str:
         TemplateLibrary.builtin().get("synthesis"),
         {"current_learnings": learnings.strip()},
     )
-    text = _assert_resolved(_tidy(text), "synthesis prompt")
+    text = _tidy(text)
     if not text.rstrip("\n").endswith(SYNTHESIS_CUE):
         raise TemplateError("synthesis template must end with the instruction cue line")
     return text
 
 
 def _reject_placeholders(text: str, what: str) -> None:
-    """A brace-wrapped placeholder token in a reply would reach a later
-    prompt, which refuses to render with one, so the reply is malformed."""
+    """A brace-wrapped placeholder token in a reply is template text the
+    model echoed instead of answering, which the reply grammar forbids."""
     leak = _PLACEHOLDER_RE.search(text)
     if leak:
         raise ReplyParseError(

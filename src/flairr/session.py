@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends import DEFAULT_TEMPERATURES, Backend, CallMeter, CompletionRequest
+from .backends import Backend, CallMeter, CompletionRequest
 from .errors import ParseRetryError, ReplyParseError
 from .prompts import (
     DatasetMeta,
@@ -236,11 +236,7 @@ def _complete_parsed(
     current_prompt = prompt
     for attempt in range(attempts):
         request = CompletionRequest(
-            prompt=current_prompt,
-            tag=tag,
-            temperature=DEFAULT_TEMPERATURES[tag],
-            seed=cfg.seed,
-            attempt=attempt,
+            prompt=current_prompt, tag=tag, seed=cfg.seed, attempt=attempt
         )
         reply = backend.complete(request)
         try:

@@ -61,10 +61,6 @@ def test_completion_request_validation():
         CompletionRequest(prompt="", tag="forecaster")
     with pytest.raises(ValueError, match="tag"):
         CompletionRequest(prompt="x", tag="oracle")
-    with pytest.raises(ValueError, match="temperature"):
-        CompletionRequest(prompt="x", tag="refiner", temperature=-0.1)
-    with pytest.raises(ValueError, match="max_tokens"):
-        CompletionRequest(prompt="x", tag="refiner", max_tokens=0)
     with pytest.raises(ValueError, match="attempt"):
         CompletionRequest(prompt="x", tag="refiner", attempt=-1)
 
@@ -265,7 +261,7 @@ def test_http_backend_round_trip(stub_server):
     url, server = stub_server
     server.script = [(200, chat_body("the reply"))]
     backend = HttpBackend(url, "test-model", api_key="sk-secret")
-    reply = backend.complete(req("ping", tag="refiner", temperature=0.7, seed=42))
+    reply = backend.complete(req("ping", tag="refiner", seed=42))
     assert reply.text == "the reply"
     assert reply.token_counts == (12, 7)
     assert reply.backend_id == "http:test-model"
@@ -279,6 +275,14 @@ def test_http_backend_round_trip(stub_server):
         "seed": 42,
     }
     assert sent["headers"]["Authorization"] == "Bearer sk-secret"
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_http_backend_takes_the_sampling_settings_from_the_tag(tag, stub_server):
+    url, server = stub_server
+    HttpBackend(url, "m").complete(req("ping", tag=tag))
+    body = server.seen[0]["body"]
+    assert (body["temperature"], body["max_tokens"]) == (DEFAULT_TEMPERATURES[tag], 4096)
 
 
 def test_http_backend_omits_seed_and_reads_key_from_env(stub_server, monkeypatch):

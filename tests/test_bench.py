@@ -10,6 +10,8 @@ import statistics
 import sys
 import threading
 import time
+import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,13 +34,14 @@ from flairr.bench import (
     ReportRow,
     _METHOD_FIELDS,
     _ReplyMemo,
+    _checked,
     _session_config,
     emit_report,
     run_ablation,
     run_experiment,
 )
 from flairr.errors import BackendError, ConfigError, TemplateError
-from flairr.session import FORMAT_RETRY_SUFFIX
+from flairr.session import FORMAT_RETRY_SUFFIX, SessionConfig
 from flairr.testing import (
     SyntheticOracleBackend,
     forecast_reply,
@@ -259,6 +262,29 @@ def test_experiment_config_from_json_keeps_typed_values(tmp_path):
     # a knob that is no SessionConfig field, or that the method owns, is
     # refused when the grid builds the session (see the tests below)
     assert cfg.session_overrides == doc["session"]
+
+
+# a value of the right JSON type for each field without a default
+_REQUIRED = {
+    "target": "v", "horizons": [8], "methods": ["simple"], "context_length": 16, "horizon": 8,
+}
+
+
+@pytest.mark.parametrize("cls", [ExperimentConfig, SessionConfig])
+def test_every_config_field_has_a_json_type(cls):
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if f.default is not dataclasses.MISSING:
+            value = f.default
+        elif f.default_factory is not dataclasses.MISSING:
+            value = f.default_factory()
+        else:
+            value = _REQUIRED[f.name]
+        hint = hints[f.name]
+        _checked(value, hint, f.name, Path("exp.json"))
+        wrong = "text" if hint is dict else {"text": 1}
+        with pytest.raises(ConfigError, match=f"exp.json: {f.name} must be a JSON "):
+            _checked(wrong, hint, f.name, Path("exp.json"))
 
 
 def test_method_wiring():
@@ -575,8 +601,6 @@ def request_key(request):
     return (
         request.tag,
         request.seed,
-        request.temperature,
-        request.max_tokens,
         request.attempt,
         request.prompt,
     )
@@ -632,7 +656,7 @@ def test_grid_parse_retry_reaches_the_backend(toy_csv, tmp_path):
     _, run_dir = run_experiment(cfg, spy)
     first = spy.keys[0][-1]
     retry = first + FORMAT_RETRY_SUFFIX
-    assert [(key[4], key[5]) for key in spy.keys[:4]] == [
+    assert [(key[2], key[3]) for key in spy.keys[:4]] == [
         (0, first), (1, retry), (2, retry), (3, retry)
     ]
     (log_path,) = run_dir.glob("*.jsonl")
@@ -675,8 +699,6 @@ def test_reply_memo_keys_every_request_field():
         req(),
         req(tag="refiner"),
         req(seed=1),
-        req(temperature=0.5),
-        req(max_tokens=7),
         req(attempt=1),
     ]
     for request in variants + variants:

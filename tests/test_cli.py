@@ -4,6 +4,7 @@ exercised in-process through main()."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -15,7 +16,9 @@ from pathlib import Path
 import pytest
 
 from flairr import cli
+from flairr.bench import DEFAULT_CONTEXT_LENGTH
 from flairr.cli import main
+from flairr.session import SessionConfig
 from flairr.testing import (
     SyntheticOracleBackend,
     forecast_reply,
@@ -733,3 +736,62 @@ def test_a_bad_non_target_cell_exits_two(command, cell, what, tmp_path, capsys):
     }[command]
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err == f"error: {what} at row 5, column 'aux'\n"
+
+
+# --- braces in user data ------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", ["target", "file-name", "description"])
+def test_braces_in_user_data_reach_the_prompt_as_text(case, series_csv, tmp_path, capsys):
+    record = tmp_path / "record.jsonl"
+    if case == "target":
+        data = tmp_path / "brace.csv"
+        data.write_text(series_csv.read_text().replace("v", "{load}", 1))
+        argv = ["forecast", "--data", str(data), "--target", "{load}", "--context", "48",
+                "--horizon", "8"]
+        text = "{load}"
+    elif case == "file-name":
+        data = tmp_path / "{x}.csv"
+        data.write_text(series_csv.read_text())
+        argv = ["refine", "--data", str(data), "--target", "v", "--context", "16",
+                "--horizon", "4", "--samples", "2", "--max-iter", "2",
+                "--out", str(tmp_path / "out")]
+        text = "{x}"
+    else:
+        config = write_bench_config(tmp_path, series_csv, tmp_path / "grid-out")
+        doc = json.loads(config.read_text())
+        doc["dataset"]["description"] = "{hourly} load"
+        config.write_text(json.dumps(doc))
+        argv = ["bench", "--config", str(config)]
+        text = "{hourly} load"
+    assert run_cli(*argv, "--record", str(record)) == 0, capsys.readouterr().err
+    prompts = [json.loads(line)["prompt"] for line in record.read_text().splitlines()]
+    assert text in prompts[0]
+
+
+# --- flag defaults ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["forecast"], {"m": "analog_count", "precision": "precision", "seed": "seed"}),
+        (
+            ["refine", "--data", "x.csv", "--target", "v", "--horizon", "4"],
+            {
+                "m": "analog_count", "precision": "precision", "seed": "seed",
+                "max_iter": "max_iterations", "stop_threshold": "stop_threshold_pct",
+                "samples": "sample_size", "strategy": "strategy",
+            },
+        ),
+    ],
+    ids=["forecast", "refine"],
+)
+def test_session_flags_default_to_the_session_config(argv, flags):
+    args = cli.build_parser().parse_args(argv)
+    defaults = {f.name: f.default for f in dataclasses.fields(SessionConfig)}
+    assert {dest: getattr(args, dest) for dest in flags} == {
+        dest: defaults[name] for dest, name in flags.items()
+    }
+    assert args.no_retrieval is not defaults["retrieval_enabled"]
+    assert args.context == DEFAULT_CONTEXT_LENGTH
