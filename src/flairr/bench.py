@@ -307,39 +307,6 @@ def _test_origins(
     return origins
 
 
-def _run_cell(
-    session_cfg: SessionConfig,
-    origins: list[int],
-    train_values: np.ndarray,
-    full_values: np.ndarray,
-    backend: Backend,
-    meta: DatasetMeta,
-    log_path: Path | None,
-) -> tuple[float, int, bool, int]:
-    """One (method, horizon, run): session then test-grid forecast.
-
-    Returns (test MAE, iterations used, early stop, test windows).
-    """
-    horizon = session_cfg.horizon
-    result = run_session(session_cfg, train_values, backend, meta=meta, log_path=log_path)
-    db = (
-        build_hist_db(train_values, session_cfg.context_length, horizon)
-        if session_cfg.retrieval_enabled
-        else None
-    )
-    window_maes = []
-    for origin in origins:
-        window = window_at(full_values, origin, session_cfg.context_length, horizon)
-        values = forecast_with(result, window, session_cfg, db, backend, meta=meta)
-        window_maes.append(mae(values, window.truth))
-    return (
-        float(np.mean(window_maes)),
-        result.iterations_used,
-        result.early_stop,
-        len(origins),
-    )
-
-
 def _run_grid(
     cfg: ExperimentConfig,
     backend: Backend,
@@ -350,6 +317,14 @@ def _run_grid(
 ) -> tuple[list[ReportRow], Path | None]:
     """Run ``methods`` (id, label) for every horizon; with ``emit`` the rows
     land in ``<stem>.csv`` and ``<stem>.json`` inside a fresh run directory.
+
+    The unit of work is one (horizon, method, run) cell: a refinement
+    session, then the test windows forecast with the prompt it selected.
+    Up to ``jobs`` cells run at a time, started in grid order; one job runs
+    them in the calling thread. Each row sums its method's ``cfg.runs`` consecutive
+    cells. Once a cell raises, no cell starts a call; those running finish,
+    and the rows whose cells all finished before the first failing one land
+    in ``<stem>.partial.*``.
 
     Every cell's meter wraps one :class:`_ReplyMemo` for the whole grid, so
     report columns count each method's own requests, memo hits included,
@@ -367,12 +342,13 @@ def _run_grid(
         backend = _ReplyMemo(backend)
     # every cell's session is configured before a directory is made or a
     # call is sent, so a bad config fails the grid with nothing spent
-    session_cfgs = {
-        (horizon, method, run): _session_config(cfg, horizon, method, run)
+    keys = [
+        (horizon, method, run)
         for horizon in cfg.horizons
         for method, _ in methods
         for run in range(cfg.runs)
-    }
+    ]
+    session_cfgs = {key: _session_config(cfg, *key) for key in keys}
     data = _load_series(cfg)
     train, test = split(data, cfg.train_fraction, scale=True)
     train_values = train.values
@@ -391,53 +367,69 @@ def _run_grid(
         target=data.target,
     )
     run_dir = _make_run_dir(cfg.output_dir) if emit else None
+    # the errors cells raised; a cell that starts after one re-raises the
+    # first, so the grid raises a real error even if it reaches that cell first
+    failed: list[BaseException] = []
 
-    cells = [(horizon, method, label) for horizon in cfg.horizons for method, label in methods]
-
-    rows: list[ReportRow] = []
-
-    def _one_row(horizon: int, method: str, label: str) -> ReportRow:
+    def run_cell(key) -> tuple[CallMeter, int, bool, float]:
+        """(meter, iterations used, early stop, test MAE) of one cell."""
+        if failed:
+            raise failed[0]
+        horizon, method, run = key
+        session_cfg = session_cfgs[key]
         meter = CallMeter(backend)
-        maes: list[float] = []
-        iterations: list[int] = []
-        early_stops = 0
-        for run in range(cfg.runs):
-            log_path = None
-            if run_dir is not None:
-                safe = method.replace(":", "-")
-                log_path = run_dir / f"{_safe_name(data.name)}-h{horizon}-{safe}-run{run}.jsonl"
-            cell_mae, used, stopped, test_windows = _run_cell(
-                session_cfgs[horizon, method, run], origins[horizon, method, run],
-                train_values, full_values, meter, meta, log_path,
+        log_path = None
+        if run_dir is not None:
+            safe = method.replace(":", "-")
+            log_path = run_dir / f"{_safe_name(data.name)}-h{horizon}-{safe}-run{run}.jsonl"
+        try:
+            result = run_session(session_cfg, train_values, meter, meta=meta, log_path=log_path)
+            db = (
+                build_hist_db(train_values, session_cfg.context_length, horizon)
+                if session_cfg.retrieval_enabled
+                else None
             )
-            maes.append(cell_mae)
-            iterations.append(used)
-            early_stops += int(stopped)
-        return ReportRow(
-            dataset=data.name,
-            horizon=horizon,
-            method=label,
-            run_maes=tuple(maes),
-            median_mae=float(statistics.median(maes)),
-            iterations_mean=float(statistics.fmean(iterations)),
-            early_stop_rate=early_stops / cfg.runs,
-            tokens_in=meter.tokens_in,
-            tokens_out=meter.tokens_out,
-            refiner_calls=meter.calls["refiner"],
-            mae_space="scaled",
-            scaler_mean=train.scaler.mean,
-            scaler_std=train.scaler.std,
-            test_windows=test_windows,
-            max_test_windows=cfg.max_test_windows,
-        )
+            window_maes = []
+            for origin in origins[key]:
+                window = window_at(full_values, origin, session_cfg.context_length, horizon)
+                values = forecast_with(result, window, session_cfg, db, meter, meta=meta)
+                window_maes.append(mae(values, window.truth))
+        except BaseException as exc:
+            failed.append(exc)
+            raise
+        return meter, result.iterations_used, result.early_stop, float(np.mean(window_maes))
 
+    labels = dict(methods)
+    rows: list[ReportRow] = []
     try:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                rows.extend(pool.map(lambda c: _one_row(*c), cells))
-        else:
-            for cell in cells:
-                rows.append(_one_row(*cell))
+        # an executor starts its workers on the first submit, so the
+        # built-in map keeps one job in the calling thread
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            results = map(run_cell, keys) if jobs == 1 else pool.map(run_cell, keys)
+            done = []
+            for (horizon, method, run), cell in zip(keys, results):
+                done.append(cell)
+                if run < cfg.runs - 1:
+                    continue
+                meters, iterations, early_stops, maes = zip(*done[-cfg.runs :])
+                rows.append(
+                    ReportRow(
+                        dataset=data.name,
+                        horizon=horizon,
+                        method=labels[method],
+                        run_maes=maes,
+                        median_mae=float(statistics.median(maes)),
+                        iterations_mean=float(statistics.fmean(iterations)),
+                        early_stop_rate=sum(early_stops) / cfg.runs,
+                        tokens_in=sum(m.tokens_in for m in meters),
+                        tokens_out=sum(m.tokens_out for m in meters),
+                        refiner_calls=sum(m.calls["refiner"] for m in meters),
+                        scaler_mean=train.scaler.mean,
+                        scaler_std=train.scaler.std,
+                        test_windows=len(origins[horizon, method, run]),
+                        max_test_windows=cfg.max_test_windows,
+                    )
+                )
     except Exception:
         # keep whatever finished inspectable before propagating
         if rows and run_dir is not None:
@@ -486,9 +478,10 @@ def run_experiment(
 ) -> tuple[list[ReportRow], Path | None]:
     """Run the configured grid; returns (rows, run directory).
 
-    With ``emit`` (the default) the rows land in ``report.csv`` and
-    ``report.json`` inside a fresh timestamped run directory, next to the
-    per-session logs.
+    Up to ``jobs`` (horizon, method, run) cells run at a time; rows and logs
+    do not depend on ``jobs``. With ``emit`` (the default) the rows land in
+    ``report.csv`` and ``report.json`` inside a fresh timestamped run
+    directory, next to the per-session logs.
     """
     methods = [(m, m) for m in cfg.methods]
     return _run_grid(cfg, backend, methods, "report", jobs, emit)

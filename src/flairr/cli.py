@@ -73,7 +73,8 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_backend(args) -> Backend:
+def _make_backend(args, seed: int) -> Backend:
+    """The backend the flags select; ``seed`` seeds the oracle."""
     if args.backend == "scripted":
         if not args.script:
             raise ConfigError("--backend scripted requires --script")
@@ -83,7 +84,7 @@ def _make_backend(args) -> Backend:
             raise ConfigError("--backend http requires --endpoint and --model")
         backend = HttpBackend(args.endpoint, args.model, timeout_s=args.timeout)
     else:
-        backend = SyntheticOracleBackend(seed=getattr(args, "seed", 0) or 0)
+        backend = SyntheticOracleBackend(seed=seed)
     if args.record:
         backend = RecordingBackend(backend, args.record)
     return backend
@@ -264,7 +265,7 @@ def cmd_forecast(args) -> int:
         raise DataError(
             f"series of length {values.size} is shorter than context {cfg.context_length}"
         )
-    backend = _make_backend(args)
+    backend = _make_backend(args, cfg.seed)
     context = values[-cfg.context_length :]
     window = WindowPair(
         context=context, truth=np.zeros(cfg.horizon), origin=values.size
@@ -299,7 +300,7 @@ def cmd_refine(args) -> int:
         seed=args.seed,
         strategy=args.strategy,
     )
-    backend = _make_backend(args)
+    backend = _make_backend(args, cfg.seed)
     out_dir = Path(args.out)
     log_path = out_dir / "session.jsonl"
     try:
@@ -347,7 +348,7 @@ def cmd_grid(args) -> int:
     """``bench`` and ``ablate``: ``args.run`` is the grid runner and
     ``args.stem`` names the report it writes."""
     cfg = _apply_overrides(ExperimentConfig.from_json(args.config), args)
-    backend = _make_backend(args)
+    backend = _make_backend(args, cfg.seed)
     rows, run_dir = args.run(cfg, backend, jobs=args.jobs)
     print(f"run_dir: {run_dir}")
     print(f"report: {run_dir / (args.stem + '.csv')}")

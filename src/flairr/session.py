@@ -424,6 +424,7 @@ def _iteration_log_record(rec: RefinementRecord) -> dict:
         "kind": "iteration",
         "iteration": rec.iteration,
         "instructions": list(rec.instructions.items) if rec.instructions else None,
+        "instructions_over_limit": rec.instructions.over_limit if rec.instructions else None,
         "batch_mae": rec.batch_mae,
         "per_sample": [
             {

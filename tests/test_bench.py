@@ -41,6 +41,7 @@ from flairr.bench import (
     run_experiment,
 )
 from flairr.errors import BackendError, ConfigError, TemplateError
+from flairr.prompts import TemplateLibrary
 from flairr.session import FORMAT_RETRY_SUFFIX, SessionConfig
 from flairr.testing import (
     SyntheticOracleBackend,
@@ -592,6 +593,76 @@ def test_report_tokens_are_the_session_logs_plus_the_test_forecasts(toy_csv, tmp
             if record["kind"] == "iteration"
         )
         assert row.tokens_in == row.tokens_out == logged + cfg.runs * row.test_windows
+
+
+def test_grid_artifacts_do_not_depend_on_jobs(toy_csv, tmp_path):
+    def artifacts(jobs):
+        methods = KNOWN_METHODS + ("asp:deep-stl",)
+        cfg = exp_config(toy_csv, tmp_path / f"jobs{jobs}", methods=methods, runs=3)
+        _, run_dir = run_experiment(cfg, TokenStamper(SyntheticOracleBackend(seed=5)), jobs=jobs)
+        return {path.name: path.read_bytes() for path in run_dir.iterdir()}
+
+    serial = artifacts(1)
+    assert len(serial) == 5 * 3 + 2  # a log per cell, the CSV and JSON reports
+    assert artifacts(2) == serial
+    assert artifacts(3) == serial
+
+
+def test_a_methods_runs_overlap_under_two_jobs(toy_csv, tmp_path):
+    class SeedBarrier(SyntheticOracleBackend):
+        """The first call of each request seed waits for one of another seed."""
+
+        def __init__(self, seed):
+            super().__init__(seed=seed)
+            self.barrier = threading.Barrier(2, timeout=5)
+            self.seeds = set()
+            self._lock = threading.Lock()
+
+        def complete(self, request):
+            with self._lock:
+                first = request.seed not in self.seeds
+                self.seeds.add(request.seed)
+            if first:
+                self.barrier.wait()
+            return super().complete(request)
+
+    cfg = exp_config(toy_csv, tmp_path / "out", methods=("simple",), runs=2)
+    rows, _ = run_experiment(cfg, SeedBarrier(seed=5), jobs=2, emit=False)
+    assert len(rows) == 1 and len(rows[0].run_maes) == 2
+
+
+def test_one_job_sends_every_call_from_the_calling_thread(toy_csv, tmp_path):
+    class ThreadSpy(SyntheticOracleBackend):
+        def complete(self, request):
+            threads.add(threading.get_ident())
+            return super().complete(request)
+
+    threads = set()
+    run_ablation(exp_config(toy_csv, tmp_path / "out"), ThreadSpy(seed=5), emit=False)
+    assert threads == {threading.get_ident()}
+
+
+def test_a_failed_cell_stops_the_grid_starting_calls(toy_csv, tmp_path):
+    class AlwaysFails(Backend):
+        backend_id = "fails"
+
+        def __init__(self):
+            self.calls = 0
+            self._lock = threading.Lock()
+
+        def complete(self, request):
+            with self._lock:
+                self.calls += 1
+            raise BackendError("endpoint refused the call")
+
+    backend = AlwaysFails()
+    # 16 cells of 8 methods whose sessions share no request
+    methods = [f"asp:{name}" for name in TemplateLibrary.builtin().list_asps()[:8]]
+    cfg = exp_config(toy_csv, tmp_path / "out", methods=methods, runs=2)
+    with pytest.raises(BackendError, match="endpoint refused"):
+        run_experiment(cfg, backend, jobs=4, emit=False)
+    # only the cells already running when the first one failed sent a call
+    assert 1 <= backend.calls <= 4
 
 
 # --- the grid's reply memo --------------------------------------------------

@@ -467,6 +467,19 @@ def test_bench_cli_overrides(series_csv, tmp_path, capsys):
     assert "run_1_mae" in header and "run_2_mae" not in header
 
 
+def test_the_grid_oracle_takes_the_config_seed(series_csv, tmp_path, capsys):
+    config = write_bench_config(tmp_path, series_csv, tmp_path / "out")
+    doc = json.loads(config.read_text())
+    config.write_text(json.dumps({**doc, "seed": 7}))
+    reports = []
+    for out_name, flags in (("plain", ()), ("flagged", ("--seed", "7"))):
+        out_dir = tmp_path / out_name
+        assert run_cli("bench", "--config", str(config), "--out", str(out_dir), *flags) == 0
+        (run_dir,) = out_dir.glob("run-*")
+        reports.append((run_dir / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_bench_missing_config(tmp_path, capsys):
     assert run_cli("bench", "--config", str(tmp_path / "none.json")) == 1
     assert "cannot read" in capsys.readouterr().err

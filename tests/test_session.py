@@ -695,6 +695,22 @@ def test_session_log_is_json_lines_with_header_and_result(tmp_path):
     assert result.early_stop is True
 
 
+def test_session_log_flags_instructions_over_the_item_limit(tmp_path):
+    log_path = tmp_path / "session.jsonl"
+    backend = ordinal(
+        forecast_reply([10.1, 11.1]),
+        refiner_reply("l0", done=False),
+        instructions_reply(["a", "b", "c", "d"]),
+        forecast_reply([10.2, 11.2]),
+        refiner_reply("plateaued", done=True),
+    )
+    run_session(small_cfg(max_iterations=2), VALUES, backend, log_path=log_path)
+    lines = [json.loads(line) for line in log_path.read_text().splitlines()]
+    iterations = [line for line in lines if line["kind"] == "iteration"]
+    assert [line["instructions_over_limit"] for line in iterations] == [None, True]
+    assert iterations[1]["instructions"] == ["a", "b", "c", "d"]
+
+
 def _strict_json_loads(text):
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
