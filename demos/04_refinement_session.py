@@ -28,9 +28,9 @@ def main() -> None:
     result = run_session(cfg, train, backend)
 
     print("iteration | batch MAE | instructions")
-    for record in result.history:
+    for k, record in enumerate(result.history, start=1):
         label = record.instructions.flattened() if record.instructions else "(base prompt)"
-        print(f"{record.iteration + 1:9d} | {record.batch_mae:9.4f} | {label}")
+        print(f"{k:9d} | {record.batch_mae:9.4f} | {label}")
     print(f"\nearly stop: {result.early_stop}")
     print(f"selected iteration {result.best_iteration + 1} (validation MAE {result.best_mae:.4f})")
     print(f"selected instructions: {result.final_instructions.flattened()}")

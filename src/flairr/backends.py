@@ -211,10 +211,14 @@ class ScriptedBackend(Backend):
         )
 
 
-def _entry_from_json(obj: dict, where: str) -> ScriptEntry:
+def _entry_from_json(obj, where: str) -> ScriptEntry:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: script entry must be a JSON object")
     if "reply" not in obj:
         raise ConfigError(f"{where}: script entry missing 'reply'")
     reply = obj["reply"]
+    if not isinstance(reply, str):
+        raise ConfigError(f"{where}: script entry 'reply' must be a string")
     match = obj.get("match")
     if match is None and "prompt" in obj:
         # recording shape: {"hash", "tag", "seed", "attempt", "prompt",
@@ -380,6 +384,8 @@ class HttpBackend(Backend):
             try:
                 body = response.json()
                 text = body["choices"][0]["message"]["content"]
+                if not isinstance(text, str):
+                    raise TypeError(f"message content is {type(text).__name__}, not text")
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(
                     f"malformed completion body from {self.endpoint_url}: {exc}; "

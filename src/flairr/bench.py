@@ -91,6 +91,11 @@ class ExperimentConfig:
                     f"unknown method {method!r}; expected one of {KNOWN_METHODS} "
                     "or 'asp:<strategy-name>'"
                 )
+        for name in ("horizons", "methods"):
+            # each cell writes one session log named by its horizon and method
+            values = getattr(self, name)
+            if repeated := [v for i, v in enumerate(values) if v in values[:i]]:
+                raise ConfigError(f"{name} repeat {repeated[0]!r}; got {values}")
         if self.max_test_windows < 1:
             raise ConfigError(
                 f"max_test_windows must be >= 1, got {self.max_test_windows}"

@@ -373,29 +373,25 @@ def _truncate(text: str) -> str:
 
 
 def render_refiner_prompt(
-    iteration: int,
-    current_instructions: str,
-    batch_mae: float,
+    history: list[tuple[str, float]],
     samples: list[tuple[str, list[float], list[float]]],
     stop_threshold: float,
-    history: list[tuple[str, float]] | None = None,
     precision: int = 4,
 ) -> str:
-    """Render the refiner prompt for a 0-based ``iteration`` (displayed
-    1-based).
+    """Render the refiner prompt for the session so far.
 
     ``history`` carries every (instructions, MAE) pair evaluated so far in
-    session order, the current pair last; it defaults to just the current
-    pair. Each sample is (forecaster prompt, predictions, ground truth);
-    prompts longer than 4000 characters are truncated.
+    session order. The last pair is the one under review, and its 1-based
+    position, ``len(history)``, is the displayed iteration. Each sample is
+    (forecaster prompt, predictions, ground truth); prompts longer than
+    4000 characters are truncated.
     """
     if not samples:
         raise ValueError("refiner prompt needs a non-empty sample batch")
-    if iteration < 0:
-        raise ValueError(f"iteration must be >= 0, got {iteration}")
+    if not history:
+        raise ValueError("refiner prompt needs a non-empty history")
+    current_instructions, batch_mae = history[-1]
     shown_instructions = current_instructions.strip() or NO_INSTRUCTIONS_DISPLAY
-    if history is None:
-        history = [(current_instructions, batch_mae)]
 
     history_lines = []
     for idx, (instr, pair_mae) in enumerate(history, start=1):
@@ -416,7 +412,7 @@ def render_refiner_prompt(
     text = _substitute(
         TemplateLibrary.builtin().get("refiner"),
         {
-            "iteration_display": str(iteration + 1),
+            "iteration_display": str(len(history)),
             "current_instructions": shown_instructions,
             "batch_mae": format_numbers([batch_mae], precision),
             "stop_threshold": f"{stop_threshold:g}%",

@@ -3,11 +3,11 @@ prompt on recent validation windows, asks the refiner whether to stop, and
 otherwise synthesizes the next instruction block.
 
 The loop runs at most ``max_iterations`` times. Each pass evaluates the
-current instructions on ``sample_size`` windows, tracks the best batch MAE
-under strict improvement, then consults the refiner with the session's full
-(instructions, MAE) history. A Done verdict ends the session immediately
-with the *current* instructions — deliberately not the best-scoring ones;
-exhausting the loop falls back to the best-MAE instructions.
+current instructions on ``sample_size`` windows into a record, then consults
+the refiner with the (instructions, MAE) pairs of every record so far. The
+records are the session's only state; the selected prompt is derived from
+them. A Done verdict selects the *current* instructions — deliberately not
+the best-scoring ones; exhausting the loop falls back to the best-MAE ones.
 """
 
 from __future__ import annotations
@@ -130,9 +130,10 @@ class SampleRecord:
 
 @dataclass
 class RefinementRecord:
-    """Everything one loop iteration produced (0-based ``iteration``)."""
+    """Everything one loop iteration produced. A record's index in the
+    session's history is its (0-based) iteration; record 0 evaluates the
+    base prompt, so its ``instructions`` are None."""
 
-    iteration: int
     instructions: InstructionBlock | None
     batch_mae: float
     per_sample: list[SampleRecord]
@@ -145,31 +146,42 @@ class RefinementRecord:
 
 @dataclass
 class SessionResult:
-    """Outcome of a refinement session.
+    """Outcome of a refinement session: its iteration records and whether
+    the refiner stopped it. Everything else is derived from the records.
 
-    The selected prompt is the ``forecaster-base`` template with
-    ``final_instructions``, which is None when that prompt is the bare base
-    prompt; :func:`forecast_with` forecasts with it.
+    The best iteration is the first whose batch MAE is strictly below every
+    earlier one, starting from +inf: ties keep the earlier record, a NaN
+    never wins, and when no MAE is below +inf it is iteration 0 with
+    ``best_mae`` +inf. The selected prompt is the ``forecaster-base``
+    template with ``final_instructions``: the last record's after an early
+    stop, else the best record's; None is the bare base prompt.
+    :func:`forecast_with` forecasts with it.
     """
 
-    final_instructions: InstructionBlock | None
-    early_stop: bool
-    best_iteration: int
-    best_mae: float
     history: list[RefinementRecord]
+    early_stop: bool
 
     @property
     def iterations_used(self) -> int:
         return len(self.history)
 
+    @property
+    def best_iteration(self) -> int:
+        best, best_mae = 0, math.inf
+        for k, rec in enumerate(self.history):
+            if rec.batch_mae < best_mae:
+                best, best_mae = k, rec.batch_mae
+        return best
 
-@dataclass
-class EvaluationOutcome:
-    """Result of evaluating one instruction block on the validation batch."""
+    @property
+    def best_mae(self) -> float:
+        mae = self.history[self.best_iteration].batch_mae
+        return mae if mae < math.inf else math.inf  # no record beat +inf
 
-    batch_mae: float
-    per_sample: list[SampleRecord]
-    skipped_samples: int = 0
+    @property
+    def final_instructions(self) -> InstructionBlock | None:
+        selected = -1 if self.early_stop else self.best_iteration
+        return self.history[selected].instructions
 
 
 @dataclass
@@ -289,12 +301,14 @@ def evaluate_prompt(
     db: HistDB | None,
     backend: Backend,
     meta: DatasetMeta | None = None,
-) -> EvaluationOutcome:
-    """Evaluate one instruction block over the validation windows.
+) -> RefinementRecord:
+    """Evaluate one instruction block over the validation windows; returns
+    the iteration's record with its batch MAE and per-sample results.
 
     A sample whose reply stays malformed past the retry budget is skipped
-    and counted; the evaluation only fails when every sample does. Re-asks
-    are not counted here: a :class:`CallMeter` around ``backend`` sees them.
+    and counted in ``skipped_samples``; the evaluation only fails when every
+    sample does. Re-asks and tokens are not counted here: a
+    :class:`CallMeter` around ``backend`` sees them.
     """
     if not windows:
         raise ValueError("evaluate_prompt needs a non-empty window batch")
@@ -323,8 +337,12 @@ def evaluate_prompt(
             f"all {len(windows)} validation samples failed to parse",
             last_error=last_error.last_error if last_error else None,
         )
-    batch_mae = float(np.mean([s.mae for s in per_sample]))
-    return EvaluationOutcome(batch_mae=batch_mae, per_sample=per_sample, skipped_samples=skipped)
+    return RefinementRecord(
+        instructions=instructions,
+        batch_mae=float(np.mean([s.mae for s in per_sample])),
+        per_sample=per_sample,
+        skipped_samples=skipped,
+    )
 
 
 def _instructions_text(block: InstructionBlock | None) -> str:
@@ -347,24 +365,20 @@ def refine_step(
     """
     if not history:
         raise ValueError("refine_step needs at least one completed iteration")
-    latest = history[-1]
-    pairs = [(_instructions_text(rec.instructions), rec.batch_mae) for rec in history]
+    latest, iteration = history[-1], len(history) - 1
     prompt = render_refiner_prompt(
-        iteration=latest.iteration,
-        current_instructions=_instructions_text(latest.instructions),
-        batch_mae=latest.batch_mae,
+        history=[(_instructions_text(rec.instructions), rec.batch_mae) for rec in history],
         samples=[
             (s.prompt, list(s.predictions), list(s.truth))
             for s in latest.per_sample
         ],
         stop_threshold=cfg.stop_threshold_pct,
-        history=pairs,
         precision=cfg.precision,
     )
     reply = _complete_parsed(backend, prompt, "refiner", parse_refiner_reply, cfg)
 
     done = reply.done
-    if done and latest.iteration == 0:
+    if done and iteration == 0:
         log.info("overriding Done at the first iteration: no prior MAE to compare")
         done = False
     next_instructions = None
@@ -380,7 +394,7 @@ def refine_step(
                 synth_prompt,
                 "synthesis",
                 lambda text: parse_instructions_reply(
-                    text, source_iteration=latest.iteration + 1
+                    text, source_iteration=iteration + 1
                 ),
                 cfg,
             )
@@ -419,10 +433,10 @@ class _SessionLog:
             fh.write(strict_json(record, ensure_ascii=False) + "\n")
 
 
-def _iteration_log_record(rec: RefinementRecord) -> dict:
+def _iteration_log_record(k: int, rec: RefinementRecord) -> dict:
     return {
         "kind": "iteration",
-        "iteration": rec.iteration,
+        "iteration": k,
         "instructions": list(rec.instructions.items) if rec.instructions else None,
         "instructions_over_limit": rec.instructions.over_limit if rec.instructions else None,
         "batch_mae": rec.batch_mae,
@@ -441,6 +455,11 @@ def _iteration_log_record(rec: RefinementRecord) -> dict:
         "tokens_in": rec.tokens_in,
         "tokens_out": rec.tokens_out,
     }
+
+
+def _charge(record: RefinementRecord, meter: CallMeter) -> None:
+    record.parse_failures = meter.reasks + record.skipped_samples
+    record.tokens_in, record.tokens_out = meter.tokens_in, meter.tokens_out
 
 
 def run_session(
@@ -494,9 +513,6 @@ def run_session(
 
     records: list[RefinementRecord] = []
     current: InstructionBlock | None = None
-    best_mae = float("inf")
-    best_instructions: InstructionBlock | None = None
-    best_iteration = 0
     early_stop = False
 
     try:
@@ -504,51 +520,25 @@ def run_session(
             # a fresh meter per iteration: its totals are the record's tokens,
             # its re-asks plus the skipped samples its parse failures
             meter = CallMeter(backend)
-            outcome = evaluate_prompt(current, windows, cfg, db, meter, meta)
-            record = RefinementRecord(
-                iteration=k,
-                instructions=current,
-                batch_mae=outcome.batch_mae,
-                per_sample=outcome.per_sample,
-                parse_failures=meter.reasks + outcome.skipped_samples,
-                skipped_samples=outcome.skipped_samples,
-                tokens_in=meter.tokens_in,
-                tokens_out=meter.tokens_out,
-            )
+            record = evaluate_prompt(current, windows, cfg, db, meter, meta)
             records.append(record)
-            if outcome.batch_mae < best_mae:
-                best_mae = outcome.batch_mae
-                best_instructions = current
-                best_iteration = k
-
-            if not cfg.refinement_enabled:
-                session_log.write(_iteration_log_record(record))
+            _charge(record, meter)
+            refinement = refine_step(records, cfg, meter) if cfg.refinement_enabled else None
+            if refinement is not None:
+                record.refiner_reply = refinement.reply
+                _charge(record, meter)
+            session_log.write(_iteration_log_record(k, record))
+            if refinement is None or refinement.done:
+                early_stop = refinement is not None
                 break
-
-            refinement = refine_step(records, cfg, meter)
-            record.refiner_reply = refinement.reply
-            record.parse_failures = meter.reasks + record.skipped_samples
-            record.tokens_in, record.tokens_out = meter.tokens_in, meter.tokens_out
-            session_log.write(_iteration_log_record(record))
-
-            if refinement.done:
-                early_stop = True
-                break
-            if refinement.next_instructions is not None:
-                current = refinement.next_instructions
+            current = refinement.next_instructions
     except Exception as exc:
         # aborted sessions keep their completed iterations inspectable
         exc.partial_history = records
         raise
 
-    final = current if early_stop else best_instructions
-    result = SessionResult(
-        final_instructions=final,
-        early_stop=early_stop,
-        best_iteration=best_iteration,
-        best_mae=best_mae,
-        history=records,
-    )
+    result = SessionResult(history=records, early_stop=early_stop)
+    final = result.final_instructions
     session_log.write(
         {
             "kind": "result",

@@ -195,6 +195,17 @@ def test_load_script_errors(tmp_path):
     p.write_text('{"match": "ordinal"}\n')
     with pytest.raises(ConfigError, match="missing 'reply'"):
         load_script(p)
+    for line in ("5", '"x"', "[1]", "null"):
+        p.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            load_script(p)
+    for reply in ("5", "null", '["x"]', '{"text": "x"}'):
+        p.write_text(f'{{"reply": {reply}}}\n')
+        with pytest.raises(ConfigError, match="'reply' must be a string"):
+            load_script(p)
+    p.write_text('{"tag": "refiner", "prompt": "a", "reply": 5}\n')
+    with pytest.raises(ConfigError, match="'reply' must be a string"):
+        load_script(p)
     p.write_text("\n\n")
     with pytest.raises(ConfigError, match="no entries"):
         load_script(p)
@@ -430,6 +441,10 @@ def test_http_backend_malformed_body(stub_server):
     server.script = [(200, {"unexpected": "shape"})]
     with pytest.raises(BackendError, match="malformed completion body"):
         HttpBackend(url, "m").complete(req())
+    for content in (None, ["x"], 5):
+        server.script = [(200, {"choices": [{"message": {"content": content}}]})]
+        with pytest.raises(BackendError, match="malformed completion body.*not text"):
+            HttpBackend(url, "m").complete(req())
 
 
 def test_http_backend_config_validation():

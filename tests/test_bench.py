@@ -131,6 +131,10 @@ def test_experiment_config_validation():
         ExperimentConfig(target="v", horizons=(8,), methods=("magic",))
     with pytest.raises(ConfigError, match="max_test_windows"):
         ExperimentConfig(**ok, max_test_windows=0)
+    with pytest.raises(ConfigError, match="horizons repeat 8"):
+        ExperimentConfig(target="v", horizons=(8, 12, 8), methods=("simple",))
+    with pytest.raises(ConfigError, match="methods repeat 'flairr'"):
+        ExperimentConfig(target="v", horizons=(8,), methods=("flairr", "simple", "flairr"))
 
 
 def test_experiment_config_from_json(tmp_path):

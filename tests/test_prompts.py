@@ -284,13 +284,7 @@ SAMPLES = [("the forecaster prompt", [1.0, 2.0], [1.5, 2.5])]
 
 
 def test_refiner_prompt_core_fields():
-    prompt = render_refiner_prompt(
-        iteration=0,
-        current_instructions="",
-        batch_mae=0.25,
-        samples=SAMPLES,
-        stop_threshold=5.0,
-    )
+    prompt = render_refiner_prompt(history=[("", 0.25)], samples=SAMPLES, stop_threshold=5.0)
     assert "for this Iteration 1:" in prompt
     assert "Current Forecasting Instructions Under Review: (none - the base forecasting prompt)" in prompt
     assert "for this batch of samples: 0.2500" in prompt
@@ -308,16 +302,15 @@ def test_refiner_prompt_core_fields():
 
 
 def test_refiner_prompt_iteration_is_displayed_one_based():
-    prompt = render_refiner_prompt(3, "keep it smooth", 0.5, SAMPLES, 5.0)
+    history = [("", 0.9), ("a", 0.8), ("b", 0.7), ("keep it smooth", 0.5)]
+    prompt = render_refiner_prompt(history, SAMPLES, 5.0)
     assert "for this Iteration 4:" in prompt
     assert "Under Review: keep it smooth" in prompt
 
 
 def test_refiner_prompt_full_history_section():
     history = [("", 0.9), ("lean on the trend", 0.5), ("damp the\nnoise", 0.7)]
-    prompt = render_refiner_prompt(
-        2, "damp the\nnoise", 0.7, SAMPLES, 5.0, history=history
-    )
+    prompt = render_refiner_prompt(history, SAMPLES, 5.0)
     assert "- Iteration 1 | MAE 0.9000 | Instructions: (none - the base forecasting prompt)" in prompt
     assert "- Iteration 2 | MAE 0.5000 | Instructions: lean on the trend" in prompt
     assert "- Iteration 3 | MAE 0.7000 | Instructions: damp the noise" in prompt
@@ -325,22 +318,22 @@ def test_refiner_prompt_full_history_section():
 
 
 def test_refiner_prompt_threshold_rendering():
-    prompt = render_refiner_prompt(0, "", 1.0, SAMPLES, 2.5)
+    prompt = render_refiner_prompt([("", 1.0)], SAMPLES, 2.5)
     assert "stopping threshold (2.5%)" in prompt
 
 
 def test_refiner_prompt_truncates_long_sample_prompts():
     long_prompt = "x" * 5000
-    prompt = render_refiner_prompt(0, "", 1.0, [(long_prompt, [1.0], [1.0])], 5.0)
+    prompt = render_refiner_prompt([("", 1.0)], [(long_prompt, [1.0], [1.0])], 5.0)
     assert "... [truncated]" in prompt
     assert "x" * 4001 not in prompt
 
 
 def test_refiner_prompt_validation():
     with pytest.raises(ValueError, match="sample batch"):
-        render_refiner_prompt(0, "", 1.0, [], 5.0)
-    with pytest.raises(ValueError, match="iteration"):
-        render_refiner_prompt(-1, "", 1.0, SAMPLES, 5.0)
+        render_refiner_prompt([("", 1.0)], [], 5.0)
+    with pytest.raises(ValueError, match="history"):
+        render_refiner_prompt([], SAMPLES, 5.0)
 
 
 # --- synthesis renderer -----------------------------------------------------

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flairr.backends import (
@@ -24,7 +25,12 @@ from flairr.backends import (
     load_script,
 )
 from flairr.errors import BackendError, ParseRetryError
-from flairr.prompts import InstructionBlock, parse_forecast_reply
+from flairr.prompts import (
+    InstructionBlock,
+    format_numbers,
+    parse_forecast_reply,
+    render_refiner_prompt,
+)
 from flairr.retrieval import build_hist_db
 from flairr.series import window_at
 from flairr.session import (
@@ -101,9 +107,8 @@ class TokenStampingBackend(Backend):
         return CompletionReply(text=reply.text, token_counts=(10, 3))
 
 
-def record_for(iteration, instructions, batch_mae):
+def record_for(instructions, batch_mae):
     return RefinementRecord(
-        iteration=iteration,
         instructions=instructions,
         batch_mae=batch_mae,
         per_sample=[
@@ -379,7 +384,7 @@ def test_refine_step_synthesizes_next_instructions():
         refiner=refiner_reply("lean on the trend", done=False),
         synthesis=instructions_reply(["Lean on the recent trend."]),
     )
-    outcome = refine_step([record_for(0, None, 1.0)], small_cfg(), backend)
+    outcome = refine_step([record_for(None, 1.0)], small_cfg(), backend)
     assert outcome.done is False
     assert outcome.next_instructions.items == ("Lean on the recent trend.",)
     assert outcome.next_instructions.source_iteration == 1
@@ -388,7 +393,7 @@ def test_refine_step_synthesizes_next_instructions():
 
 def test_refine_step_done_skips_synthesis():
     backend = tagged(refiner=refiner_reply("converged", done=True))
-    history = [record_for(0, None, 1.0), record_for(1, None, 0.99)]
+    history = [record_for(None, 1.0), record_for(None, 0.99)]
     outcome = refine_step(history, small_cfg(), backend)
     assert outcome.done is True
     assert outcome.next_instructions is None
@@ -400,7 +405,7 @@ def test_refine_step_overrides_done_on_first_iteration():
         refiner=refiner_reply("already stable", done=True),
         synthesis=instructions_reply(["Hold the line."]),
     )
-    outcome = refine_step([record_for(0, None, 1.0)], small_cfg(), backend)
+    outcome = refine_step([record_for(None, 1.0)], small_cfg(), backend)
     assert outcome.reply.done is True  # what the refiner said
     assert outcome.done is False  # what the loop does with it
     assert outcome.next_instructions.items == ("Hold the line.",)
@@ -409,16 +414,16 @@ def test_refine_step_overrides_done_on_first_iteration():
 def test_refine_step_override_with_no_learnings_keeps_current():
     block = InstructionBlock(items=("existing rule",))
     backend = tagged(refiner="Done: True")
-    outcome = refine_step([record_for(0, block, 1.0)], small_cfg(), backend)
+    outcome = refine_step([record_for(block, 1.0)], small_cfg(), backend)
     assert outcome.done is False
     assert outcome.next_instructions is block
 
 
 def test_refine_step_prompt_carries_full_history():
     history = [
-        record_for(0, None, 0.9),
-        record_for(1, InstructionBlock(items=("rule a",)), 0.5),
-        record_for(2, InstructionBlock(items=("rule b", "rule c")), 0.7),
+        record_for(None, 0.9),
+        record_for(InstructionBlock(items=("rule a",)), 0.5),
+        record_for(InstructionBlock(items=("rule b", "rule c")), 0.7),
     ]
     spy = SpyBackend(
         tagged(
@@ -455,7 +460,7 @@ def test_refine_step_retries_placeholder_leak_in_synthesis():
         )
     )
     meter = CallMeter(backend)
-    outcome = refine_step([record_for(0, None, 1.0)], small_cfg(parse_retries=1), meter)
+    outcome = refine_step([record_for(None, 1.0)], small_cfg(parse_retries=1), meter)
     assert outcome.next_instructions.items == ("use the recent values",)
     assert meter.reasks == 1
 
@@ -578,6 +583,47 @@ def test_session_respects_max_iterations():
     result = run_session(cfg, VALUES, backend)
     assert result.iterations_used == 2
     assert backend.remaining == 1
+
+
+# finite values with ties, +inf (an overflowed batch) and NaN (a NaN truth)
+BATCH_MAES = st.one_of(
+    st.sampled_from([0.25, 0.5, 1.0]),
+    st.floats(0.0, 10.0),
+    st.just(math.inf),
+    st.just(math.nan),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(maes=st.lists(BATCH_MAES, min_size=1, max_size=6), early_stop=st.booleans())
+@example(maes=[math.inf, math.inf], early_stop=False)
+@example(maes=[math.nan, 0.5, math.nan, 0.5], early_stop=False)
+@example(maes=[0.5, 0.25, 0.25], early_stop=True)
+def test_session_result_selection_is_the_strict_improvement_fold(maes, early_stop):
+    blocks = [None] + [InstructionBlock(items=(f"rule {k}",)) for k in range(1, len(maes))]
+    result = SessionResult(
+        history=[record_for(block, m) for block, m in zip(blocks, maes)],
+        early_stop=early_stop,
+    )
+    # the selection rule as a running fold: start at +inf, take strictly lower
+    best_mae, best_instructions, best_iteration = math.inf, None, 0
+    for k, (block, m) in enumerate(zip(blocks, maes)):
+        if m < best_mae:
+            best_mae, best_instructions, best_iteration = m, block, k
+    assert result.best_iteration == best_iteration
+    assert result.best_mae == best_mae
+    assert result.final_instructions is (blocks[-1] if early_stop else best_instructions)
+
+    pairs = [(block.flattened() if block else "", m) for block, m in zip(blocks, maes)]
+    samples = [("a prompt", [1.0], [1.5])]
+    if not all(math.isfinite(m) for m in maes):
+        with pytest.raises(ValueError, match="non-finite"):
+            render_refiner_prompt(pairs, samples, 5.0)
+        return
+    prompt = render_refiner_prompt(pairs, samples, 5.0)
+    assert f"for this Iteration {len(maes)}:" in prompt
+    assert f"for this batch of samples: {format_numbers([maes[-1]])}" in prompt
+    assert prompt.count("- Iteration ") == len(maes)
 
 
 def test_session_aborts_carry_partial_history():
@@ -820,13 +866,8 @@ def test_the_config_strategy_reaches_every_forecaster_prompt(tmp_path):
 def test_forecast_with_uses_the_session_instructions():
     cfg = SessionConfig(context_length=16, horizon=4, sample_size=1, strategy="deep-stl")
     values = seasonal_series(120, period=12, trend=0.01, amplitude=0.4, noise=0.05, seed=3)
-    result = SessionResult(
-        final_instructions=InstructionBlock(items=("Track the daily cycle.",), source_iteration=1),
-        early_stop=True,
-        best_iteration=0,
-        best_mae=0.0,
-        history=[],
-    )
+    block = InstructionBlock(items=("Track the daily cycle.",), source_iteration=1)
+    result = SessionResult(history=[record_for(None, 0.0), record_for(block, 0.5)], early_stop=True)
     window = window_at(values, 110, cfg.context_length, cfg.horizon)
     db = build_hist_db(values[:80], cfg.context_length, cfg.horizon)
     via_result = SpyBackend(SyntheticOracleBackend(seed=4))
