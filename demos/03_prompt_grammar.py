@@ -10,8 +10,8 @@ Run: python3 demos/03_prompt_grammar.py
 from flairr.prompts import (
     DatasetMeta,
     InstructionBlock,
-    TemplateLibrary,
     format_numbers,
+    list_strategies,
     parse_forecast_reply,
     render_forecaster_prompt,
 )
@@ -19,8 +19,7 @@ from flairr.testing import forecast_reply, seasonal_series
 
 
 def main() -> None:
-    library = TemplateLibrary.builtin()
-    print(f"built-in strategies: {', '.join(library.list_asps())}\n")
+    print(f"built-in strategies: {', '.join(list_strategies())}\n")
 
     meta = DatasetMeta(name="demand", description="hourly energy demand", target="demand")
     context = seasonal_series(24, period=24, amplitude=1.0, seed=2)

@@ -37,16 +37,16 @@ from .prompts import (
     DatasetMeta,
     ForecastReply,
     InstructionBlock,
-    PromptTemplate,
     RefinerReply,
-    TemplateLibrary,
     format_numbers,
+    list_strategies,
     parse_forecast_reply,
     parse_instructions_reply,
     parse_refiner_reply,
     render_forecaster_prompt,
     render_refiner_prompt,
     render_synthesis_prompt,
+    strategy_template,
 )
 from .retrieval import (
     AnalogSegment,
@@ -100,8 +100,8 @@ __all__ = [
     "retrieve",
     "format_analogs",
     # prompts
-    "PromptTemplate",
-    "TemplateLibrary",
+    "list_strategies",
+    "strategy_template",
     "DatasetMeta",
     "ForecastReply",
     "RefinerReply",

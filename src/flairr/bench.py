@@ -24,7 +24,7 @@ import numpy as np
 
 from .backends import Backend, CallMeter, CompletionReply, CompletionRequest, ScriptedBackend
 from .errors import ConfigError
-from .prompts import DEFAULT_DESCRIPTION, DatasetMeta, TemplateLibrary
+from .prompts import DEFAULT_DESCRIPTION, DatasetMeta
 from .retrieval import build_hist_db
 from .series import DEFAULT_TRAIN_FRACTION, TimeSeries, load_csv, split, window_at, mae
 from .session import SessionConfig, check_session_fits, forecast_with, run_session, strict_json
@@ -259,7 +259,6 @@ def _method_fields(method: str) -> dict:
     name = method[len("asp:") :]
     if not name:
         raise ConfigError("asp method needs a strategy name, e.g. 'asp:deep-stl'")
-    TemplateLibrary.builtin().get_asp(name)  # an unknown name fails here
     # a static strategy prompt evaluated with retrieval, no refinement
     return {"retrieval_enabled": True, "refinement_enabled": False, "strategy": name}
 

@@ -33,7 +33,7 @@ from .errors import (
     ParseRetryError,
     TemplateError,
 )
-from .prompts import DEFAULT_DESCRIPTION, DatasetMeta, TemplateLibrary, format_numbers
+from .prompts import DEFAULT_DESCRIPTION, DatasetMeta, format_numbers, list_strategies
 from .retrieval import build_hist_db, retrieve
 from .series import WindowPair, load_csv
 from .session import (
@@ -233,9 +233,8 @@ def _meta_from_args(args) -> DatasetMeta:
 
 
 def cmd_forecast(args) -> int:
-    library = TemplateLibrary.builtin()
     if args.list_strategies:
-        for name in library.list_asps():
+        for name in list_strategies():
             print(name)
         return 0
     missing = [
@@ -249,9 +248,6 @@ def cmd_forecast(args) -> int:
     ]
     if missing:
         raise ConfigError(f"forecast requires {', '.join(missing)}")
-    library.get_asp(args.strategy)  # fail fast with the listing on a typo
-    series = load_csv(args.data, args.target, timestamp_column=args.timestamp_column)
-    values = series.values
     cfg = SessionConfig(
         context_length=args.context,
         horizon=args.horizon,
@@ -261,6 +257,7 @@ def cmd_forecast(args) -> int:
         seed=args.seed,
         strategy=args.strategy,
     )
+    values = load_csv(args.data, args.target, timestamp_column=args.timestamp_column).values
     if values.size < cfg.context_length + 1:
         raise DataError(
             f"series of length {values.size} is shorter than context {cfg.context_length}"
@@ -287,7 +284,6 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    series = load_csv(args.data, args.target, timestamp_column=args.timestamp_column)
     cfg = SessionConfig(
         context_length=args.context,
         horizon=args.horizon,
@@ -300,6 +296,7 @@ def cmd_refine(args) -> int:
         seed=args.seed,
         strategy=args.strategy,
     )
+    series = load_csv(args.data, args.target, timestamp_column=args.timestamp_column)
     backend = _make_backend(args, cfg.seed)
     out_dir = Path(args.out)
     log_path = out_dir / "session.jsonl"

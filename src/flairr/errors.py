@@ -21,9 +21,8 @@ class DataError(FlairrError):
 
 
 class TemplateError(FlairrError):
-    """Unknown template or strategy, a template placeholder outside its
-    kind's documented set or without a value, or an instruction item that
-    holds a placeholder token."""
+    """Unknown strategy, a template placeholder without a value, or an
+    instruction item that holds a placeholder token."""
 
 
 class BackendError(FlairrError):

@@ -1,11 +1,13 @@
-"""Prompt engine: template library, the three renderers (forecaster,
+"""Prompt engine: the built-in templates, the three renderers (forecaster,
 refiner, synthesis), and marker-based parsers for the structured replies.
 
-Renderers are pure functions over the built-in template library, which is
-loaded once per process. No template placeholder can reach a backend: each
-template's placeholders are checked against its kind's documented set when
-it loads, and substitution is one pass that fails on a placeholder without a
-value. Braces inside substituted values, such as a dataset name, are text.
+The templates are the text files under ``templates/``: ``forecaster_base``,
+``refiner``, ``synthesis``, and one ``asp_<name>.txt`` per strategy. Each is
+read once per process. Renderers are pure functions over them, and each
+renderer's value dict is the one declaration of its template's placeholders.
+No template placeholder can reach a backend: substitution is one pass over
+the template text that fails on a placeholder without a value, so braces
+inside substituted values, such as a dataset name, are text.
 Parsers are line-anchored marker scans; violations raise
 :class:`ReplyParseError`, which the session layer treats as retryable.
 """
@@ -14,23 +16,20 @@ from __future__ import annotations
 
 import decimal
 import functools
-import json
 import math
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from importlib import resources
 from itertools import repeat
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ReplyParseError, TemplateError
 
 __all__ = [
-    "TEMPLATE_KINDS",
-    "PromptTemplate",
-    "TemplateLibrary",
+    "list_strategies",
+    "strategy_template",
     "DatasetMeta",
     "ForecastReply",
     "RefinerReply",
@@ -45,117 +44,42 @@ __all__ = [
     "format_numbers",
 ]
 
-TEMPLATE_KINDS = ("forecaster-base", "refiner", "synthesis", "asp-strategy")
-
 # Placeholders are brace-wrapped lowercase snake-case names; the same pattern
 # drives substitution, the instruction-item check, and reply rejection.
 _PLACEHOLDER_RE = re.compile(r"\{([a-z][a-z0-9_]*)\}")
-
-_ALLOWED_PLACEHOLDERS = {
-    "forecaster-base": {
-        "target_variable",
-        "dataset_name",
-        "dataset_description",
-        "prediction_length",
-        "strategy_section",
-        "instructions_section",
-        "analog_section",
-        "history_text",
-    },
-    "refiner": {
-        "iteration_display",
-        "current_instructions",
-        "batch_mae",
-        "stop_threshold",
-        "history_section",
-        "samples_section",
-    },
-    "synthesis": {"current_learnings"},
-    "asp-strategy": {"sequence_length"},
-}
 
 SYNTHESIS_CUE = "Refined Prompt Forecasting Instructions:"
 
 NO_INSTRUCTIONS_DISPLAY = "(none - the base forecasting prompt)"
 
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    """One template: a stable id, its kind, and the body text."""
-
-    id: str
-    kind: str
-    body: str
-
-    def __post_init__(self):
-        if self.kind not in TEMPLATE_KINDS:
-            raise TemplateError(
-                f"template {self.id!r}: unknown kind {self.kind!r}; expected one of {TEMPLATE_KINDS}"
-            )
-        allowed = _ALLOWED_PLACEHOLDERS[self.kind]
-        for name in _PLACEHOLDER_RE.findall(self.body):
-            if name not in allowed:
-                raise TemplateError(
-                    f"template {self.id!r}: placeholder {{{name}}} not in the documented set for kind {self.kind!r}"
-                )
+_TEMPLATES = resources.files(__package__) / "templates"
 
 
-class TemplateLibrary:
-    """Immutable id -> template map loaded from a manifest directory."""
+@functools.cache
+def _template(stem: str) -> str:
+    """The text of ``templates/<stem>.txt``, read once per process."""
+    return (_TEMPLATES / f"{stem}.txt").read_text(encoding="utf-8")
 
-    def __init__(self, templates: dict[str, PromptTemplate]):
-        self._templates = dict(templates)
 
-    @classmethod
-    def from_dir(cls, path) -> "TemplateLibrary":
-        root = Path(path)
-        manifest_path = root / "manifest.json"
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise TemplateError(f"cannot read template manifest {manifest_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise TemplateError(f"malformed template manifest {manifest_path}: {exc}") from exc
-        templates: dict[str, PromptTemplate] = {}
-        for entry in manifest.get("templates", []):
-            try:
-                tid, kind, fname = entry["id"], entry["kind"], entry["file"]
-            except KeyError as exc:
-                raise TemplateError(f"manifest entry {entry!r} missing key {exc}") from None
-            try:
-                body = (root / fname).read_text(encoding="utf-8")
-            except OSError as exc:
-                raise TemplateError(f"cannot read template file {fname!r}: {exc}") from exc
-            if tid in templates:
-                raise TemplateError(f"duplicate template id {tid!r} in manifest")
-            templates[tid] = PromptTemplate(id=tid, kind=kind, body=body)
-        return cls(templates)
+@functools.cache
+def list_strategies() -> tuple[str, ...]:
+    """Sorted strategy names: the ``asp_<name>.txt`` files, ``_`` read as ``-``."""
+    return tuple(
+        sorted(
+            entry.name[len("asp_") : -len(".txt")].replace("_", "-")
+            for entry in _TEMPLATES.iterdir()
+            if entry.name.startswith("asp_") and entry.name.endswith(".txt")
+        )
+    )
 
-    @classmethod
-    @functools.cache
-    def builtin(cls) -> "TemplateLibrary":
-        """The library shipped inside the package, loaded once per process;
-        it is the only template source the renderers use."""
-        return cls.from_dir(resources.files("flairr") / "templates")
 
-    def get(self, template_id: str) -> PromptTemplate:
-        try:
-            return self._templates[template_id]
-        except KeyError:
-            raise TemplateError(
-                f"unknown template {template_id!r}; available: {sorted(self._templates)}"
-            ) from None
-
-    def get_asp(self, name: str) -> PromptTemplate:
-        tpl = self._templates.get(name)
-        if tpl is None or tpl.kind != "asp-strategy":
-            raise TemplateError(
-                f"unknown strategy {name!r}; available: {self.list_asps()}"
-            )
-        return tpl
-
-    def list_asps(self) -> list[str]:
-        return sorted(t.id for t in self._templates.values() if t.kind == "asp-strategy")
+def strategy_template(name: str) -> str:
+    """The text of strategy ``name``; an unknown name raises
+    :class:`TemplateError` listing the available ones."""
+    available = list_strategies()
+    if name not in available:
+        raise TemplateError(f"unknown strategy {name!r}; available: {list(available)}")
+    return _template("asp_" + name.replace("-", "_"))
 
 
 # what the forecaster prompt says of a dataset that has no description
@@ -281,16 +205,19 @@ def _clear_of_tie(y):
     return abs(y % 1.0 - 0.5) > y * 2.0**-50
 
 
-def _substitute(template: PromptTemplate, values: dict[str, str]) -> str:
-    def repl(match: re.Match) -> str:
-        name = match.group(1)
-        if name not in values:
-            raise TemplateError(
-                f"template {template.id!r}: no value supplied for placeholder {{{name}}}"
-            )
-        return values[name]
+def _substitute(name: str, body: str, values: dict[str, str]) -> str:
+    """``body`` with every placeholder replaced in one pass; a placeholder
+    without a value raises :class:`TemplateError` naming template ``name``."""
 
-    return _PLACEHOLDER_RE.sub(repl, template.body)
+    def repl(match: re.Match) -> str:
+        placeholder = match.group(1)
+        if placeholder not in values:
+            raise TemplateError(
+                f"template {name!r}: no value supplied for placeholder {{{placeholder}}}"
+            )
+        return values[placeholder]
+
+    return _PLACEHOLDER_RE.sub(repl, body)
 
 
 def _tidy(text: str) -> str:
@@ -317,11 +244,11 @@ def render_forecaster_prompt(
         raise ValueError("history_text must be non-empty")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    lib = TemplateLibrary.builtin()
-
     strategy_section = ""
     if strategy is not None:
-        body = _substitute(lib.get_asp(strategy), {"sequence_length": str(horizon)}).strip()
+        body = _substitute(
+            strategy, strategy_template(strategy), {"sequence_length": str(horizon)}
+        ).strip()
         if body:
             strategy_section = f"Forecasting Strategy\n{body}\n\n"
 
@@ -347,7 +274,8 @@ def render_forecaster_prompt(
         )
 
     text = _substitute(
-        lib.get("forecaster-base"),
+        "forecaster_base",
+        _template("forecaster_base"),
         {
             "target_variable": meta.target,
             "dataset_name": meta.name,
@@ -372,6 +300,12 @@ def _truncate(text: str) -> str:
     return text[:_SAMPLE_PROMPT_BUDGET] + "\n... [truncated]"
 
 
+def _mae_text(value: float, precision: int) -> str:
+    """A batch MAE as prompt text; one that overflowed to inf, or is NaN,
+    reads ``inf`` or ``nan``, since a session scores and selects those too."""
+    return format_numbers([value], precision) if math.isfinite(value) else str(float(value))
+
+
 def render_refiner_prompt(
     history: list[tuple[str, float]],
     samples: list[tuple[str, list[float], list[float]]],
@@ -384,7 +318,7 @@ def render_refiner_prompt(
     session order. The last pair is the one under review, and its 1-based
     position, ``len(history)``, is the displayed iteration. Each sample is
     (forecaster prompt, predictions, ground truth); prompts longer than
-    4000 characters are truncated.
+    4000 characters are truncated. A non-finite MAE reads ``inf`` or ``nan``.
     """
     if not samples:
         raise ValueError("refiner prompt needs a non-empty sample batch")
@@ -397,7 +331,7 @@ def render_refiner_prompt(
     for idx, (instr, pair_mae) in enumerate(history, start=1):
         flat = " ".join(instr.split()) or NO_INSTRUCTIONS_DISPLAY
         history_lines.append(
-            f"- Iteration {idx} | MAE {format_numbers([pair_mae], precision)} | Instructions: {flat}"
+            f"- Iteration {idx} | MAE {_mae_text(pair_mae, precision)} | Instructions: {flat}"
         )
 
     sample_blocks = []
@@ -410,11 +344,12 @@ def render_refiner_prompt(
         )
 
     text = _substitute(
-        TemplateLibrary.builtin().get("refiner"),
+        "refiner",
+        _template("refiner"),
         {
             "iteration_display": str(len(history)),
             "current_instructions": shown_instructions,
-            "batch_mae": format_numbers([batch_mae], precision),
+            "batch_mae": _mae_text(batch_mae, precision),
             "stop_threshold": f"{stop_threshold:g}%",
             "history_section": "\n".join(history_lines),
             "samples_section": "\n\n".join(sample_blocks),
@@ -429,8 +364,7 @@ def render_synthesis_prompt(learnings: str) -> str:
     if not learnings or not learnings.strip():
         raise ValueError("learnings must be non-empty")
     text = _substitute(
-        TemplateLibrary.builtin().get("synthesis"),
-        {"current_learnings": learnings.strip()},
+        "synthesis", _template("synthesis"), {"current_learnings": learnings.strip()}
     )
     text = _tidy(text)
     if not text.rstrip("\n").endswith(SYNTHESIS_CUE):

@@ -33,6 +33,7 @@ from .prompts import (
     render_forecaster_prompt,
     render_refiner_prompt,
     render_synthesis_prompt,
+    strategy_template,
 )
 from .retrieval import HistDB, build_hist_db, format_analogs, retrieve
 from .series import WindowPair, mae, window_at
@@ -71,7 +72,8 @@ class SessionConfig:
     ``analog_count`` applies only while retrieval is enabled; the effective
     count is 0 whenever retrieval is switched off. ``strategy`` names the
     alternate strategy preamble every forecaster prompt of the session
-    carries, validation and test time alike; None means the base prompt.
+    carries, validation and test time alike; None means the base prompt,
+    and a name with no strategy template raises :class:`TemplateError`.
     """
 
     context_length: int
@@ -111,6 +113,8 @@ class SessionConfig:
             raise ValueError(f"precision must be in 0..10, got {self.precision}")
         if self.parse_retries < 0:
             raise ValueError(f"parse_retries must be >= 0, got {self.parse_retries}")
+        if self.strategy is not None:
+            strategy_template(self.strategy)  # an unknown name fails here
 
     @property
     def effective_analog_count(self) -> int:

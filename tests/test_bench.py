@@ -41,7 +41,7 @@ from flairr.bench import (
     run_experiment,
 )
 from flairr.errors import BackendError, ConfigError, TemplateError
-from flairr.prompts import TemplateLibrary
+from flairr.prompts import list_strategies
 from flairr.session import FORMAT_RETRY_SUFFIX, SessionConfig
 from flairr.testing import (
     SyntheticOracleBackend,
@@ -661,7 +661,7 @@ def test_a_failed_cell_stops_the_grid_starting_calls(toy_csv, tmp_path):
 
     backend = AlwaysFails()
     # 16 cells of 8 methods whose sessions share no request
-    methods = [f"asp:{name}" for name in TemplateLibrary.builtin().list_asps()[:8]]
+    methods = [f"asp:{name}" for name in list_strategies()[:8]]
     cfg = exp_config(toy_csv, tmp_path / "out", methods=methods, runs=2)
     with pytest.raises(BackendError, match="endpoint refused"):
         run_experiment(cfg, backend, jobs=4, emit=False)

@@ -376,6 +376,54 @@ def test_an_aborted_refine_says_how_far_it_got(series_csv, tmp_path, capsys):
     assert error.startswith("error: refiner reply still malformed after 4 attempts")
 
 
+def test_refine_unknown_strategy_exits_one_before_the_log(series_csv, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code = run_cli(
+        "refine", "--data", str(series_csv), "--target", "v",
+        "--context", "16", "--horizon", "4", "--strategy", "nope", "--out", str(out_dir),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown strategy 'nope'; available: [")
+    assert "aborted" not in err
+    assert not out_dir.exists()
+
+
+def test_refine_goes_on_after_a_batch_mae_overflows(series_csv, tmp_path, capsys):
+    script = tmp_path / "script.jsonl"
+    # the base prompt's forecasts are huge, the instructed ones are not
+    replies = [
+        forecast_reply([1e308] * 4),
+        forecast_reply([1e308] * 4),
+        refiner_reply("x", done=False),
+        instructions_reply(["Damp the peaks."]),
+        forecast_reply([1.0] * 4),
+        forecast_reply([1.0] * 4),
+        refiner_reply("y", done=True),
+    ]
+    script.write_text("".join(json.dumps({"reply": r}) + "\n" for r in replies))
+    recording = tmp_path / "rec.jsonl"
+    out_dir = tmp_path / "run"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = run_cli(
+            "refine", "--data", str(series_csv), "--target", "v",
+            "--context", "16", "--horizon", "4", "--samples", "2", "--no-retrieval",
+            "--out", str(out_dir), "--record", str(recording),
+            "--backend", "scripted", "--script", str(script),
+        )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "best_iteration: 2\n" in out
+    assert "selected_instructions:\n- Damp the peaks." in out
+    refiner_prompts = [
+        entry["prompt"]
+        for entry in map(json.loads, recording.read_text().splitlines())
+        if entry["tag"] == "refiner"
+    ]
+    assert "for this batch of samples: inf" in refiner_prompts[0]
+    assert "- Iteration 1 | MAE inf |" in refiner_prompts[1]
+
+
 def test_refine_single_iteration(series_csv, tmp_path, capsys):
     code = run_cli(
         "refine", "--data", str(series_csv), "--target", "v",

@@ -1,10 +1,10 @@
-"""Prompt engine: template library, renderers, number formatting, parsers."""
+"""Prompt engine: built-in templates, renderers, number formatting, parsers."""
 
 from __future__ import annotations
 
 import decimal
-import json
 import random
+import re
 from decimal import Decimal
 
 import pytest
@@ -17,95 +17,72 @@ from flairr.prompts import (
     DatasetMeta,
     ForecastReply,
     InstructionBlock,
-    PromptTemplate,
     RefinerReply,
-    TemplateLibrary,
+    _PLACEHOLDER_RE,
+    _substitute,
+    _template,
     format_numbers,
+    list_strategies,
     parse_forecast_reply,
     parse_instructions_reply,
     parse_refiner_reply,
     render_forecaster_prompt,
     render_refiner_prompt,
     render_synthesis_prompt,
+    strategy_template,
 )
 from flairr.testing import instructions_reply, refiner_reply
 
 META = DatasetMeta(name="power", description="hourly transformer readings", target="OT")
 
 
-# --- template library -------------------------------------------------------
+# --- built-in templates ------------------------------------------------------
 
 
 def test_builtin_library_contents():
-    lib = TemplateLibrary.builtin()
-    for tid in ("forecaster-base", "refiner", "synthesis"):
-        assert lib.get(tid).id == tid
-    asps = lib.list_asps()
-    assert asps == sorted(asps)
-    assert len(asps) == 14
+    names = list_strategies()
+    assert list(names) == sorted(names)
+    assert len(names) == 14
     for expected in ("simple", "deep-stl", "monte-hall", "many-worlds-ensemble"):
-        assert expected in asps
-    assert lib.get_asp("simple").body.strip() == ""
+        assert expected in names
+    assert strategy_template("simple").strip() == ""
+    assert "{sequence_length}" in strategy_template("deep-stl")
 
 
 def test_builtin_library_is_loaded_once():
-    assert TemplateLibrary.builtin() is TemplateLibrary.builtin()
+    assert _template("refiner") is _template("refiner")
+    assert strategy_template("monte-hall") is strategy_template("monte-hall")
 
 
 def test_library_lookup_errors():
-    lib = TemplateLibrary.builtin()
-    with pytest.raises(TemplateError, match="unknown template 'nope'"):
-        lib.get("nope")
-    with pytest.raises(TemplateError, match="unknown strategy 'refiner'"):
-        lib.get_asp("refiner")  # exists, but is not a strategy
-    with pytest.raises(TemplateError, match="available"):
-        lib.get_asp("missing-strategy")
+    available = re.escape(str(list(list_strategies())))
+    # a template that is not a strategy, the file spelling, and no file at all
+    for name in ("refiner", "forecaster-base", "deep_stl", "missing"):
+        message = rf"^unknown strategy '{name}'; available: {available}$"
+        with pytest.raises(TemplateError, match=message):
+            strategy_template(name)
 
 
-def test_library_from_dir(tmp_path):
-    (tmp_path / "manifest.json").write_text(
-        json.dumps(
-            {
-                "version": 2,
-                "templates": [
-                    {"id": "only", "kind": "synthesis", "file": "only.txt"}
-                ],
-            }
+def test_every_builtin_template_renders_without_placeholders():
+    block = InstructionBlock(items=("Track the last cycle.", "Damp spikes."))
+    prompts = [
+        render_forecaster_prompt(
+            META, 12, "1.0, 2.0", instructions=block, raft_context="analog 1", strategy=name
         )
-    )
-    (tmp_path / "only.txt").write_text(
-        "Learnings: {current_learnings}\n" + SYNTHESIS_CUE
-    )
-    lib = TemplateLibrary.from_dir(tmp_path)
-    assert lib.get("only").kind == "synthesis"
-    assert lib.list_asps() == []
-    with pytest.raises(TemplateError, match=r"available: \['only'\]"):
-        lib.get("forecaster-base")
+        for name in [None, *list_strategies()]
+    ]
+    prompts.append(render_refiner_prompt([("", 0.5)], [("a prompt", [1.0], [1.5])], 5.0))
+    prompts.append(render_synthesis_prompt("the trend steepens"))
+    assert len(prompts) == 17
+    for prompt in prompts:
+        assert _PLACEHOLDER_RE.search(prompt) is None, prompt
 
 
-def test_library_from_dir_errors(tmp_path):
-    with pytest.raises(TemplateError, match="cannot read template manifest"):
-        TemplateLibrary.from_dir(tmp_path / "missing")
-    (tmp_path / "manifest.json").write_text("{not json")
-    with pytest.raises(TemplateError, match="malformed template manifest"):
-        TemplateLibrary.from_dir(tmp_path)
-    (tmp_path / "manifest.json").write_text(
-        json.dumps({"templates": [{"id": "x", "kind": "synthesis"}]})
-    )
-    with pytest.raises(TemplateError, match="missing key"):
-        TemplateLibrary.from_dir(tmp_path)
-    (tmp_path / "manifest.json").write_text(
-        json.dumps({"templates": [{"id": "x", "kind": "synthesis", "file": "gone.txt"}]})
-    )
-    with pytest.raises(TemplateError, match="cannot read template file"):
-        TemplateLibrary.from_dir(tmp_path)
-
-
-def test_template_rejects_undocumented_placeholder():
-    with pytest.raises(TemplateError, match=r"\{mystery\}"):
-        PromptTemplate(id="bad", kind="synthesis", body="{mystery}")
-    with pytest.raises(TemplateError, match="unknown kind"):
-        PromptTemplate(id="bad", kind="other", body="x")
+def test_substitute_names_the_template_and_the_missing_placeholder():
+    assert _substitute("t", "{a} and {b}", {"a": "{b}", "b": "x"}) == "{b} and x"
+    message = r"^template 'refiner': no value supplied for placeholder \{mystery\}$"
+    with pytest.raises(TemplateError, match=message):
+        _substitute("refiner", "{batch_mae} {mystery}", {"batch_mae": "0.5"})
 
 
 # --- number formatting ------------------------------------------------------
