@@ -26,6 +26,7 @@ __all__ = [
     "TAGS",
     "DEFAULT_TEMPERATURES",
     "DEFAULT_MAX_TOKENS",
+    "DEFAULT_TIMEOUT_S",
     "API_KEY_ENV",
     "CompletionRequest",
     "CompletionReply",
@@ -44,6 +45,7 @@ TAGS = ("forecaster", "refiner", "synthesis")
 # more exploratory temperature.
 DEFAULT_TEMPERATURES = {"forecaster": 0.2, "refiner": 0.7, "synthesis": 0.7}
 DEFAULT_MAX_TOKENS = 4096
+DEFAULT_TIMEOUT_S = 120.0
 
 API_KEY_ENV = "FLAIRR_API_KEY"
 
@@ -225,6 +227,9 @@ def _entry_from_json(obj, where: str) -> ScriptEntry:
         # "reply", "tokens"} replays as an exact-prompt pattern entry for
         # that seed and attempt (full prompt stored, hashes are advisory); a
         # line without a seed or an attempt matches any
+        prompt = obj["prompt"]
+        if not isinstance(prompt, str):
+            raise ConfigError(f"{where}: recording 'prompt' must be a string")
         seed = obj.get("seed")
         if seed is not None and not _is_int(seed):
             raise ConfigError(f"{where}: recording seed must be an integer or null")
@@ -244,27 +249,27 @@ def _entry_from_json(obj, where: str) -> ScriptEntry:
             )
         return ScriptEntry(
             reply=reply,
-            prompt=obj["prompt"],
+            prompt=prompt,
             seed=seed,
             attempt=attempt,
             token_counts=None if tokens is None else tuple(tokens),
         )
-    if match is None or match == "ordinal" or match == {"ordinal": True}:
+    if match is None or match == "ordinal":
         return ScriptEntry(reply=reply)
     if not isinstance(match, dict) or len(match) != 1:
         raise ConfigError(f"{where}: 'match' must be one of ordinal/prompt/contains/tag")
     key, value = next(iter(match.items()))
     if key == "ordinal":
+        if value is not True:
+            raise ConfigError(f"{where}: match 'ordinal' must be true")
         return ScriptEntry(reply=reply)
-    if key == "prompt":
-        return ScriptEntry(reply=reply, prompt=str(value))
-    if key == "contains":
-        return ScriptEntry(reply=reply, contains=str(value))
-    if key == "tag":
-        if value not in TAGS:
-            raise ConfigError(f"{where}: unknown tag {value!r}; expected one of {TAGS}")
-        return ScriptEntry(reply=reply, tag=str(value))
-    raise ConfigError(f"{where}: unknown match key {key!r}")
+    if key not in ("prompt", "contains", "tag"):
+        raise ConfigError(f"{where}: unknown match key {key!r}")
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: match {key!r} must be a string")
+    if key == "tag" and value not in TAGS:
+        raise ConfigError(f"{where}: unknown tag {value!r}; expected one of {TAGS}")
+    return ScriptEntry(reply=reply, **{key: value})
 
 
 def _is_int(value) -> bool:
@@ -316,7 +321,7 @@ class HttpBackend(Backend):
         self,
         endpoint_url: str,
         model_name: str,
-        timeout_s: float = 120.0,
+        timeout_s: float = DEFAULT_TIMEOUT_S,
         session: requests.Session | None = None,
         sleeper=time.sleep,
         api_key: str | None = None,

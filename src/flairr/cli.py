@@ -19,31 +19,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends import (
-    Backend,
-    HttpBackend,
-    RecordingBackend,
-    load_script,
-)
+from .backends import DEFAULT_TIMEOUT_S, Backend, HttpBackend, RecordingBackend, load_script
 from .bench import DEFAULT_CONTEXT_LENGTH, ExperimentConfig, run_ablation, run_experiment
-from .errors import (
-    BackendError,
-    ConfigError,
-    DataError,
-    ParseRetryError,
-    TemplateError,
-)
+from .errors import BackendError, ConfigError, DataError, ParseRetryError, TemplateError
 from .prompts import DEFAULT_DESCRIPTION, DatasetMeta, format_numbers, list_strategies
 from .retrieval import build_hist_db, retrieve
 from .series import WindowPair, load_csv
-from .session import (
-    SessionConfig,
-    forecast_reply_for,
-    run_session,
-)
+from .session import SessionConfig, forecast_reply_for, run_session
 from .testing import SyntheticOracleBackend
 
 __all__ = ["build_parser", "main", "entrypoint"]
+
+# the session flags default to the SessionConfig fields they set
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SessionConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,7 +54,7 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--endpoint", help="chat-completion URL for --backend http")
     group.add_argument("--model", help="model name for --backend http")
     group.add_argument(
-        "--timeout", type=float, default=120.0, help="HTTP timeout in seconds"
+        "--timeout", type=float, default=DEFAULT_TIMEOUT_S, help="HTTP timeout in seconds"
     )
     group.add_argument(
         "--record", help="append every request/reply pair to this JSON-lines file"
@@ -104,11 +92,16 @@ def _add_session_flags(parser: argparse.ArgumentParser, required: bool = True) -
         "--context", type=int, default=DEFAULT_CONTEXT_LENGTH, help="context length L"
     )
     parser.add_argument("--horizon", type=int, required=required, help="forecast horizon H")
-    parser.add_argument("--m", type=int, default=2, help="retrieved analog count M")
     parser.add_argument(
-        "--precision", type=int, default=4, help="decimal places in prompts"
+        "--m", type=int, default=_DEFAULTS["analog_count"], help="retrieved analog count M"
     )
-    parser.add_argument("--seed", type=int, default=0, help="session seed")
+    parser.add_argument(
+        "--precision",
+        type=int,
+        default=_DEFAULTS["precision"],
+        help="decimal places in prompts",
+    )
+    parser.add_argument("--seed", type=int, default=_DEFAULTS["seed"], help="session seed")
     parser.add_argument(
         "--no-retrieval",
         action="store_true",
@@ -159,16 +152,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p_refine)
     _add_session_flags(p_refine)
     p_refine.add_argument(
-        "--max-iter", type=int, default=5, help="maximum refinement iterations"
+        "--max-iter",
+        type=int,
+        default=_DEFAULTS["max_iterations"],
+        help="maximum refinement iterations",
     )
     p_refine.add_argument(
         "--stop-threshold",
         type=float,
-        default=5.0,
+        default=_DEFAULTS["stop_threshold_pct"],
         help="MAE-reduction percentage below which the refiner stops",
     )
     p_refine.add_argument(
-        "--samples", type=int, default=3, help="validation windows per iteration"
+        "--samples",
+        type=int,
+        default=_DEFAULTS["sample_size"],
+        help="validation windows per iteration",
     )
     p_refine.add_argument(
         "--strategy", default=None, help="optional strategy template name"
@@ -209,7 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_retrieve.add_argument(
         "--horizon", type=int, required=True, help="outcome length H"
     )
-    p_retrieve.add_argument("--m", type=int, default=2, help="analog count M")
+    p_retrieve.add_argument(
+        "--m", type=int, default=_DEFAULTS["analog_count"], help="analog count M"
+    )
     p_retrieve.add_argument(
         "--t",
         type=int,
@@ -217,7 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="forecast origin index (default: the end of the series)",
     )
     p_retrieve.add_argument(
-        "--precision", type=int, default=4, help="decimal places in the output"
+        "--precision",
+        type=int,
+        default=_DEFAULTS["precision"],
+        help="decimal places in the output",
     )
     p_retrieve.set_defaults(func=cmd_retrieve)
 
@@ -258,7 +262,7 @@ def cmd_forecast(args) -> int:
         strategy=args.strategy,
     )
     values = load_csv(args.data, args.target, timestamp_column=args.timestamp_column).values
-    if values.size < cfg.context_length + 1:
+    if values.size < cfg.context_length:
         raise DataError(
             f"series of length {values.size} is shorter than context {cfg.context_length}"
         )

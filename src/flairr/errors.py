@@ -7,6 +7,16 @@ survive all retries exit 4.
 
 from __future__ import annotations
 
+__all__ = [
+    "FlairrError",
+    "ConfigError",
+    "DataError",
+    "TemplateError",
+    "BackendError",
+    "ReplyParseError",
+    "ParseRetryError",
+]
+
 
 class FlairrError(Exception):
     """Base class for all package errors."""

@@ -405,4 +405,5 @@ def mae(pred, truth) -> float:
         raise ValueError(f"length mismatch: {p.shape} vs {t.shape}")
     if p.size == 0:
         raise ValueError("mae of empty vectors is undefined")
-    return float(np.mean(np.abs(p - t)))
+    with np.errstate(over="ignore"):  # huge forecasts score inf, silently
+        return float(np.mean(np.abs(p - t)))

@@ -226,6 +226,19 @@ def test_load_script_errors(tmp_path):
         p.write_text(f'{{"tag": "refiner", "tokens": {tokens}, "prompt": "a", "reply": "x"}}\n')
         with pytest.raises(ConfigError, match="tokens must be"):
             load_script(p)
+    # JSON types are not coerced: each error names the line
+    for key, value in (("contains", "null"), ("prompt", "5"), ("tag", '["refiner"]')):
+        p.write_text(f'{{"match": {{"{key}": {value}}}, "reply": "x"}}\n')
+        with pytest.raises(ConfigError, match=f":1: match '{key}' must be a string"):
+            load_script(p)
+    for value in ("false", "0", "1", '"true"'):
+        p.write_text(f'{{"match": {{"ordinal": {value}}}, "reply": "x"}}\n')
+        with pytest.raises(ConfigError, match=":1: match 'ordinal' must be true"):
+            load_script(p)
+    for prompt in ("5", "null"):
+        p.write_text(f'{{"tag": "refiner", "prompt": {prompt}, "reply": "x"}}\n')
+        with pytest.raises(ConfigError, match=":1: recording 'prompt' must be a string"):
+            load_script(p)
 
 
 # --- HTTP backend -----------------------------------------------------------

@@ -114,6 +114,21 @@ print("requests" in sys.modules)
     assert done.stdout.splitlines() == ["", "True"]
 
 
+@pytest.mark.parametrize(
+    "module, loaded",
+    [("flairr", []), ("flairr.series", ["flairr.errors", "flairr.series"])],
+)
+def test_importing_a_module_loads_only_the_flairr_modules_it_uses(module, loaded):
+    code = f"""
+import sys
+import {module}
+print(*sorted(name for name in sys.modules if name.startswith("flairr.")))
+"""
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == loaded
+
+
 def test_module_entry_point_runs_the_cli():
     done = run_cli_process("forecast", "--list-strategies")
     assert done.returncode == 0, done.stderr
@@ -146,6 +161,20 @@ def test_forecast_no_retrieval(series_csv, capsys):
     )
     assert code == 0
     assert "predicted_values" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("retrieval", [[], ["--no-retrieval"]], ids=["retrieval", "no-retrieval"])
+@pytest.mark.parametrize("rows, code", [(16, 0), (15, 2)])
+def test_forecast_needs_a_series_as_long_as_the_context(tmp_path, capsys, retrieval, rows, code):
+    data = tmp_path / "short.csv"
+    data.write_text("v\n" + "\n".join(str(i % 5) for i in range(rows)) + "\n")
+    argv = ["--data", str(data), "--target", "v", "--context", "16", "--horizon", "4"]
+    assert run_cli("forecast", *argv, *retrieval) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert "predicted_values" in captured.out and captured.err == ""
+    else:
+        assert "error: series of length 15 is shorter than context 16" in captured.err
 
 
 def test_forecast_unknown_strategy(series_csv, capsys):
@@ -404,15 +433,15 @@ def test_refine_goes_on_after_a_batch_mae_overflows(series_csv, tmp_path, capsys
     script.write_text("".join(json.dumps({"reply": r}) + "\n" for r in replies))
     recording = tmp_path / "rec.jsonl"
     out_dir = tmp_path / "run"
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        code = run_cli(
-            "refine", "--data", str(series_csv), "--target", "v",
-            "--context", "16", "--horizon", "4", "--samples", "2", "--no-retrieval",
-            "--out", str(out_dir), "--record", str(recording),
-            "--backend", "scripted", "--script", str(script),
-        )
+    code = run_cli(
+        "refine", "--data", str(series_csv), "--target", "v",
+        "--context", "16", "--horizon", "4", "--samples", "2", "--no-retrieval",
+        "--out", str(out_dir), "--record", str(recording),
+        "--backend", "scripted", "--script", str(script),
+    )
     assert code == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert err == ""  # the overflow to inf raises no numpy warning
     assert "best_iteration: 2\n" in out
     assert "selected_instructions:\n- Damp the peaks." in out
     refiner_prompts = [
