@@ -20,18 +20,17 @@ def main() -> None:
         # but keeps only the target.
         rows = [f"{repr(float(v))},{i % 24}" for i, v in enumerate(values)]
         csv_path.write_text("demand,hour\n" + "\n".join(rows) + "\n")
-        series = load_csv(csv_path, target="demand", name="demand")
-    print(f"loaded {series.name!r}: {len(series)} rows of {series.target!r}")
+        values = load_csv(csv_path, target="demand")
+    print(f"loaded {values.size} rows of 'demand' from {csv_path.name}")
 
     # Split chronologically, scaling both parts with train-only statistics so
     # no test information leaks into the scaler.
-    train, test = split(series, train_fraction=0.7)
-    scaler = train.scaler
-    print(f"train {len(train)} rows / test {len(test)} rows")
+    train, test, scaler = split(values, train_fraction=0.7)
+    print(f"train {train.size} rows / test {test.size} rows")
     print(f"train scaler: mean {scaler.mean:.4f}, std {scaler.std:.4f}")
 
     # A forecasting window: 24 steps of context, the 8 that follow as truth.
-    window = window_at(train.values, t=200, context_length=24, horizon=8)
+    window = window_at(train, t=200, context_length=24, horizon=8)
     print(f"window at t=200: context tail {window.context[-3:].round(3).tolist()}"
           f" -> truth head {window.truth[:3].round(3).tolist()}")
 

@@ -26,7 +26,7 @@ from .backends import Backend, CallMeter, CompletionReply, CompletionRequest, Sc
 from .errors import ConfigError
 from .prompts import DEFAULT_DESCRIPTION, DatasetMeta
 from .retrieval import build_hist_db
-from .series import DEFAULT_TRAIN_FRACTION, TimeSeries, load_csv, split, window_at, mae
+from .series import DEFAULT_TRAIN_FRACTION, dataset_name, load_csv, split, window_at, mae
 from .session import SessionConfig, check_session_fits, forecast_with, run_session, strict_json
 
 __all__ = [
@@ -280,17 +280,6 @@ def _session_config(cfg: ExperimentConfig, horizon: int, method: str, run: int) 
         raise ConfigError(f"bad session override: {exc}") from exc
 
 
-def _load_series(cfg: ExperimentConfig) -> TimeSeries:
-    if cfg.dataset_path is None:
-        raise ConfigError("experiment config has no dataset path")
-    return load_csv(
-        cfg.dataset_path,
-        target=cfg.target,
-        timestamp_column=cfg.timestamp_column,
-        name=cfg.dataset_name,
-    )
-
-
 def _test_origins(
     split_idx: int, total: int, session_cfg: SessionConfig, cap: int
 ) -> list[int]:
@@ -353,10 +342,12 @@ def _run_grid(
         for run in range(cfg.runs)
     ]
     session_cfgs = {key: _session_config(cfg, *key) for key in keys}
-    data = _load_series(cfg)
-    train, test = split(data, cfg.train_fraction, scale=True)
-    train_values = train.values
-    full_values = np.concatenate([train_values, test.values])
+    if cfg.dataset_path is None:
+        raise ConfigError("experiment config has no dataset path")
+    values = load_csv(cfg.dataset_path, cfg.target, timestamp_column=cfg.timestamp_column)
+    train_values, test_values, scaler = split(values, cfg.train_fraction)
+    full_values = np.concatenate([train_values, test_values])
+    name = cfg.dataset_name if cfg.dataset_name is not None else dataset_name(cfg.dataset_path)
     # so is every cell's data shape: its validation windows, its retrieval
     # history and its test windows
     origins = {}
@@ -366,9 +357,7 @@ def _run_grid(
             train_values.size, full_values.size, session_cfg, cfg.max_test_windows
         )
     meta = DatasetMeta(
-        name=data.name,
-        description=cfg.dataset_description or DEFAULT_DESCRIPTION,
-        target=data.target,
+        name=name, description=cfg.dataset_description or DEFAULT_DESCRIPTION, target=cfg.target
     )
     run_dir = _make_run_dir(cfg.output_dir) if emit else None
     # the errors cells raised; a cell that starts after one re-raises the
@@ -385,7 +374,7 @@ def _run_grid(
         log_path = None
         if run_dir is not None:
             safe = method.replace(":", "-")
-            log_path = run_dir / f"{_safe_name(data.name)}-h{horizon}-{safe}-run{run}.jsonl"
+            log_path = run_dir / f"{_safe_name(name)}-h{horizon}-{safe}-run{run}.jsonl"
         try:
             result = run_session(session_cfg, train_values, meter, meta=meta, log_path=log_path)
             db = (
@@ -418,7 +407,7 @@ def _run_grid(
                 meters, iterations, early_stops, maes = zip(*done[-cfg.runs :])
                 rows.append(
                     ReportRow(
-                        dataset=data.name,
+                        dataset=name,
                         horizon=horizon,
                         method=labels[method],
                         run_maes=maes,
@@ -428,8 +417,8 @@ def _run_grid(
                         tokens_in=sum(m.tokens_in for m in meters),
                         tokens_out=sum(m.tokens_out for m in meters),
                         refiner_calls=sum(m.calls["refiner"] for m in meters),
-                        scaler_mean=train.scaler.mean,
-                        scaler_std=train.scaler.std,
+                        scaler_mean=scaler.mean,
+                        scaler_std=scaler.std,
                         test_windows=len(origins[horizon, method, run]),
                         max_test_windows=cfg.max_test_windows,
                     )

@@ -24,7 +24,7 @@ from .bench import DEFAULT_CONTEXT_LENGTH, ExperimentConfig, run_ablation, run_e
 from .errors import BackendError, ConfigError, DataError, ParseRetryError, TemplateError
 from .prompts import DEFAULT_DESCRIPTION, DatasetMeta, format_numbers, list_strategies
 from .retrieval import build_hist_db, retrieve
-from .series import WindowPair, load_csv
+from .series import WindowPair, dataset_name, load_csv
 from .session import SessionConfig, forecast_reply_for, run_session
 from .testing import SyntheticOracleBackend
 
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _meta_from_args(args) -> DatasetMeta:
     return DatasetMeta(
-        name=Path(args.data).stem,
+        name=dataset_name(args.data),
         description=DEFAULT_DESCRIPTION,
         target=args.target,
     )
@@ -261,7 +261,7 @@ def cmd_forecast(args) -> int:
         seed=args.seed,
         strategy=args.strategy,
     )
-    values = load_csv(args.data, args.target, timestamp_column=args.timestamp_column).values
+    values = load_csv(args.data, args.target, timestamp_column=args.timestamp_column)
     if values.size < cfg.context_length:
         raise DataError(
             f"series of length {values.size} is shorter than context {cfg.context_length}"
@@ -300,14 +300,12 @@ def cmd_refine(args) -> int:
         seed=args.seed,
         strategy=args.strategy,
     )
-    series = load_csv(args.data, args.target, timestamp_column=args.timestamp_column)
+    values = load_csv(args.data, args.target, timestamp_column=args.timestamp_column)
     backend = _make_backend(args, cfg.seed)
     out_dir = Path(args.out)
     log_path = out_dir / "session.jsonl"
     try:
-        result = run_session(
-            cfg, series.values, backend, meta=_meta_from_args(args), log_path=log_path
-        )
+        result = run_session(cfg, values, backend, meta=_meta_from_args(args), log_path=log_path)
     except Exception as exc:
         if hasattr(exc, "partial_history"):  # the log was started: say how far
             print(
@@ -362,8 +360,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    series = load_csv(args.data, args.target, timestamp_column=args.timestamp_column)
-    values = series.values
+    values = load_csv(args.data, args.target, timestamp_column=args.timestamp_column)
     t = args.t if args.t is not None else values.size
     if t - args.context < 0 or t > values.size:
         raise DataError(

@@ -1,7 +1,7 @@
-"""Time-series data model: CSV ingestion, standard scaling, splitting,
-window extraction, and the MAE metric.
+"""Time-series data: one CSV column as an array, standard scaling,
+splitting, window extraction, and the MAE metric.
 
-All types are immutable after construction; every operation is a pure
+Every array handed out is read-only and every operation is a pure
 function, so values can be shared freely across threads.
 """
 
@@ -11,6 +11,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -18,9 +19,9 @@ from .errors import DataError
 
 __all__ = [
     "Scaler",
-    "TimeSeries",
     "WindowPair",
     "load_csv",
+    "dataset_name",
     "fit_scaler",
     "apply_scaler",
     "invert_scaler",
@@ -86,43 +87,6 @@ def invert_scaler(scaler: Scaler, values) -> np.ndarray:
     return scaler.invert(values)
 
 
-@dataclass(frozen=True)
-class TimeSeries:
-    """One named series: the values of the column ``target``.
-
-    ``values`` is a read-only float array of at least one row.
-    ``timestamps`` are opaque text carried for reporting only (windowing is
-    purely positional); when present they must be strictly increasing under
-    string comparison, which holds for ISO-8601 stamps.
-    ``scaler`` is set by :func:`split` when it standardizes the values.
-    """
-
-    name: str
-    target: str
-    values: np.ndarray
-    timestamps: list[str] | None = None
-    scaler: Scaler | None = None
-
-    def __post_init__(self):
-        n = len(self.values)
-        if n < 1:
-            raise DataError("series must contain at least one row")
-        object.__setattr__(self, "values", _readonly(self.values))
-        if self.timestamps is not None:
-            if len(self.timestamps) != n:
-                raise DataError(
-                    f"timestamp count {len(self.timestamps)} != row count {n}"
-                )
-            for prev, cur in zip(self.timestamps, self.timestamps[1:]):
-                if not prev < cur:
-                    raise DataError(
-                        f"timestamps must be strictly increasing text; {cur!r} follows {prev!r}"
-                    )
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def _parse_cell(cell: str, row: int, column: str) -> float:
     try:
         value = float(cell)
@@ -155,22 +119,21 @@ def _parse_column(cells: list[str], column: str) -> np.ndarray:
     return np.array([_parse_cell(cell.strip(), row, column) for row, cell in enumerate(cells, 1)])
 
 
-def load_csv(
-    path,
-    target: str,
-    timestamp_column: str | None = None,
-    name: str | None = None,
-) -> TimeSeries:
-    """Load the column ``target`` of a header-first UTF-8 CSV into a
-    :class:`TimeSeries`.
+def load_csv(path, target: str, timestamp_column: str | None = None) -> np.ndarray:
+    """The column ``target`` of a header-first UTF-8 CSV as a read-only
+    float array of at least one value.
 
     One timestamp column is optional: name it explicitly, or leave
     ``timestamp_column`` unset and the first column is treated as timestamps
-    when its first data cell does not parse as a number. Every other cell,
-    of the target or not, must be a finite real: each column is parsed in
-    header order and only the target is kept. Text that is not UTF-8, a
-    repeated header name, NaN/Inf, ragged rows and a cell over the ``csv``
-    field size limit are load-time errors (:class:`DataError`).
+    when it is not the target and its first data cell does not parse as a
+    number. Timestamps are opaque text (windowing is purely positional);
+    they must be strictly increasing under string comparison, which holds
+    for ISO-8601 stamps, and are then dropped. Every other cell, of the
+    target or not, must be a finite real: each column is parsed in header
+    order, before the stamps are checked, and only the target is kept. Text
+    that is not UTF-8, a repeated header name, NaN/Inf, ragged rows, a cell
+    over the ``csv`` field size limit and a timestamp column that is the
+    target are load-time errors (:class:`DataError`).
 
     Two splitters cut a file into its header and cells, and one tail picks
     the columns and parses them. :func:`_plain_cells` reads and decodes the
@@ -188,14 +151,13 @@ def load_csv(
         if h in header[:i]:
             raise DataError(f"{path}: repeated column name {h!r}; header: {header}")
 
-    if timestamp_column is not None:
-        if timestamp_column not in header:
-            raise DataError(
-                f"unknown timestamp column {timestamp_column!r}; header: {header}"
-            )
-        ts_name = timestamp_column
-    else:
-        ts_name = None
+    ts_name = timestamp_column
+    if ts_name is not None:
+        if ts_name not in header:
+            raise DataError(f"unknown timestamp column {ts_name!r}; header: {header}")
+        if ts_name == target:
+            raise DataError(f"timestamp column {ts_name!r} is the target column")
+    elif header[0] != target:
         try:
             float(cells[0])
         except ValueError:
@@ -204,19 +166,25 @@ def load_csv(
     if target not in value_names:
         raise DataError(f"unknown target column {target!r}; header: {header}")
 
-    timestamps: list[str] | None = None
-    if ts_name is not None:
-        timestamps = list(map(str.strip, cells[header.index(ts_name)::ncol]))
     for col in value_names:  # a bad cell fails the load in any column
         parsed = _parse_column(cells[header.index(col)::ncol], col)
         if col == target:
             values = parsed
-    return TimeSeries(
-        name=name if name is not None else str(path),
-        target=target,
-        values=values,
-        timestamps=timestamps,
-    )
+    if ts_name is not None:
+        stamps = list(map(str.strip, cells[header.index(ts_name)::ncol]))
+        for prev, cur in zip(stamps, stamps[1:]):
+            if not prev < cur:
+                raise DataError(
+                    f"timestamps must be strictly increasing text; {cur!r} follows {prev!r}"
+                )
+    values.flags.writeable = False  # the parser's own array
+    return values
+
+
+def dataset_name(path) -> str:
+    """The name of the dataset in the file at ``path`` when none is given:
+    the file's stem, however the path is spelled."""
+    return Path(path).stem
 
 
 def _plain_cells(path) -> tuple[list[str], list[str]] | str:
@@ -323,38 +291,25 @@ def _csv_cells(text: str, path) -> tuple[list[str], list[str]]:
 
 
 def split(
-    series: TimeSeries,
-    train_fraction: float = DEFAULT_TRAIN_FRACTION,
-    scale: bool = True,
-) -> tuple[TimeSeries, TimeSeries]:
-    """Chronological split at ``floor(n * train_fraction)``.
-
-    With ``scale=True`` (the default) the values are standardized with a
-    scaler fit on the train part only and applied to both parts; the fitted
-    scaler rides along on both returned series so raw values stay
-    recoverable.
+    values, train_fraction: float = DEFAULT_TRAIN_FRACTION
+) -> tuple[np.ndarray, np.ndarray, Scaler]:
+    """Chronological split at ``floor(n * train_fraction)``: the train and
+    test parts as read-only arrays standardized with a scaler fit on the
+    train part only, and that scaler, which inverts either part to its raw
+    values.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    n = len(series)
+    n = len(values)
     cut = int(math.floor(n * train_fraction))
     if cut < 1 or cut >= n:
         raise ValueError(
             f"train_fraction {train_fraction} leaves an empty part for length {n}"
         )
-    scaler = fit_scaler(series.values[:cut]) if scale else None
-
-    def _part(lo: int, hi: int) -> TimeSeries:
-        piece = series.values[lo:hi]
-        return TimeSeries(
-            name=series.name,
-            target=series.target,
-            values=scaler.apply(piece) if scaler else piece,
-            timestamps=series.timestamps[lo:hi] if series.timestamps is not None else None,
-            scaler=scaler,
-        )
-
-    return _part(0, cut), _part(cut, n)
+    scaler = fit_scaler(values[:cut])
+    train, test = scaler.apply(values[:cut]), scaler.apply(values[cut:])
+    train.flags.writeable = test.flags.writeable = False
+    return train, test, scaler
 
 
 @dataclass(frozen=True)

@@ -549,10 +549,13 @@ def test_run_ablation_fixed_conditions(toy_csv, tmp_path):
     max_iterations=st.integers(1, 3),
     sample_size=st.integers(1, 3),
     stamped=st.booleans(),
+    data=st.data(),
 )
 def test_grids_give_the_same_rows_serial_and_parallel(
-    tmp_path_factory, seed, oracle_seed, runs, methods, max_iterations, sample_size, stamped
+    tmp_path_factory, seed, oracle_seed, runs, methods, max_iterations, sample_size, stamped, data
 ):
+    # a cell's result depends only on (config, horizon, method, run): two jobs
+    # run a sub-grid and four the grid with its horizons and methods permuted
     base = tmp_path_factory.getbasetemp()
     cfg = ExperimentConfig(
         target="v",
@@ -570,6 +573,21 @@ def test_grids_give_the_same_rows_serial_and_parallel(
         },
     )
 
+    def subset(values):
+        return tuple(data.draw(st.lists(st.sampled_from(values), min_size=1, unique=True)))
+
+    sub_grid = dataclasses.replace(
+        cfg,
+        horizons=subset(cfg.horizons),
+        methods=subset(methods),
+        runs=data.draw(st.integers(1, runs)),
+    )
+    permuted = dataclasses.replace(
+        cfg,
+        horizons=tuple(data.draw(st.permutations(cfg.horizons))),
+        methods=tuple(data.draw(st.permutations(methods))),
+    )
+
     def oracle():
         backend = SyntheticOracleBackend(seed=oracle_seed)
         return TokenStamper(backend) if stamped else backend
@@ -577,9 +595,17 @@ def test_grids_give_the_same_rows_serial_and_parallel(
     for run in (run_experiment, run_ablation):
         serial, _ = run(cfg, oracle(), emit=False)
         assert all(row.tokens_in > 0 for row in serial) == stamped
-        for jobs in (2, 4):
-            parallel, _ = run(cfg, oracle(), jobs=jobs, emit=False)
-            assert parallel == serial
+        by_key = {(row.horizon, row.method): row for row in serial}
+        for jobs, grid in ((2, sub_grid), (4, permuted)):
+            rows, _ = run(grid, oracle(), jobs=jobs, emit=False)
+            labels = grid.methods if run is run_experiment else dict(ABLATION_CONDITIONS).values()
+            assert [(row.horizon, row.method) for row in rows] == [
+                (horizon, label) for horizon in grid.horizons for label in labels
+            ]
+            for row in rows:
+                want = by_key[row.horizon, row.method]
+                assert row.run_maes == want.run_maes[: grid.runs]
+                assert row == want or grid.runs < runs
 
 
 def test_report_tokens_are_the_session_logs_plus_the_test_forecasts(toy_csv, tmp_path):
@@ -600,16 +626,34 @@ def test_report_tokens_are_the_session_logs_plus_the_test_forecasts(toy_csv, tmp
 
 
 def test_grid_artifacts_do_not_depend_on_jobs(toy_csv, tmp_path):
-    def artifacts(jobs):
-        methods = KNOWN_METHODS + ("asp:deep-stl",)
-        cfg = exp_config(toy_csv, tmp_path / f"jobs{jobs}", methods=methods, runs=3)
+    def artifacts(jobs, methods=KNOWN_METHODS + ("asp:deep-stl",), runs=3):
+        cfg = exp_config(toy_csv, tmp_path / f"jobs{jobs}", methods=methods, runs=runs)
         _, run_dir = run_experiment(cfg, TokenStamper(SyntheticOracleBackend(seed=5)), jobs=jobs)
         return {path.name: path.read_bytes() for path in run_dir.iterdir()}
 
     serial = artifacts(1)
     assert len(serial) == 5 * 3 + 2  # a log per cell, the CSV and JSON reports
     assert artifacts(2) == serial
-    assert artifacts(3) == serial
+    # a sub-grid writes the full grid's session log for each of its cells
+    sub_grid = artifacts(3, methods=("asp:deep-stl", "ir-only"), runs=2)
+    logs = {name: text for name, text in sub_grid.items() if name.endswith(".jsonl")}
+    assert len(logs) == 2 * 2 and logs.items() <= serial.items()
+
+
+def test_an_unnamed_dataset_is_named_by_its_file_stem(tmp_path, monkeypatch):
+    write_toy_csv(tmp_path / "s.csv")
+    monkeypatch.chdir(tmp_path)
+
+    def artifacts(data_path, out):
+        cfg = exp_config(data_path, tmp_path / out, methods=("simple",), runs=1)
+        cfg = dataclasses.replace(cfg, dataset_name=None)
+        _, run_dir = run_experiment(cfg, SyntheticOracleBackend(seed=5))
+        return {path.name: path.read_bytes() for path in run_dir.iterdir()}
+
+    plain = artifacts("s.csv", "plain")
+    assert sorted(plain) == ["report.csv", "report.json", "s-h8-simple-run0.jsonl"]
+    assert artifacts("./s.csv", "dotted") == plain
+    assert artifacts(str(tmp_path / "s.csv"), "absolute") == plain
 
 
 def test_a_methods_runs_overlap_under_two_jobs(toy_csv, tmp_path):

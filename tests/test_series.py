@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from flairr.errors import DataError
 from flairr.series import (
     Scaler,
-    TimeSeries,
     WindowPair,
     _csv_cells,
     _decode,
@@ -40,25 +39,37 @@ def test_load_csv_auto_detects_timestamp_column(tmp_path):
         tmp_path / "data.csv",
         "date,HUFL,OT\n2016-07-01 00:00:00,5.827,30.531\n2016-07-01 01:00:00,5.693,27.787\n",
     )
-    series = load_csv(p, target="OT")
-    assert series.target == "OT"
-    assert series.timestamps == ["2016-07-01 00:00:00", "2016-07-01 01:00:00"]
-    assert series.values.tolist() == [30.531, 27.787]
-    assert len(series) == 2
+    assert load_csv(p, target="OT").tolist() == [30.531, 27.787]
+
+
+def test_load_csv_returns_a_read_only_array(tmp_path):
+    p = write_csv(tmp_path / "data.csv", "a,b\n1,2\n3,4\n")
+    values = load_csv(p, target="b")
+    assert isinstance(values, np.ndarray) and values.dtype == np.float64
+    with pytest.raises(ValueError):
+        values[0] = 5.0
+
+
+def test_load_csv_never_takes_the_target_as_timestamps(tmp_path):
+    p = write_csv(tmp_path / "data.csv", "v\nabc\n1\n2\n")
+    with pytest.raises(DataError, match=r"non-numeric cell 'abc' at row 1, column 'v'"):
+        load_csv(p, target="v")
+    p = write_csv(tmp_path / "stamped.csv", "v,w\n2020,1\n2021,2\n")
+    with pytest.raises(DataError, match=r"^timestamp column 'v' is the target column$"):
+        load_csv(p, target="v", timestamp_column="v")
 
 
 def test_load_csv_numeric_first_column_is_data(tmp_path):
     p = write_csv(tmp_path / "data.csv", "a,b\n1,2\n3,4\n")
-    series = load_csv(p, target="a")
-    assert series.timestamps is None
-    assert series.values.tolist() == [1.0, 3.0]
+    assert load_csv(p, target="a").tolist() == [1.0, 3.0]
 
 
 def test_load_csv_explicit_timestamp_column(tmp_path):
     p = write_csv(tmp_path / "data.csv", "idx,v\n10,1.5\n20,2.5\n")
-    series = load_csv(p, target="v", timestamp_column="idx")
-    assert series.timestamps == ["10", "20"]
-    assert series.values.tolist() == [1.5, 2.5]
+    assert load_csv(p, target="v", timestamp_column="idx").tolist() == [1.5, 2.5]
+    p = write_csv(tmp_path / "text.csv", "idx,v\n9,1.5\n10,2.5\n")  # stamps compare as text
+    with pytest.raises(DataError, match="strictly increasing text; '10' follows '9'"):
+        load_csv(p, target="v", timestamp_column="idx")
 
 
 @pytest.mark.parametrize(
@@ -71,11 +82,10 @@ def test_load_csv_reads_a_pipe_once(data):
     os.write(write_end, data)
     os.close(write_end)
     try:
-        series = load_csv(f"/dev/fd/{read_end}", target="b")
+        values = load_csv(f"/dev/fd/{read_end}", target="b")
     finally:
         os.close(read_end)
-    assert series.target == "b"
-    assert series.values.tolist() == [2.0, 4.0, 6.0]
+    assert values.tolist() == [2.0, 4.0, 6.0]
 
 
 def test_load_csv_missing_file():
@@ -154,6 +164,10 @@ def test_timestamps_must_strictly_increase(tmp_path):
         "date,v\n2020-01-02,1\n2020-01-01,2\n",
     )
     with pytest.raises(DataError, match="strictly increasing"):
+        load_csv(p, target="v")
+    # every value column is parsed before the stamps are checked
+    p = write_csv(tmp_path / "both.csv", "date,v\n2020-01-02,1\n2020-01-01,x\n")
+    with pytest.raises(DataError, match="non-numeric cell 'x' at row 2, column 'v'"):
         load_csv(p, target="v")
 
 
@@ -298,10 +312,7 @@ def test_parse_column_equals_parsing_each_stripped_cell(cells):
 def test_load_csv_drops_a_byte_order_mark(tmp_path, body, plain):
     p = write_csv(tmp_path / "bom.csv", "\ufefftimestamp,value\n" + body)
     assert isinstance(_plain_cells(p), tuple) == plain
-    series = load_csv(p, target="value", timestamp_column="timestamp")
-    assert series.target == "value"
-    assert series.timestamps == ["2020-01-01", "2020-01-02"]
-    assert series.values.tolist() == [1.0, 2.0]
+    assert load_csv(p, target="value", timestamp_column="timestamp").tolist() == [1.0, 2.0]
 
 
 def test_load_csv_takes_the_plain_path_only_for_plain_files(tmp_path):
@@ -310,9 +321,7 @@ def test_load_csv_takes_the_plain_path_only_for_plain_files(tmp_path):
     header, cells = _plain_cells(p)
     assert header == ["ts", "v"]
     assert cells == ["2020-01-01", " 1_0", "2020-01-02", "+.5", "2020-01-03", "\u00a0-0 "]
-    series = load_csv(p, target="v")
-    assert series.timestamps == ["2020-01-01", "2020-01-02", "2020-01-03"]
-    assert series.values.tolist() == [10.0, 0.5, -0.0]
+    assert load_csv(p, target="v").tolist() == [10.0, 0.5, -0.0]
     for text in (
         'a,b\n1,"2"\n',  # quoted
         "a,b\r\n1,2\r\n",  # CRLF
@@ -338,30 +347,12 @@ def test_load_csv_fields_over_the_csv_limit_take_the_csv_path(tmp_path):
         csv.field_size_limit(21)
         assert isinstance(_plain_cells(p), tuple)
         assert isinstance(_plain_cells(wide), str)  # 21 characters, 22 bytes
-        assert load_csv(wide, target="v").timestamps == ["2020-01-01T00:00:00é"]
+        assert load_csv(wide, target="v").tolist() == [1.0]
         csv.field_size_limit(20)
         assert isinstance(_plain_cells(p), str)
-        assert load_csv(p, target="v").values.tolist() == [1.0]
+        assert load_csv(p, target="v").tolist() == [1.0]
     finally:
         csv.field_size_limit(limit)
-
-
-def test_timeseries_validation():
-    with pytest.raises(DataError, match="at least one row"):
-        TimeSeries(name="x", target="a", values=np.ones(0))
-    with pytest.raises(DataError, match="timestamp count 2 != row count 3"):
-        TimeSeries(name="x", target="a", values=np.ones(3), timestamps=["1", "2"])
-    with pytest.raises(DataError, match="strictly increasing"):
-        TimeSeries(name="x", target="a", values=np.ones(2), timestamps=["2", "1"])
-
-
-def test_timeseries_arrays_are_read_only():
-    source = np.ones(3)
-    series = TimeSeries(name="x", target="a", values=source)
-    with pytest.raises(ValueError):
-        series.values[0] = 5.0
-    source[0] = 5.0  # the series holds its own copy
-    assert series.values.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_scaler_round_trip_identity():
@@ -397,51 +388,49 @@ def test_fit_scaler_rejects_empty():
 
 def _series(n, seed=0):
     rng = np.random.default_rng(seed)
-    return TimeSeries(name="s", target="v", values=rng.normal(size=n) * 3 + 7)
+    return rng.normal(size=n) * 3 + 7
 
 
 def test_split_unscaled_concat_recovers_original():
-    series = _series(101)
-    train, test = split(series, 0.7, scale=False)
+    values = _series(101)
+    train, test, scaler = split(values, 0.7)
     assert len(train) == 70  # floor(101 * 0.7)
     assert len(test) == 31
-    joined = np.concatenate([train.values, test.values])
-    assert np.array_equal(joined, series.values)
-    assert train.scaler is None and test.scaler is None
+    joined = scaler.invert(np.concatenate([train, test]))
+    assert np.max(np.abs(joined - values)) <= 1e-12
+    for part in (train, test):
+        with pytest.raises(ValueError):
+            part[0] = 5.0
 
 
 def test_split_carries_the_target_of_a_multi_column_file(tmp_path):
     p = write_csv(tmp_path / "data.csv", "t,z,a,m\n1,1,5,2\n2,3,4,2\n3,2,6,7\n4,5,5,1\n")
-    series = load_csv(p, target="a", timestamp_column="t", name="toy")
-    assert (series.name, series.target) == ("toy", "a")
-    assert series.values.tolist() == [5.0, 4.0, 6.0, 5.0]
-    train, test = split(series, 0.5, scale=True)
-    assert train.scaler == test.scaler == Scaler(mean=4.5, std=0.5)
-    for part, raw, stamps in ((train, [5.0, 4.0], ["1", "2"]), (test, [6.0, 5.0], ["3", "4"])):
-        assert (part.name, part.target, part.timestamps) == ("toy", "a", stamps)
-        assert part.scaler.invert(part.values).tolist() == raw
+    values = load_csv(p, target="a", timestamp_column="t")
+    assert values.tolist() == [5.0, 4.0, 6.0, 5.0]
+    train, test, scaler = split(values, 0.5)
+    assert scaler == Scaler(mean=4.5, std=0.5)
+    for part, raw in ((train, [5.0, 4.0]), (test, [6.0, 5.0])):
+        assert scaler.invert(part).tolist() == raw
 
 
 def test_split_scales_with_train_statistics_only():
-    series = _series(200, seed=3)
-    train, test = split(series, 0.5, scale=True)
-    scaler = train.scaler
-    assert scaler is not None and test.scaler == scaler
-    raw_train = series.values[:100]
+    values = _series(200, seed=3)
+    train, test, scaler = split(values, 0.5)
+    raw_train = values[:100]
     assert abs(scaler.mean - float(np.mean(raw_train))) <= 1e-12
     assert abs(scaler.std - float(np.std(raw_train))) <= 1e-12
     # train part is standardized; the test part keeps the train transform
-    assert abs(float(np.mean(train.values))) <= 1e-12
-    expected_test = (series.values[100:] - scaler.mean) / scaler.std
-    assert np.max(np.abs(test.values - expected_test)) <= 1e-12
+    assert abs(float(np.mean(train))) <= 1e-12
+    expected_test = (values[100:] - scaler.mean) / scaler.std
+    assert np.max(np.abs(test - expected_test)) <= 1e-12
 
 
 def test_split_rejects_bad_fractions():
-    series = _series(10)
+    values = _series(10)
     for bad in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            split(series, bad)
-    with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be in"):
+            split(values, bad)
+    with pytest.raises(ValueError, match="leaves an empty part"):
         split(_series(2), 0.01)  # empty train part
 
 
