@@ -311,8 +311,12 @@ class HttpBackend(Backend):
     or an unparsable value keeps the jittered wait). Anything else surfaces
     immediately as a :class:`BackendError` carrying a body excerpt.
 
-    ``requests`` is imported when the first instance is built, not with this
-    module, so runs on the offline backends load no HTTP code.
+    Each calling thread posts through its own ``requests.Session``, so a
+    grid of ``--jobs`` threads keeps one pooled connection per thread and
+    never overflows a pool shared by all of them. A ``session`` passed in
+    serves every thread. ``requests`` is imported when the first instance
+    is built, not with this module, so runs on the offline backends load no
+    HTTP code.
     """
 
     backend_id = "http"
@@ -330,12 +334,13 @@ class HttpBackend(Backend):
             raise ConfigError("endpoint_url must be set for the HTTP backend")
         if not model_name:
             raise ConfigError("model_name must be set for the HTTP backend")
-        import requests
+        import requests  # noqa: F401  the first instance loads it, not the module
 
         self.endpoint_url = endpoint_url
         self.model_name = model_name
         self.timeout_s = timeout_s
-        self._session = session if session is not None else requests.Session()
+        self._session = session
+        self._per_thread = threading.local()
         self._sleep = sleeper
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         self._headers = {"Content-Type": "application/json"}
@@ -364,7 +369,7 @@ class HttpBackend(Backend):
                 retry_after_s = 0.0
             start = time.monotonic()
             try:
-                response = self._session.post(
+                response = self._thread_session().post(
                     self.endpoint_url,
                     json=payload,
                     headers=self._headers,
@@ -413,6 +418,17 @@ class HttpBackend(Backend):
             f"giving up on {self.endpoint_url} after {RETRY_ATTEMPTS} attempts; "
             f"last error: {last_error}"
         )
+
+    def _thread_session(self):
+        """The session given to the constructor, else the calling thread's own."""
+        if self._session is not None:
+            return self._session
+        local = self._per_thread
+        if not hasattr(local, "session"):
+            import requests  # loaded by __init__; this only binds the name
+
+            local.session = requests.Session()
+        return local.session
 
 
 def _retry_after_s(value: str | None) -> float:

@@ -35,6 +35,8 @@ __all__ = [
     "RefinerReply",
     "InstructionBlock",
     "SYNTHESIS_CUE",
+    "SAMPLE_HISTORY_MARKER",
+    "SAMPLE_ANALOGS_MARKER",
     "render_forecaster_prompt",
     "render_refiner_prompt",
     "render_synthesis_prompt",
@@ -290,14 +292,41 @@ def render_forecaster_prompt(
     return _tidy(text)
 
 
-# characters of each sample's forecaster prompt quoted in the refiner prompt
-_SAMPLE_PROMPT_BUDGET = 4000
+# The refiner prompt states the forecaster prompt once, rendered with these
+# notes where each sample's own history and retrieved segments went.
+SAMPLE_HISTORY_MARKER = "[given with each sample below]"
+SAMPLE_ANALOGS_MARKER = (
+    "[given with each sample below; a sample without them had no such section]"
+)
+
+# characters of a sample's history and retrieved segments the refiner prompt
+# quotes; whole trailing segments give way first, the history never does
+_SAMPLE_BUDGET = 4000
 
 
-def _truncate(text: str) -> str:
-    if len(text) <= _SAMPLE_PROMPT_BUDGET:
-        return text
-    return text[:_SAMPLE_PROMPT_BUDGET] + "\n... [truncated]"
+def _sample_block(
+    idx: int, history_text: str, analogs: str, predictions, truth, precision: int
+) -> str:
+    """One sample of the refiner prompt: its retrieved segments (none when
+    ``analogs`` is empty), its history, its predictions and its truth."""
+    lines = [f"Sample {idx}:"]
+    if analogs:
+        segments = analogs.split("\n\n")  # format_analogs' block separator
+        room = _SAMPLE_BUDGET - len(history_text)
+        kept = 0
+        while kept < len(segments) and len(segments[kept]) <= room:
+            room -= len(segments[kept])
+            kept += 1
+        lines.append("Retrieved Segments:")
+        lines.extend(segments[:kept])
+        left_out = len(segments) - kept
+        if left_out:
+            noun = "segment" if left_out == 1 else "segments"
+            lines.append(f"[{left_out} trailing {noun} left out for length]")
+    lines.append(f"Historical Data: {history_text}")
+    lines.append(f"Predictions: [{format_numbers(predictions, precision)}]")
+    lines.append(f"Ground Truth: [{format_numbers(truth, precision)}]")
+    return "\n".join(lines)
 
 
 def _mae_text(value: float, precision: int) -> str:
@@ -308,7 +337,8 @@ def _mae_text(value: float, precision: int) -> str:
 
 def render_refiner_prompt(
     history: list[tuple[str, float]],
-    samples: list[tuple[str, list[float], list[float]]],
+    forecaster_prompt: str,
+    samples: list[tuple[str, str, list[float], list[float]]],
     stop_threshold: float,
     precision: int = 4,
 ) -> str:
@@ -316,9 +346,17 @@ def render_refiner_prompt(
 
     ``history`` carries every (instructions, MAE) pair evaluated so far in
     session order. The last pair is the one under review, and its 1-based
-    position, ``len(history)``, is the displayed iteration. Each sample is
-    (forecaster prompt, predictions, ground truth); prompts longer than
-    4000 characters are truncated. A non-finite MAE reads ``inf`` or ``nan``.
+    position, ``len(history)``, is the displayed iteration. A non-finite
+    MAE reads ``inf`` or ``nan``.
+
+    ``forecaster_prompt`` is the forecaster prompt the samples share,
+    stated once: rendered with :data:`SAMPLE_HISTORY_MARKER` as its history
+    and, when any sample has retrieved segments,
+    :data:`SAMPLE_ANALOGS_MARKER` as its analog text. Each sample is
+    (history text, retrieved-segment text as ``format_analogs`` rendered it
+    or '' for none, predictions, ground truth). A sample's history and
+    segments are quoted within 4000 characters: whole segments are left
+    out from the end, with a count, and the history is never cut.
     """
     if not samples:
         raise ValueError("refiner prompt needs a non-empty sample batch")
@@ -334,14 +372,9 @@ def render_refiner_prompt(
             f"- Iteration {idx} | MAE {_mae_text(pair_mae, precision)} | Instructions: {flat}"
         )
 
-    sample_blocks = []
-    for idx, (prompt, predictions, truth) in enumerate(samples, start=1):
-        sample_blocks.append(
-            f"Sample {idx}:\n"
-            f"Prompt:\n{_truncate(prompt)}\n"
-            f"Predictions: [{format_numbers(predictions, precision)}]\n"
-            f"Ground Truth: [{format_numbers(truth, precision)}]"
-        )
+    blocks = [f"Forecaster Prompt:\n{forecaster_prompt.strip()}"]
+    for idx, sample in enumerate(samples, start=1):
+        blocks.append(_sample_block(idx, *sample, precision))
 
     text = _substitute(
         "refiner",
@@ -352,7 +385,7 @@ def render_refiner_prompt(
             "batch_mae": _mae_text(batch_mae, precision),
             "stop_threshold": f"{stop_threshold:g}%",
             "history_section": "\n".join(history_lines),
-            "samples_section": "\n\n".join(sample_blocks),
+            "samples_section": "\n\n".join(blocks),
         },
     )
     return _tidy(text)

@@ -23,6 +23,8 @@ import numpy as np
 from .backends import Backend, CallMeter, CompletionRequest
 from .errors import ParseRetryError, ReplyParseError
 from .prompts import (
+    SAMPLE_ANALOGS_MARKER,
+    SAMPLE_HISTORY_MARKER,
     DatasetMeta,
     InstructionBlock,
     RefinerReply,
@@ -123,13 +125,16 @@ class SessionConfig:
 
 @dataclass
 class SampleRecord:
-    """One validation window's evaluation within an iteration."""
+    """One validation window's evaluation within an iteration, with the
+    history and retrieved-segment text (``''`` for none) its forecaster
+    prompt carried."""
 
     origin: int
     predictions: tuple[float, ...]
     truth: tuple[float, ...]
     mae: float
-    prompt: str = ""
+    history: str = ""
+    analogs: str = ""
 
 
 @dataclass
@@ -275,17 +280,19 @@ def _forecast_window(
     meta: DatasetMeta | None,
 ):
     """The one retrieve-augment-forecast-parse pass behind both validation
-    and test-time forecasts; returns (prompt, parsed reply)."""
-    raft = None
+    and test-time forecasts; returns the prompt's history text, its
+    retrieved-segment text ('' for none) and the parsed reply."""
+    analogs = ""
     if cfg.retrieval_enabled and db is not None:
         segments = retrieve(db, window.context, cfg.effective_analog_count)
-        raft = format_analogs(segments, cfg.precision) or None
+        analogs = format_analogs(segments, cfg.precision)
+    history = format_numbers(window.context, cfg.precision)
     prompt = render_forecaster_prompt(
         meta if meta is not None else DEFAULT_META,
         cfg.horizon,
-        format_numbers(window.context, cfg.precision),
+        history,
         instructions=instructions,
-        raft_context=raft,
+        raft_context=analogs,
         strategy=cfg.strategy,
     )
     parsed = _complete_parsed(
@@ -295,7 +302,7 @@ def _forecast_window(
         lambda text: parse_forecast_reply(text, cfg.horizon),
         cfg,
     )
-    return prompt, parsed
+    return history, analogs, parsed
 
 
 def evaluate_prompt(
@@ -321,7 +328,9 @@ def evaluate_prompt(
     last_error: ParseRetryError | None = None
     for window in windows:
         try:
-            prompt, parsed = _forecast_window(window, instructions, cfg, db, backend, meta)
+            history, analogs, parsed = _forecast_window(
+                window, instructions, cfg, db, backend, meta
+            )
         except ParseRetryError as exc:
             skipped += 1
             last_error = exc
@@ -333,7 +342,8 @@ def evaluate_prompt(
                 predictions=tuple(parsed.values),
                 truth=tuple(float(v) for v in window.truth),
                 mae=mae(parsed.values, window.truth),
-                prompt=prompt,
+                history=history,
+                analogs=analogs,
             )
         )
     if not per_sample:
@@ -357,23 +367,38 @@ def refine_step(
     history: list[RefinementRecord],
     cfg: SessionConfig,
     backend: Backend,
+    meta: DatasetMeta | None = None,
 ) -> RefineOutcome:
     """Consult the refiner on the session so far; on a continue verdict,
     synthesize the next instruction block.
 
     The refiner prompt embeds one (instructions, MAE) pair per completed
-    iteration, oldest first, current last. A Done verdict on the very first
-    iteration is overridden to continue — there is no previous MAE for a
-    reduction to be measured against; if that override leaves no usable
-    learnings, the current instructions are kept for the next pass.
+    iteration, oldest first, current last. It then states the latest
+    iteration's forecaster prompt once, with markers where a sample's
+    history and retrieved segments go, and then each sample's own data.
+    A Done verdict on the very first iteration is overridden to continue —
+    there is no previous MAE for a reduction to be measured against; if
+    that override leaves no usable learnings, the current instructions are
+    kept for the next pass.
     """
     if not history:
         raise ValueError("refine_step needs at least one completed iteration")
     latest, iteration = history[-1], len(history) - 1
+    shared = render_forecaster_prompt(
+        meta if meta is not None else DEFAULT_META,
+        cfg.horizon,
+        SAMPLE_HISTORY_MARKER,
+        instructions=latest.instructions,
+        raft_context=(
+            SAMPLE_ANALOGS_MARKER if any(s.analogs for s in latest.per_sample) else None
+        ),
+        strategy=cfg.strategy,
+    )
     prompt = render_refiner_prompt(
         history=[(_instructions_text(rec.instructions), rec.batch_mae) for rec in history],
+        forecaster_prompt=shared,
         samples=[
-            (s.prompt, list(s.predictions), list(s.truth))
+            (s.history, s.analogs, list(s.predictions), list(s.truth))
             for s in latest.per_sample
         ],
         stop_threshold=cfg.stop_threshold_pct,
@@ -527,7 +552,7 @@ def run_session(
             record = evaluate_prompt(current, windows, cfg, db, meter, meta)
             records.append(record)
             _charge(record, meter)
-            refinement = refine_step(records, cfg, meter) if cfg.refinement_enabled else None
+            refinement = refine_step(records, cfg, meter, meta) if cfg.refinement_enabled else None
             if refinement is not None:
                 record.refiner_reply = refinement.reply
                 _charge(record, meter)
@@ -566,7 +591,7 @@ def forecast_reply_for(
 ):
     """One retrieve-augment-forecast-parse pass; returns the full parsed
     reply (values, reasoning, certainty)."""
-    return _forecast_window(window, instructions, cfg, db, backend, meta)[1]
+    return _forecast_window(window, instructions, cfg, db, backend, meta)[-1]
 
 
 def forecast_with(

@@ -4,9 +4,11 @@ and the recording wrapper."""
 from __future__ import annotations
 
 import json
+import logging
 import random
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -266,12 +268,14 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+def _serving(server):
+    """Serve ``server`` on a daemon thread, yield (URL, server), then close it."""
     server.seen = []
     server.script = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval keeps shutdown() from waiting half a second
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     try:
@@ -279,6 +283,11 @@ def stub_server():
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture
+def stub_server():
+    yield from _serving(ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler))
 
 
 def test_http_backend_round_trip(stub_server):
@@ -458,6 +467,56 @@ def test_http_backend_malformed_body(stub_server):
         server.script = [(200, {"choices": [{"message": {"content": content}}]})]
         with pytest.raises(BackendError, match="malformed completion body.*not text"):
             HttpBackend(url, "m").complete(req())
+
+
+class _KeepAliveHandler(_StubHandler):
+    """The stub over persistent HTTP/1.1 connections, counting them; each
+    reply waits a little so concurrent callers overlap."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        time.sleep(0.02)
+        super().do_POST()
+
+
+class _WideBacklogServer(ThreadingHTTPServer):
+    request_queue_size = 64  # the default 5 delays a burst of connects by 1 s
+
+
+@pytest.fixture
+def keepalive_server():
+    server = _WideBacklogServer(("127.0.0.1", 0), _KeepAliveHandler)
+    server.lock, server.connections = threading.Lock(), 0
+    yield from _serving(server)
+
+
+def test_http_backend_threads_do_not_overflow_the_connection_pool(keepalive_server, caplog):
+    url, server = keepalive_server
+    backend = HttpBackend(url, "m", api_key="")
+    threads, calls = 16, 4
+    start = threading.Barrier(threads)
+    replies = []
+
+    def worker():
+        start.wait()
+        for _ in range(calls):
+            replies.append(backend.complete(req()).text)
+
+    with caplog.at_level(logging.WARNING, logger="urllib3"):
+        workers = [threading.Thread(target=worker) for _ in range(threads)]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join()
+    assert replies == ["fallback"] * threads * calls
+    assert server.connections <= threads
+    assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
 
 
 def test_http_backend_config_validation():

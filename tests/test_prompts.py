@@ -7,12 +7,15 @@ import random
 import re
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flairr.errors import ReplyParseError, TemplateError
 from flairr.prompts import (
+    SAMPLE_ANALOGS_MARKER,
+    SAMPLE_HISTORY_MARKER,
     SYNTHESIS_CUE,
     DatasetMeta,
     ForecastReply,
@@ -31,6 +34,7 @@ from flairr.prompts import (
     render_synthesis_prompt,
     strategy_template,
 )
+from flairr.retrieval import AnalogSegment, format_analogs
 from flairr.testing import instructions_reply, refiner_reply
 
 META = DatasetMeta(name="power", description="hourly transformer readings", target="OT")
@@ -71,7 +75,7 @@ def test_every_builtin_template_renders_without_placeholders():
         )
         for name in [None, *list_strategies()]
     ]
-    prompts.append(render_refiner_prompt([("", 0.5)], [("a prompt", [1.0], [1.5])], 5.0))
+    prompts.append(render_refiner_prompt([("", 0.5)], SHARED, [("1.0", "", [1.0], [1.5])], 5.0))
     prompts.append(render_synthesis_prompt("the trend steepens"))
     assert len(prompts) == 17
     for prompt in prompts:
@@ -257,11 +261,14 @@ def test_forecaster_prompt_rejects_leftover_placeholder():
 
 # --- refiner renderer -------------------------------------------------------
 
-SAMPLES = [("the forecaster prompt", [1.0, 2.0], [1.5, 2.5])]
+SHARED = render_forecaster_prompt(META, 2, SAMPLE_HISTORY_MARKER)
+SAMPLES = [("1.0000, 2.0000", "", [1.0, 2.0], [1.5, 2.5])]
 
 
 def test_refiner_prompt_core_fields():
-    prompt = render_refiner_prompt(history=[("", 0.25)], samples=SAMPLES, stop_threshold=5.0)
+    prompt = render_refiner_prompt(
+        history=[("", 0.25)], forecaster_prompt=SHARED, samples=SAMPLES, stop_threshold=5.0
+    )
     assert "for this Iteration 1:" in prompt
     assert "Current Forecasting Instructions Under Review: (none - the base forecasting prompt)" in prompt
     assert "for this batch of samples: 0.2500" in prompt
@@ -270,8 +277,9 @@ def test_refiner_prompt_core_fields():
         "- Iteration 1 | MAE 0.2500 | Instructions: (none - the base forecasting prompt)"
         in prompt
     )
+    assert f"Forecaster Prompt:\n{SHARED}" in prompt
     assert (
-        "Sample 1:\nPrompt:\nthe forecaster prompt\n"
+        "Sample 1:\nHistorical Data: 1.0000, 2.0000\n"
         "Predictions: [1.0000, 2.0000]\nGround Truth: [1.5000, 2.5000]" in prompt
     )
     assert "Done: <True or False>" in prompt
@@ -280,14 +288,14 @@ def test_refiner_prompt_core_fields():
 
 def test_refiner_prompt_iteration_is_displayed_one_based():
     history = [("", 0.9), ("a", 0.8), ("b", 0.7), ("keep it smooth", 0.5)]
-    prompt = render_refiner_prompt(history, SAMPLES, 5.0)
+    prompt = render_refiner_prompt(history, SHARED, SAMPLES, 5.0)
     assert "for this Iteration 4:" in prompt
     assert "Under Review: keep it smooth" in prompt
 
 
 def test_refiner_prompt_full_history_section():
     history = [("", 0.9), ("lean on the trend", 0.5), ("damp the\nnoise", 0.7)]
-    prompt = render_refiner_prompt(history, SAMPLES, 5.0)
+    prompt = render_refiner_prompt(history, SHARED, SAMPLES, 5.0)
     assert "- Iteration 1 | MAE 0.9000 | Instructions: (none - the base forecasting prompt)" in prompt
     assert "- Iteration 2 | MAE 0.5000 | Instructions: lean on the trend" in prompt
     assert "- Iteration 3 | MAE 0.7000 | Instructions: damp the noise" in prompt
@@ -295,22 +303,94 @@ def test_refiner_prompt_full_history_section():
 
 
 def test_refiner_prompt_threshold_rendering():
-    prompt = render_refiner_prompt([("", 1.0)], SAMPLES, 2.5)
+    prompt = render_refiner_prompt([("", 1.0)], SHARED, SAMPLES, 2.5)
     assert "stopping threshold (2.5%)" in prompt
 
 
-def test_refiner_prompt_truncates_long_sample_prompts():
-    long_prompt = "x" * 5000
-    prompt = render_refiner_prompt([("", 1.0)], [(long_prompt, [1.0], [1.0])], 5.0)
-    assert "... [truncated]" in prompt
-    assert "x" * 4001 not in prompt
+def _segment(start: int, length: int) -> AnalogSegment:
+    context = np.arange(start, start + length) / 7.0
+    return AnalogSegment(start=start, context=context, outcome=context[-2:] + 1.0, score=0.9)
+
+
+def test_refiner_prompt_cuts_trailing_segments_before_the_history():
+    history = format_numbers(np.arange(330) / 3.0)  # about 3,000 characters
+    analogs = format_analogs([_segment(k * 100, 60) for k in range(3)])
+    first, second, third = analogs.split("\n\n")
+    assert len(history) + len(first) <= 4000 < len(history) + len(first) + len(second)
+    shared = render_forecaster_prompt(
+        META, 2, SAMPLE_HISTORY_MARKER, raft_context=SAMPLE_ANALOGS_MARKER
+    )
+    prompt = render_refiner_prompt([("", 1.0)], shared, [(history, analogs, [1.0], [1.0])], 5.0)
+    assert (
+        f"Sample 1:\nRetrieved Segments:\n{first}\n"
+        "[2 trailing segments left out for length]\n"
+        f"Historical Data: {history}\n" in prompt
+    )
+    assert second not in prompt and third not in prompt
+    # a history over the budget on its own stays whole and leaves no segment
+    long_history = format_numbers(np.arange(700) / 3.0)
+    assert len(long_history) > 4000
+    prompt = render_refiner_prompt(
+        [("", 1.0)], shared, [(long_history, analogs, [1.0], [1.0])], 5.0
+    )
+    assert (
+        "Retrieved Segments:\n[3 trailing segments left out for length]\n"
+        f"Historical Data: {long_history}\n" in prompt
+    )
+    assert "Segment 1 (similarity" not in prompt
+
+
+_BLOCK_RE = re.compile(r"^Sample (\d+):\n(.*?)(?=\n\n|\Z)", re.M | re.S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    samples=st.lists(
+        st.tuples(
+            st.integers(1, 700),  # history length, up to about 5,600 characters
+            st.lists(st.integers(1, 200), max_size=4),  # segment context lengths
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_refiner_prompt_states_the_prompt_once_and_keeps_every_history(samples):
+    rendered = []
+    for n, lengths in samples:
+        history = format_numbers(np.arange(n) / 3.0 + n)
+        segments = [_segment(k * 1000, m) for k, m in enumerate(lengths)]
+        rendered.append((history, format_analogs(segments), [1.0], [2.0]))
+    marker = SAMPLE_ANALOGS_MARKER if any(analogs for _, analogs, _, _ in rendered) else None
+    shared = render_forecaster_prompt(META, 1, SAMPLE_HISTORY_MARKER, raft_context=marker)
+    prompt = render_refiner_prompt([("", 1.0)], shared, rendered, 5.0)
+
+    assert re.findall(r"^Objective$", prompt, re.M) == ["Objective"]
+    blocks = _BLOCK_RE.findall(prompt)
+    assert [int(k) for k, _ in blocks] == list(range(1, len(rendered) + 1))
+    for (_, block), (history, analogs, _, _) in zip(blocks, rendered):
+        lines = block.split("\n")
+        assert f"Historical Data: {history}" in lines
+        segments = analogs.split("\n\n") if analogs else []
+        kept = [seg for seg in segments if seg in block]
+        # what is kept is a leading run of segments within the budget, and
+        # the next segment would have overrun it
+        assert kept == segments[: len(kept)]
+        assert not kept or len(history) + sum(map(len, kept)) <= 4000
+        left_out = len(segments) - len(kept)
+        if left_out:
+            assert len(history) + sum(map(len, kept)) + len(segments[len(kept)]) > 4000
+            noun = "segment" if left_out == 1 else "segments"
+            assert f"[{left_out} trailing {noun} left out for length]" in lines
+        elif segments:
+            assert "left out for length" not in block
+        assert ("Retrieved Segments:" in lines) == bool(segments)
 
 
 def test_refiner_prompt_validation():
     with pytest.raises(ValueError, match="sample batch"):
-        render_refiner_prompt([("", 1.0)], [], 5.0)
+        render_refiner_prompt([("", 1.0)], SHARED, [], 5.0)
     with pytest.raises(ValueError, match="history"):
-        render_refiner_prompt([], SAMPLES, 5.0)
+        render_refiner_prompt([], SHARED, SAMPLES, 5.0)
 
 
 # --- synthesis renderer -----------------------------------------------------

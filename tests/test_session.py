@@ -26,14 +26,19 @@ from flairr.backends import (
 )
 from flairr.errors import BackendError, ParseRetryError
 from flairr.prompts import (
+    SAMPLE_ANALOGS_MARKER,
+    SAMPLE_HISTORY_MARKER,
+    DatasetMeta,
     InstructionBlock,
     format_numbers,
     parse_forecast_reply,
+    render_forecaster_prompt,
     render_refiner_prompt,
 )
 from flairr.retrieval import build_hist_db
 from flairr.series import window_at
 from flairr.session import (
+    DEFAULT_META,
     FORMAT_RETRY_SUFFIX,
     RefinementRecord,
     SampleRecord,
@@ -117,7 +122,7 @@ def record_for(instructions, batch_mae):
                 predictions=(1.0, 2.0),
                 truth=(1.5, 2.5),
                 mae=0.5,
-                prompt="sample prompt",
+                history="1.0000, 2.0000",
             )
         ],
     )
@@ -190,21 +195,25 @@ def test_evaluate_prompt_averages_per_sample_mae():
         forecast_reply([23.0, 24.0]),  # +1.0 on truth [22, 23]
         forecast_reply([29.5, 30.5]),  # +1.5 on truth [28, 29]
     )
-    meter = CallMeter(backend)
+    spy = SpyBackend(backend)
+    meter = CallMeter(spy)
     outcome = evaluate_prompt(None, windows, cfg, None, meter)
     assert [s.mae for s in outcome.per_sample] == pytest.approx([0.5, 1.0, 1.5])
     assert outcome.batch_mae == pytest.approx(1.0)
     assert [s.origin for s in outcome.per_sample] == [16, 22, 28]
     assert meter.reasks == 0 and outcome.skipped_samples == 0
-    assert all(s.prompt for s in outcome.per_sample)
+    assert [r.tag for r in spy.requests] == ["forecaster"] * 3
+    for sample, request in zip(outcome.per_sample, spy.requests):
+        assert sample.history and f"- Historical Data: {sample.history}\n" in request.prompt
 
 
 def test_evaluate_prompt_without_retrieval_has_no_analog_section():
     cfg = small_cfg()
     windows = make_validation_windows(VALUES, cfg)
-    backend = ordinal(forecast_reply([10.0, 11.0]))
-    outcome = evaluate_prompt(None, windows, cfg, None, backend)
-    assert "Retrieved Historical Segments" not in outcome.per_sample[0].prompt
+    spy = SpyBackend(ordinal(forecast_reply([10.0, 11.0])))
+    outcome = evaluate_prompt(None, windows, cfg, None, spy)
+    assert "Retrieved Historical Segments" not in spy.requests[0].prompt
+    assert outcome.per_sample[0].analogs == ""
 
 
 def test_evaluate_prompt_with_retrieval_embeds_analogs():
@@ -212,9 +221,10 @@ def test_evaluate_prompt_with_retrieval_embeds_analogs():
     values = np.arange(30.0)
     windows = make_validation_windows(values, cfg)
     db = build_hist_db(values[:24], cfg.context_length, cfg.horizon)
-    backend = ordinal(forecast_reply([28.0, 29.0]))
-    outcome = evaluate_prompt(None, windows, cfg, db, backend)
-    prompt = outcome.per_sample[0].prompt
+    spy = SpyBackend(ordinal(forecast_reply([28.0, 29.0])))
+    outcome = evaluate_prompt(None, windows, cfg, db, spy)
+    prompt = spy.requests[0].prompt
+    assert outcome.per_sample[0].analogs and outcome.per_sample[0].analogs in prompt
     assert "Retrieved Historical Segments" in prompt
     assert "Segment 1 (similarity " in prompt
     assert "Segment 2 (similarity " in prompt
@@ -440,6 +450,65 @@ def test_refine_step_prompt_carries_full_history():
     assert prompt.count("- Iteration ") == 3
 
 
+def test_refine_step_states_the_forecaster_prompt_once():
+    meta = DatasetMeta(name="power", description="hourly readings", target="OT")
+    cfg = small_cfg(sample_size=2, strategy="deep-stl")
+    block = InstructionBlock(items=("rule a",))
+    segment = "Segment 1 (similarity 0.9000):\ncontext: 0.5000, 0.7500\noutcome: 1.0000"
+    samples = [
+        SampleRecord(10, (1.0, 2.0), (1.5, 2.5), 0.5, history="1.0000, 2.0000", analogs=segment),
+        # retrieval found no segment for this window
+        SampleRecord(16, (3.0, 4.0), (3.5, 4.5), 0.5, history="3.0000, 4.0000"),
+    ]
+    record = RefinementRecord(instructions=block, batch_mae=0.5, per_sample=samples)
+    replies = dict(refiner=refiner_reply("more", done=False), synthesis=instructions_reply(["x"]))
+    spy = SpyBackend(tagged(**replies))
+    refine_step([record_for(None, 0.9), record], cfg, spy, meta)
+    prompt = spy.requests[0].prompt
+    shared = render_forecaster_prompt(
+        meta,
+        cfg.horizon,
+        SAMPLE_HISTORY_MARKER,
+        instructions=block,
+        raft_context=SAMPLE_ANALOGS_MARKER,
+        strategy="deep-stl",
+    )
+    assert f"Forecaster Prompt:\n{shared.strip()}\n\nSample 1:\n" in prompt
+    assert re.findall(r"^Objective$", prompt, re.M) == ["Objective"]
+    assert (
+        f"Sample 1:\nRetrieved Segments:\n{segment}\nHistorical Data: 1.0000, 2.0000\n"
+        "Predictions: [1.0000, 2.0000]\nGround Truth: [1.5000, 2.5000]\n\n"
+        "Sample 2:\nHistorical Data: 3.0000, 4.0000\n" in prompt
+    )
+    # with no sample's segments to stand for, the shared prompt has no section
+    spy = SpyBackend(tagged(**replies))
+    refine_step([record_for(None, 0.9)], cfg, spy, meta)
+    assert "Retrieved Historical Segments" not in spy.requests[0].prompt
+    assert "Retrieved Segments:" not in spy.requests[0].prompt
+
+
+@pytest.mark.parametrize("context_length, horizon", [(96, 48), (336, 24)])
+def test_every_sample_history_reaches_the_refiner(context_length, horizon):
+    # two retrieved segments (the default), which at L=336 leave no room
+    cfg = SessionConfig(context_length=context_length, horizon=horizon, max_iterations=2)
+    values = seasonal_series(2000, period=24, trend=0.01, amplitude=0.4, noise=0.05, seed=5)
+    meta = DatasetMeta(name="power", description="hourly readings", target="OT")
+    spy = SpyBackend(SyntheticOracleBackend(seed=2))
+    run_session(cfg, values, spy, meta=meta)
+    histories, refiner_prompts = [], 0
+    for request in spy.requests:
+        if request.tag == "forecaster":
+            histories.append(re.search(r"^- Historical Data: (.*)$", request.prompt, re.M)[1])
+        elif request.tag == "refiner":
+            refiner_prompts += 1
+            assert "- Dataset: power, hourly readings\n" in request.prompt
+            assert len(histories) == cfg.sample_size
+            for history in histories:
+                assert f"\nHistorical Data: {history}\n" in request.prompt
+            histories = []
+    assert refiner_prompts == 2
+
+
 def test_refine_step_needs_history():
     with pytest.raises(ValueError):
         refine_step([], small_cfg(), ordinal("x"))
@@ -615,8 +684,9 @@ def test_session_result_selection_is_the_strict_improvement_fold(maes, early_sto
     assert result.final_instructions is (blocks[-1] if early_stop else best_instructions)
 
     pairs = [(block.flattened() if block else "", m) for block, m in zip(blocks, maes)]
-    samples = [("a prompt", [1.0], [1.5])]
-    prompt = render_refiner_prompt(pairs, samples, 5.0)
+    shared = render_forecaster_prompt(DEFAULT_META, 1, SAMPLE_HISTORY_MARKER)
+    samples = [("1.0000", "", [1.0], [1.5])]
+    prompt = render_refiner_prompt(pairs, shared, samples, 5.0)
     # a non-finite MAE reads inf or nan, so the refiner still sees the pair
     shown = [format_numbers([m]) if math.isfinite(m) else str(m) for m in maes]
     assert f"for this Iteration {len(maes)}:" in prompt
@@ -648,9 +718,9 @@ def test_session_aborts_carry_partial_history():
 def test_session_retrieval_database_stops_before_validation_contexts():
     cfg = small_cfg(retrieval_enabled=True, sample_size=2, refinement_enabled=False)
     values = np.arange(30.0)  # value == index, so leakage would be visible
-    backend = ordinal(forecast_reply([22.0, 23.0]), forecast_reply([28.0, 29.0]))
-    result = run_session(cfg, values, backend)
-    prompt = result.history[0].per_sample[0].prompt
+    spy = SpyBackend(ordinal(forecast_reply([22.0, 23.0]), forecast_reply([28.0, 29.0])))
+    run_session(cfg, values, spy)
+    prompt = spy.requests[0].prompt
     analog_block = prompt.split("Retrieved Historical Segments")[1].split("Input Data")[0]
     floats = [float(tok) for tok in re.findall(r"-?\d+\.\d+", analog_block)]
     numbers = [v for v in floats if v > 1.0]  # drop similarity scores
@@ -843,7 +913,8 @@ def test_validation_and_test_forecasts_send_the_same_prompt():
     outcome = evaluate_prompt(instructions, [window], cfg, db, validation)
     test_time = SpyBackend(SyntheticOracleBackend(seed=4))
     forecast_reply_for(window, cfg, db, test_time, instructions=instructions)
-    prompt = outcome.per_sample[0].prompt
+    prompt = validation.requests[0].prompt
+    assert outcome.per_sample[0].history in prompt and outcome.per_sample[0].analogs in prompt
     assert "Segment 2 (similarity " in prompt and "Track the daily cycle." in prompt
     assert [r.prompt for r in validation.requests] == [prompt]
     assert [r.prompt for r in test_time.requests] == [prompt]
