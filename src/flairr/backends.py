@@ -15,12 +15,8 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import BackendError, ConfigError
-
-if TYPE_CHECKING:
-    import requests
 
 __all__ = [
     "TAGS",
@@ -313,10 +309,9 @@ class HttpBackend(Backend):
 
     Each calling thread posts through its own ``requests.Session``, so a
     grid of ``--jobs`` threads keeps one pooled connection per thread and
-    never overflows a pool shared by all of them. A ``session`` passed in
-    serves every thread. ``requests`` is imported when the first instance
-    is built, not with this module, so runs on the offline backends load no
-    HTTP code.
+    never overflows a pool shared by all of them. ``requests`` is imported
+    when the first instance is built, not with this module, so runs on the
+    offline backends load no HTTP code.
     """
 
     backend_id = "http"
@@ -326,7 +321,6 @@ class HttpBackend(Backend):
         endpoint_url: str,
         model_name: str,
         timeout_s: float = DEFAULT_TIMEOUT_S,
-        session: requests.Session | None = None,
         sleeper=time.sleep,
         api_key: str | None = None,
     ):
@@ -339,7 +333,6 @@ class HttpBackend(Backend):
         self.endpoint_url = endpoint_url
         self.model_name = model_name
         self.timeout_s = timeout_s
-        self._session = session
         self._per_thread = threading.local()
         self._sleep = sleeper
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
@@ -420,9 +413,7 @@ class HttpBackend(Backend):
         )
 
     def _thread_session(self):
-        """The session given to the constructor, else the calling thread's own."""
-        if self._session is not None:
-            return self._session
+        """The calling thread's own session."""
         local = self._per_thread
         if not hasattr(local, "session"):
             import requests  # loaded by __init__; this only binds the name

@@ -119,9 +119,9 @@ class ExperimentConfig:
         session = _checked(doc.get("session", {}), hints["session_overrides"], "session", p)
         session_hints = typing.get_type_hints(SessionConfig)
         for key, value in session.items():
-            # a key that names no field, and the strategy that a method
-            # sets, fail when the grid builds its sessions
-            if key in session_hints and key != "strategy":
+            # a key that names no field, or one the grid owns, fails when
+            # the grid builds its sessions
+            if key in session_hints:
                 _checked(value, session_hints[key], f"session.{key}", p)
 
         # an absent key leaves its field at the dataclass default; absent
@@ -263,13 +263,23 @@ def _method_fields(method: str) -> dict:
     return {"retrieval_enabled": True, "refinement_enabled": False, "strategy": name}
 
 
+# the SessionConfig fields the grid sets itself, and what sets each
+_GRID_OWNED = {
+    "strategy": "use the method 'asp:<name>'",
+    "horizon": "the config's horizons set it",
+    "seed": "the config seed plus the run index sets it",
+    "retrieval_enabled": "the method sets it",
+    "refinement_enabled": "the method sets it",
+}
+
+
 def _session_config(cfg: ExperimentConfig, horizon: int, method: str, run: int) -> SessionConfig:
-    if "strategy" in cfg.session_overrides:
-        raise ConfigError("session.strategy is not an override; use the method 'asp:<name>'")
+    for key, owner in _GRID_OWNED.items():
+        if key in cfg.session_overrides:
+            raise ConfigError(f"session.{key} is not an override; {owner}")
     fields = {
         "context_length": DEFAULT_CONTEXT_LENGTH,
         **cfg.session_overrides,
-        # the method, the grid's horizon and the run index win over overrides
         **_method_fields(method),
         "horizon": horizon,
         "seed": cfg.seed + run,
@@ -426,12 +436,10 @@ def _run_grid(
     except Exception:
         # keep whatever finished inspectable before propagating
         if rows and run_dir is not None:
-            emit_report(rows, "csv", run_dir / f"{stem}.partial.csv")
-            emit_report(rows, "json", run_dir / f"{stem}.partial.json")
+            emit_report(rows, run_dir / f"{stem}.partial")
         raise
     if run_dir is not None:
-        emit_report(rows, "csv", run_dir / f"{stem}.csv")
-        emit_report(rows, "json", run_dir / f"{stem}.json")
+        emit_report(rows, run_dir / stem)
     return rows, run_dir
 
 
@@ -503,32 +511,27 @@ def _row_record(row: ReportRow) -> dict:
     return record
 
 
-def emit_report(rows: list[ReportRow], fmt: str, path) -> Path:
-    """Write rows as CSV or JSON with a deterministic column order."""
+def emit_report(rows: list[ReportRow], stem_path) -> None:
+    """Write rows to ``<stem_path>.csv`` and ``<stem_path>.json`` with a
+    deterministic column order."""
     if not rows:
         raise ValueError("cannot emit an empty report")
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    stem = Path(stem_path)
+    stem.parent.mkdir(parents=True, exist_ok=True)
     records = [_row_record(row) for row in rows]
     columns = list(records[0])
     for record in records[1:]:
         if list(record) != columns:
             raise ValueError("report rows disagree on run count; cannot tabulate")
-
-    if fmt == "csv":
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for record in records:
-                writer.writerow([_cell_text(record[c]) for c in columns])
-    elif fmt == "json":
-        doc = {"columns": columns, "rows": records}
-        out.write_text(
-            strict_json(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
-    else:
-        raise ValueError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")
-    return out
+    with open(f"{stem}.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for record in records:
+            writer.writerow([_cell_text(record[c]) for c in columns])
+    doc = {"columns": columns, "rows": records}
+    Path(f"{stem}.json").write_text(
+        strict_json(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+    )
 
 
 def _cell_text(value) -> str:

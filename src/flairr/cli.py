@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Subcommands: forecast | refine | bench | ablate | retrieve. Exit codes are
-stable: 1 configuration/template problems, 2 data problems, 3 backend
-problems, 4 replies still malformed after the retry budget. The API
-credential is read only from the ``FLAIRR_API_KEY`` environment variable,
-never from a flag, so shell history and logs stay shareable.
+Subcommands: forecast | refine | bench | ablate | retrieve. Each error
+class in :mod:`flairr.errors` declares the stable exit code it ends a run
+with (1 configuration/template, 2 data, 3 backend, 4 replies still
+malformed after the retry budget); usage errors and a ``ValueError`` exit 1.
+The API credential is read only from the ``FLAIRR_API_KEY`` environment
+variable, never from a flag, so shell history and logs stay shareable.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .backends import DEFAULT_TIMEOUT_S, Backend, HttpBackend, RecordingBackend, load_script
 from .bench import DEFAULT_CONTEXT_LENGTH, ExperimentConfig, run_ablation, run_experiment
-from .errors import BackendError, ConfigError, DataError, ParseRetryError, TemplateError
+from .errors import ConfigError, DataError, FlairrError
 from .prompts import DEFAULT_DESCRIPTION, DatasetMeta, format_numbers, list_strategies
 from .retrieval import build_hist_db, retrieve
 from .series import WindowPair, dataset_name, load_csv
@@ -78,20 +79,18 @@ def _make_backend(args, seed: int) -> Backend:
     return backend
 
 
-def _add_data_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument("--data", required=required, help="CSV file with a header row")
-    parser.add_argument("--target", required=required, help="column to forecast")
+def _add_series_flags(parser: argparse.ArgumentParser) -> None:
+    """The data, window and analog flags of forecast, refine and retrieve."""
+    parser.add_argument("--data", required=True, help="CSV file with a header row")
+    parser.add_argument("--target", required=True, help="column to forecast")
     parser.add_argument(
         "--timestamp-column",
         help="timestamp column name (default: auto-detect a non-numeric first column)",
     )
-
-
-def _add_session_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
     parser.add_argument(
         "--context", type=int, default=DEFAULT_CONTEXT_LENGTH, help="context length L"
     )
-    parser.add_argument("--horizon", type=int, required=required, help="forecast horizon H")
+    parser.add_argument("--horizon", type=int, required=True, help="forecast horizon H")
     parser.add_argument(
         "--m", type=int, default=_DEFAULTS["analog_count"], help="retrieved analog count M"
     )
@@ -99,14 +98,33 @@ def _add_session_flags(parser: argparse.ArgumentParser, required: bool = True) -
         "--precision",
         type=int,
         default=_DEFAULTS["precision"],
-        help="decimal places in prompts",
+        help="decimal places in prompts and printed values",
     )
+
+
+def _add_session_flags(parser: argparse.ArgumentParser) -> None:
+    """The series flags plus the seed and retrieval switch of a session."""
+    _add_series_flags(parser)
     parser.add_argument("--seed", type=int, default=_DEFAULTS["seed"], help="session seed")
     parser.add_argument(
         "--no-retrieval",
         action="store_true",
         help="disable analog retrieval",
     )
+
+
+class _ListStrategies(argparse.Action):
+    """Print the strategy names and exit while parsing, before the required
+    flags are checked."""
+
+    def __init__(self, option_strings, dest, help=None):
+        super().__init__(
+            option_strings, argparse.SUPPRESS, default=argparse.SUPPRESS, nargs=0, help=help
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print("\n".join(list_strategies()))
+        parser.exit()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,11 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="single-shot forecast with a strategy prompt",
         formatter_class=formatter,
     )
-    # Data and horizon flags stay optional at the parser level so that
-    # `forecast --list-strategies` works on its own; cmd_forecast enforces
-    # them for actual forecasts.
-    _add_data_flags(p_forecast, required=False)
-    _add_session_flags(p_forecast, required=False)
+    _add_session_flags(p_forecast)
     p_forecast.add_argument(
         "--strategy",
         default="simple",
@@ -138,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_forecast.add_argument(
         "--list-strategies",
-        action="store_true",
+        action=_ListStrategies,
         help="print available strategy names and exit",
     )
     _add_backend_flags(p_forecast)
@@ -149,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a refinement session and print the selected prompt",
         formatter_class=formatter,
     )
-    _add_data_flags(p_refine)
     _add_session_flags(p_refine)
     p_refine.add_argument(
         "--max-iter",
@@ -201,27 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the most similar historical windows as CSV",
         formatter_class=formatter,
     )
-    _add_data_flags(p_retrieve)
-    p_retrieve.add_argument(
-        "--context", type=int, default=DEFAULT_CONTEXT_LENGTH, help="context length L"
-    )
-    p_retrieve.add_argument(
-        "--horizon", type=int, required=True, help="outcome length H"
-    )
-    p_retrieve.add_argument(
-        "--m", type=int, default=_DEFAULTS["analog_count"], help="analog count M"
-    )
+    _add_series_flags(p_retrieve)
     p_retrieve.add_argument(
         "--t",
         type=int,
         default=None,
         help="forecast origin index (default: the end of the series)",
-    )
-    p_retrieve.add_argument(
-        "--precision",
-        type=int,
-        default=_DEFAULTS["precision"],
-        help="decimal places in the output",
     )
     p_retrieve.set_defaults(func=cmd_retrieve)
 
@@ -236,31 +234,22 @@ def _meta_from_args(args) -> DatasetMeta:
     )
 
 
-def cmd_forecast(args) -> int:
-    if args.list_strategies:
-        for name in list_strategies():
-            print(name)
-        return 0
-    missing = [
-        flag
-        for flag, value in (
-            ("--data", args.data),
-            ("--target", args.target),
-            ("--horizon", args.horizon),
-        )
-        if value is None
-    ]
-    if missing:
-        raise ConfigError(f"forecast requires {', '.join(missing)}")
-    cfg = SessionConfig(
+def _session_config(args, **fields) -> SessionConfig:
+    """The :class:`SessionConfig` of the session flags, plus ``fields``."""
+    return SessionConfig(
         context_length=args.context,
         horizon=args.horizon,
         analog_count=args.m,
-        retrieval_enabled=not args.no_retrieval,
         precision=args.precision,
+        retrieval_enabled=not args.no_retrieval,
         seed=args.seed,
         strategy=args.strategy,
+        **fields,
     )
+
+
+def cmd_forecast(args) -> int:
+    cfg = _session_config(args)
     values = load_csv(args.data, args.target, timestamp_column=args.timestamp_column)
     if values.size < cfg.context_length:
         raise DataError(
@@ -288,17 +277,11 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    cfg = SessionConfig(
-        context_length=args.context,
-        horizon=args.horizon,
-        analog_count=args.m,
+    cfg = _session_config(
+        args,
         max_iterations=args.max_iter,
         stop_threshold_pct=args.stop_threshold,
         sample_size=args.samples,
-        precision=args.precision,
-        retrieval_enabled=not args.no_retrieval,
-        seed=args.seed,
-        strategy=args.strategy,
     )
     values = load_csv(args.data, args.target, timestamp_column=args.timestamp_column)
     backend = _make_backend(args, cfg.seed)
@@ -398,18 +381,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, TemplateError, ValueError) as exc:
+    except (FlairrError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BackendError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ParseRetryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return getattr(exc, "exit_code", 1)
 
 
 def entrypoint() -> None:

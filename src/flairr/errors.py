@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto stable exit codes: config problems exit 1, data
-problems exit 2, backend/transport problems exit 3, and parse failures that
-survive all retries exit 4.
+Each class declares the stable ``exit_code`` that the CLI ends a run with:
+config and template problems exit 1, data problems 2, backend/transport
+problems 3, and parse failures that survive all retries 4. A subclass
+inherits its parent's code.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ __all__ = [
 class FlairrError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 1
+
 
 class ConfigError(FlairrError):
     """Invalid or incomplete configuration (flags, config files, env)."""
@@ -28,6 +31,8 @@ class ConfigError(FlairrError):
 
 class DataError(FlairrError):
     """Dataset ingestion or validation failure (CSV shape, bad cells)."""
+
+    exit_code = 2
 
 
 class TemplateError(FlairrError):
@@ -37,6 +42,8 @@ class TemplateError(FlairrError):
 
 class BackendError(FlairrError):
     """Completion transport failure: HTTP errors, exhausted or ambiguous scripts."""
+
+    exit_code = 3
 
 
 class ReplyParseError(FlairrError):
@@ -53,6 +60,8 @@ class ReplyParseError(FlairrError):
 
 class ParseRetryError(FlairrError):
     """A reply could not be parsed even after all configured retries."""
+
+    exit_code = 4
 
     def __init__(self, message: str, last_error: ReplyParseError | None = None):
         super().__init__(message)

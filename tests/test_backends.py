@@ -253,14 +253,15 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.server.seen.append(
             {"path": self.path, "headers": dict(self.headers), "body": body}
         )
-        if self.server.script:
-            status, payload = self.server.script.pop(0)
-        else:
-            status, payload = 200, chat_body("fallback")
+        # a script entry is (status, payload) or (status, payload, headers)
+        entry = self.server.script.pop(0) if self.server.script else (200, chat_body("fallback"))
+        status, payload, headers = (*entry, {})[:3]
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -352,25 +353,6 @@ def test_http_backend_retries_server_errors_with_backoff(stub_server):
     assert len(server.seen) == 3
 
 
-class _FakeResponse:
-    def __init__(self, status_code, body, headers=None):
-        self.status_code = status_code
-        self.headers = headers or {}
-        self._body = body
-        self.text = json.dumps(body)
-
-    def json(self):
-        return self._body
-
-
-class _FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-
-    def post(self, url, **kwargs):
-        return self.responses.pop(0)
-
-
 @pytest.mark.parametrize(
     "status, retry_after, first_sleep",
     [
@@ -383,40 +365,36 @@ class _FakeSession:
         (500, "7", 1.0),  # only 429 and 503 carry it
     ],
 )
-def test_http_backend_honours_numeric_retry_after(status, retry_after, first_sleep):
-    session = _FakeSession(
-        [
-            _FakeResponse(status, {"err": 1}, {"Retry-After": retry_after}),
-            _FakeResponse(503, {"err": 2}),  # no header: back to the fixed 2 s
-            _FakeResponse(200, chat_body("third")),
-        ]
-    )
+def test_http_backend_honours_numeric_retry_after(
+    status, retry_after, first_sleep, stub_server
+):
+    url, server = stub_server
+    server.script = [
+        (status, {"err": 1}, {"Retry-After": retry_after}),
+        (503, {"err": 2}),  # no header: back to the fixed 2 s
+        (200, chat_body("third")),
+    ]
     sleeps = []
-    backend = HttpBackend(
-        "http://127.0.0.1:9/v1", "m", session=session, sleeper=sleeps.append, api_key=""
-    )
+    backend = HttpBackend(url, "m", sleeper=sleeps.append, api_key="")
     assert backend.complete(req()).text == "third"
     assert sleeps == [first_sleep, 2.0]
 
 
-def test_http_backend_jitters_its_backoff(monkeypatch):
+def test_http_backend_jitters_its_backoff(monkeypatch, stub_server):
     """Equal jitter (Brooker 2015): each wait is uniform in [b/2, b] for the
     fixed backoff b, drawn from the module's random source; a numeric
     Retry-After still sets the floor."""
+    url, server = stub_server
     monkeypatch.setattr(backends, "random", random.Random(2015))
     expected = random.Random(2015)
     sleeps = []
+    backend = HttpBackend(url, "m", sleeper=sleeps.append, api_key="")
     for retry_after in ["0"] * 40 + ["2"]:
-        session = _FakeSession(
-            [
-                _FakeResponse(503, {"err": 1}),
-                _FakeResponse(429, {"err": 2}, {"Retry-After": retry_after}),
-                _FakeResponse(200, chat_body("third")),
-            ]
-        )
-        backend = HttpBackend(
-            "http://127.0.0.1:9/v1", "m", session=session, sleeper=sleeps.append, api_key=""
-        )
+        server.script = [
+            (503, {"err": 1}),
+            (429, {"err": 2}, {"Retry-After": retry_after}),
+            (200, chat_body("third")),
+        ]
         assert backend.complete(req()).text == "third"
     draws = [expected.uniform(b / 2, b) for _ in range(41) for b in (1.0, 2.0)]
     assert sleeps == draws[:-1] + [2.0]  # the last 429 asked for 2 s

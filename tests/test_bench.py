@@ -414,28 +414,25 @@ def test_parallel_grid_replays_a_recording(toy_csv, tmp_path):
         assert replayed == live
 
 
-def test_run_experiment_session_overrides_cannot_hijack_the_grid(toy_csv, tmp_path):
-    cfg = exp_config(toy_csv, tmp_path / "out", methods=("simple",))
-    hijacked = ExperimentConfig(
-        target=cfg.target,
-        horizons=cfg.horizons,
-        methods=cfg.methods,
-        dataset_path=cfg.dataset_path,
-        dataset_name=cfg.dataset_name,
-        runs=1,
-        max_test_windows=4,
-        output_dir=cfg.output_dir,
-        session_overrides={
-            "context_length": 16,
-            "sample_size": 2,
-            "horizon": 999,  # the grid owns the horizon
-            "retrieval_enabled": True,  # the method owns the wiring
-            "seed": 424242,  # the run index owns the seed
-        },
-    )
-    rows, _ = run_experiment(hijacked, SyntheticOracleBackend(seed=5), emit=False)
-    assert rows[0].horizon == 8
-    assert rows[0].refiner_calls == 0  # stayed a Simple run
+# a session key the grid owns, a value for it, and what the refusal names as its owner
+_GRID_OWNED = {
+    "horizon": (999, "the config's horizons set it"),
+    "seed": (424242, "the config seed plus the run index sets it"),
+    "retrieval_enabled": (True, "the method sets it"),
+    "refinement_enabled": (True, "the method sets it"),
+}
+
+
+@pytest.mark.parametrize("key", list(_GRID_OWNED))
+def test_run_experiment_session_overrides_cannot_hijack_the_grid(toy_csv, tmp_path, key):
+    value, owner = _GRID_OWNED[key]
+    out = tmp_path / "out"
+    cfg = exp_config(toy_csv, out, methods=("simple",), runs=1)
+    hijacked = dataclasses.replace(cfg, session_overrides={**cfg.session_overrides, key: value})
+    backend = CallMeter(SyntheticOracleBackend(seed=5))
+    with pytest.raises(ConfigError, match=f"^session.{key} is not an override; {owner}$"):
+        run_experiment(hijacked, backend)
+    assert sum(backend.calls.values()) == 0 and not out.exists()
 
 
 def test_run_experiment_bad_session_override_key(toy_csv, tmp_path):
@@ -926,18 +923,17 @@ def make_row(method="simple", run_maes=(0.5, 0.3)):
 
 def test_emit_report_rejects_bad_input(tmp_path):
     with pytest.raises(ValueError, match="empty report"):
-        emit_report([], "csv", tmp_path / "r.csv")
-    with pytest.raises(ValueError, match="unknown report format"):
-        emit_report([make_row()], "xml", tmp_path / "r.xml")
+        emit_report([], tmp_path / "r")
     rows = [make_row(), make_row(run_maes=(0.5, 0.3, 0.1))]
     with pytest.raises(ValueError, match="disagree on run count"):
-        emit_report(rows, "csv", tmp_path / "r.csv")
+        emit_report(rows, tmp_path / "r")
+    assert not list(tmp_path.iterdir())
 
 
 def test_emit_report_csv_floats_round_trip(tmp_path):
     row = make_row(run_maes=(0.1 + 0.2, 1.0 / 3.0))
-    path = emit_report([row], "csv", tmp_path / "r.csv")
-    with open(path, newline="") as fh:
+    emit_report([row], tmp_path / "r")
+    with open(tmp_path / "r.csv", newline="") as fh:
         header, data = list(csv.reader(fh))
     assert float(data[header.index("run_1_mae")]) == row.run_maes[0]
     assert float(data[header.index("run_2_mae")]) == row.run_maes[1]
@@ -949,17 +945,16 @@ def test_emit_report_json_writes_non_finite_values_as_null(tmp_path):
         raise ValueError(f"non-standard JSON token {token}")
 
     row = make_row(run_maes=(float("inf"), 0.25))
-    path = emit_report([row], "json", tmp_path / "r.json")
-    doc = json.loads(path.read_text(), parse_constant=reject)
+    emit_report([row], tmp_path / "r")
+    doc = json.loads((tmp_path / "r.json").read_text(), parse_constant=reject)
     assert doc["rows"][0]["run_1_mae"] is None
     assert doc["rows"][0]["run_2_mae"] == 0.25
 
 
 def test_emit_report_is_deterministic(tmp_path):
     rows = [make_row(), make_row(method="flairr", run_maes=(0.2, 0.4))]
-    a = emit_report(rows, "csv", tmp_path / "a.csv").read_bytes()
-    b = emit_report(rows, "csv", tmp_path / "b.csv").read_bytes()
-    assert a == b
-    ja = emit_report(rows, "json", tmp_path / "a.json").read_bytes()
-    jb = emit_report(rows, "json", tmp_path / "b.json").read_bytes()
-    assert ja == jb
+    emit_report(rows, tmp_path / "a")
+    emit_report(rows, tmp_path / "b")
+    for suffix in (".csv", ".json"):
+        a = (tmp_path / f"a{suffix}").read_bytes()
+        assert a == (tmp_path / f"b{suffix}").read_bytes()

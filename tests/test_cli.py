@@ -3,6 +3,7 @@ exercised in-process through main()."""
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import io
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from flairr import cli
+from flairr import cli, errors
 from flairr.bench import DEFAULT_CONTEXT_LENGTH
 from flairr.cli import main
 from flairr.session import SessionConfig
@@ -137,7 +138,8 @@ def test_module_entry_point_runs_the_cli():
 
 def test_forecast_requires_data_flags(capsys):
     assert run_cli("forecast", "--target", "v") == 1
-    assert "forecast requires --data, --horizon" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --data, --horizon" in err
 
 
 def test_forecast_with_oracle(series_csv, capsys):
@@ -307,6 +309,32 @@ def test_forecast_exhausted_script_exits_three(series_csv, tmp_path, capsys):
     )
     assert code == 3
     assert "script exhausted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.FlairrError, 1),
+        (errors.ConfigError, 1),
+        (errors.TemplateError, 1),
+        (errors.ReplyParseError, 1),
+        (errors.DataError, 2),
+        (errors.BackendError, 3),
+        (errors.ParseRetryError, 4),
+        (ValueError, 1),
+    ],
+    ids=lambda value: getattr(value, "__name__", str(value)),
+)
+def test_main_exits_with_the_code_the_error_class_declares(error, code, monkeypatch, capsys):
+    if error is not ValueError:
+        assert error.exit_code == code
+
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "load_csv", fail)
+    assert run_cli("retrieve", "--data", "x.csv", "--target", "v", "--horizon", "4") == code
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_forecast_record_and_replay(series_csv, tmp_path, capsys):
@@ -862,10 +890,27 @@ def test_braces_in_user_data_reach_the_prompt_as_text(case, series_csv, tmp_path
 # --- flag defaults ------------------------------------------------------------
 
 
+def _declarations(command):
+    """Each flag of ``command`` by dest: its options, type, default,
+    whether it is required, and its help text."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        a.dest: (a.option_strings, a.type, a.default, a.required, a.help)
+        for a in sub.choices[command]._actions
+    }
+
+
+_SERIES_FLAGS = ("data", "target", "timestamp_column", "context", "horizon", "m", "precision")
+
+
 @pytest.mark.parametrize(
     "argv, flags",
     [
-        (["forecast"], {"m": "analog_count", "precision": "precision", "seed": "seed"}),
+        (
+            ["forecast", "--data", "x.csv", "--target", "v", "--horizon", "4"],
+            {"m": "analog_count", "precision": "precision", "seed": "seed"},
+        ),
         (
             ["refine", "--data", "x.csv", "--target", "v", "--horizon", "4"],
             {
@@ -874,14 +919,23 @@ def test_braces_in_user_data_reach_the_prompt_as_text(case, series_csv, tmp_path
                 "samples": "sample_size", "strategy": "strategy",
             },
         ),
+        (
+            ["retrieve", "--data", "x.csv", "--target", "v", "--horizon", "4"],
+            {"m": "analog_count", "precision": "precision"},
+        ),
     ],
-    ids=["forecast", "refine"],
+    ids=["forecast", "refine", "retrieve"],
 )
 def test_session_flags_default_to_the_session_config(argv, flags):
     args = cli.build_parser().parse_args(argv)
+    # forecast, refine and retrieve declare the series flags alike
+    declared = _declarations(argv[0])
+    refine = _declarations("refine")
+    assert {f: declared[f] for f in _SERIES_FLAGS} == {f: refine[f] for f in _SERIES_FLAGS}
     defaults = {f.name: f.default for f in dataclasses.fields(SessionConfig)}
     assert {dest: getattr(args, dest) for dest in flags} == {
         dest: defaults[name] for dest, name in flags.items()
     }
-    assert args.no_retrieval is not defaults["retrieval_enabled"]
+    if argv[0] != "retrieve":
+        assert args.no_retrieval is not defaults["retrieval_enabled"]
     assert args.context == DEFAULT_CONTEXT_LENGTH
