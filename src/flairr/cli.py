@@ -43,6 +43,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends a flag's default to its help only where there is one to
+    show: not for a required flag, a switch, a None default, or help that
+    already states its default."""
+
+    def _get_help_string(self, action):
+        if (
+            action.required
+            or action.nargs == 0
+            or action.default is None
+            or "(default:" in action.help
+        ):
+            return action.help
+        return super()._get_help_string(action)
+
+
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("backend")
     group.add_argument(
@@ -137,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    formatter = argparse.ArgumentDefaultsHelpFormatter
+    formatter = _HelpFormatter
 
     p_forecast = sub.add_parser(
         "forecast",

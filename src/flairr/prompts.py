@@ -296,7 +296,8 @@ def render_forecaster_prompt(
 # notes where each sample's own history and retrieved segments went.
 SAMPLE_HISTORY_MARKER = "[given with each sample below]"
 SAMPLE_ANALOGS_MARKER = (
-    "[given with each sample below; a sample without them had no such section]"
+    "[the forecaster saw each segment's context and outcome; "
+    "each sample below gives their similarity and outcome, if it had any]"
 )
 
 # characters of a sample's history and retrieved segments the refiner prompt
@@ -305,21 +306,28 @@ _SAMPLE_BUDGET = 4000
 
 
 def _sample_block(
-    idx: int, history_text: str, analogs: str, predictions, truth, precision: int
+    idx: int, history_text: str, analogs, predictions, truth, precision: int
 ) -> str:
-    """One sample of the refiner prompt: its retrieved segments (none when
-    ``analogs`` is empty), its history, its predictions and its truth."""
+    """One sample of the refiner prompt: its retrieved segments by
+    similarity and outcome (none when ``analogs`` is empty), its history,
+    its predictions and its truth."""
     lines = [f"Sample {idx}:"]
     if analogs:
-        segments = analogs.split("\n\n")  # format_analogs' block separator
+        lines.append("Retrieved Segments:")
         room = _SAMPLE_BUDGET - len(history_text)
         kept = 0
-        while kept < len(segments) and len(segments[kept]) <= room:
-            room -= len(segments[kept])
+        for rank, (score, outcome) in enumerate(analogs, start=1):
+            # the header and outcome lines of format_analogs, character for character
+            segment = (
+                f"Segment {rank} (similarity {format_numbers([score], precision)}):\n"
+                f"outcome: {format_numbers(outcome, precision)}"
+            )
+            if len(segment) > room:
+                break
+            room -= len(segment)
+            lines.append(segment)
             kept += 1
-        lines.append("Retrieved Segments:")
-        lines.extend(segments[:kept])
-        left_out = len(segments) - kept
+        left_out = len(analogs) - kept
         if left_out:
             noun = "segment" if left_out == 1 else "segments"
             lines.append(f"[{left_out} trailing {noun} left out for length]")
@@ -338,7 +346,7 @@ def _mae_text(value: float, precision: int) -> str:
 def render_refiner_prompt(
     history: list[tuple[str, float]],
     forecaster_prompt: str,
-    samples: list[tuple[str, str, list[float], list[float]]],
+    samples: list[tuple[str, tuple, list[float], list[float]]],
     stop_threshold: float,
     precision: int = 4,
 ) -> str:
@@ -353,10 +361,13 @@ def render_refiner_prompt(
     stated once: rendered with :data:`SAMPLE_HISTORY_MARKER` as its history
     and, when any sample has retrieved segments,
     :data:`SAMPLE_ANALOGS_MARKER` as its analog text. Each sample is
-    (history text, retrieved-segment text as ``format_analogs`` rendered it
-    or '' for none, predictions, ground truth). A sample's history and
-    segments are quoted within 4000 characters: whole segments are left
-    out from the end, with a count, and the history is never cut.
+    (history text, its retrieved segments as (similarity, outcome values)
+    pairs best first, empty for none, predictions, ground truth). Each
+    segment is quoted by its header and its outcome line, as the
+    forecaster prompt rendered them; the context lines are not repeated.
+    A sample's history and segments are quoted within 4000 characters:
+    whole segments are left out from the end, with a count, and the
+    history is never cut.
     """
     if not samples:
         raise ValueError("refiner prompt needs a non-empty sample batch")

@@ -126,15 +126,16 @@ class SessionConfig:
 @dataclass
 class SampleRecord:
     """One validation window's evaluation within an iteration, with the
-    history and retrieved-segment text (``''`` for none) its forecaster
-    prompt carried."""
+    history text its forecaster prompt carried and the segments retrieved
+    for it as (similarity, outcome values) pairs, best first (``()`` for
+    none): what the refiner prompt quotes of the sample."""
 
     origin: int
     predictions: tuple[float, ...]
     truth: tuple[float, ...]
     mae: float
     history: str = ""
-    analogs: str = ""
+    analogs: tuple[tuple[float, tuple[float, ...]], ...] = ()
 
 
 @dataclass
@@ -281,8 +282,8 @@ def _forecast_window(
 ):
     """The one retrieve-augment-forecast-parse pass behind both validation
     and test-time forecasts; returns the prompt's history text, its
-    retrieved-segment text ('' for none) and the parsed reply."""
-    analogs = ""
+    retrieved segments (possibly none) and the parsed reply."""
+    segments, analogs = [], ""
     if cfg.retrieval_enabled and db is not None:
         segments = retrieve(db, window.context, cfg.effective_analog_count)
         analogs = format_analogs(segments, cfg.precision)
@@ -302,7 +303,7 @@ def _forecast_window(
         lambda text: parse_forecast_reply(text, cfg.horizon),
         cfg,
     )
-    return history, analogs, parsed
+    return history, segments, parsed
 
 
 def evaluate_prompt(
@@ -328,7 +329,7 @@ def evaluate_prompt(
     last_error: ParseRetryError | None = None
     for window in windows:
         try:
-            history, analogs, parsed = _forecast_window(
+            history, segments, parsed = _forecast_window(
                 window, instructions, cfg, db, backend, meta
             )
         except ParseRetryError as exc:
@@ -343,7 +344,7 @@ def evaluate_prompt(
                 truth=tuple(float(v) for v in window.truth),
                 mae=mae(parsed.values, window.truth),
                 history=history,
-                analogs=analogs,
+                analogs=tuple((s.score, tuple(s.outcome.tolist())) for s in segments),
             )
         )
     if not per_sample:
@@ -375,7 +376,9 @@ def refine_step(
     The refiner prompt embeds one (instructions, MAE) pair per completed
     iteration, oldest first, current last. It then states the latest
     iteration's forecaster prompt once, with markers where a sample's
-    history and retrieved segments go, and then each sample's own data.
+    history and retrieved segments go, and then each sample's own data:
+    its segments' similarities and outcomes, its history, predictions and
+    truth.
     A Done verdict on the very first iteration is overridden to continue —
     there is no previous MAE for a reduction to be measured against; if
     that override leaves no usable learnings, the current instructions are

@@ -71,6 +71,18 @@ def test_help_advertises_defaults(capsys):
     assert "--api-key" not in out  # credentials come from the environment only
 
 
+@pytest.mark.parametrize("command", ["forecast", "refine", "bench", "ablate", "retrieve"])
+def test_help_states_each_default_at_most_once(command, capsys):
+    assert run_cli(command, "--help") == 0
+    out = capsys.readouterr().out
+    # one entry per flag, from its "  -" line to the next; wrapping undone
+    entries = [" ".join(entry.split()) for entry in re.split(r"^(?=  -)", out, flags=re.M)[1:]]
+    assert len(entries) >= 7
+    for entry in entries:
+        assert "(default: None)" not in entry
+        assert entry.count("(default:") <= 1, entry
+
+
 # --- forecast ---------------------------------------------------------------
 
 

@@ -75,7 +75,7 @@ def test_every_builtin_template_renders_without_placeholders():
         )
         for name in [None, *list_strategies()]
     ]
-    prompts.append(render_refiner_prompt([("", 0.5)], SHARED, [("1.0", "", [1.0], [1.5])], 5.0))
+    prompts.append(render_refiner_prompt([("", 0.5)], SHARED, [("1.0", (), [1.0], [1.5])], 5.0))
     prompts.append(render_synthesis_prompt("the trend steepens"))
     assert len(prompts) == 17
     for prompt in prompts:
@@ -262,7 +262,7 @@ def test_forecaster_prompt_rejects_leftover_placeholder():
 # --- refiner renderer -------------------------------------------------------
 
 SHARED = render_forecaster_prompt(META, 2, SAMPLE_HISTORY_MARKER)
-SAMPLES = [("1.0000, 2.0000", "", [1.0, 2.0], [1.5, 2.5])]
+SAMPLES = [("1.0000, 2.0000", (), [1.0, 2.0], [1.5, 2.5])]
 
 
 def test_refiner_prompt_core_fields():
@@ -309,30 +309,48 @@ def test_refiner_prompt_threshold_rendering():
 
 def _segment(start: int, length: int) -> AnalogSegment:
     context = np.arange(start, start + length) / 7.0
-    return AnalogSegment(start=start, context=context, outcome=context[-2:] + 1.0, score=0.9)
+    return AnalogSegment(start=start, context=context, outcome=context + 1.0, score=0.9)
+
+
+def _analogs(segments) -> tuple:
+    """Retrieved segments as a refiner sample carries them."""
+    return tuple((seg.score, tuple(seg.outcome.tolist())) for seg in segments)
+
+
+def _quoted(forecaster_text: str) -> list[str]:
+    """``format_analogs`` blocks without their context lines: each segment
+    as the refiner quotes it."""
+    return [
+        "\n".join(line for line in block.split("\n") if not line.startswith("context: "))
+        for block in forecaster_text.split("\n\n")
+    ]
 
 
 def test_refiner_prompt_cuts_trailing_segments_before_the_history():
     history = format_numbers(np.arange(330) / 3.0)  # about 3,000 characters
-    analogs = format_analogs([_segment(k * 100, 60) for k in range(3)])
-    first, second, third = analogs.split("\n\n")
+    segments = [_segment(k * 100, 60) for k in range(3)]
+    first, second, third = _quoted(format_analogs(segments))
+    assert first == (
+        "Segment 1 (similarity 0.9000):\n"
+        f"outcome: {format_numbers(segments[0].outcome)}"
+    )
     assert len(history) + len(first) <= 4000 < len(history) + len(first) + len(second)
     shared = render_forecaster_prompt(
         META, 2, SAMPLE_HISTORY_MARKER, raft_context=SAMPLE_ANALOGS_MARKER
     )
-    prompt = render_refiner_prompt([("", 1.0)], shared, [(history, analogs, [1.0], [1.0])], 5.0)
+    sample = (history, _analogs(segments), [1.0], [1.0])
+    prompt = render_refiner_prompt([("", 1.0)], shared, [sample], 5.0)
     assert (
         f"Sample 1:\nRetrieved Segments:\n{first}\n"
         "[2 trailing segments left out for length]\n"
         f"Historical Data: {history}\n" in prompt
     )
-    assert second not in prompt and third not in prompt
+    assert "Segment 2 (similarity" not in prompt and "Segment 3 (similarity" not in prompt
     # a history over the budget on its own stays whole and leaves no segment
     long_history = format_numbers(np.arange(700) / 3.0)
     assert len(long_history) > 4000
-    prompt = render_refiner_prompt(
-        [("", 1.0)], shared, [(long_history, analogs, [1.0], [1.0])], 5.0
-    )
+    sample = (long_history, _analogs(segments), [1.0], [1.0])
+    prompt = render_refiner_prompt([("", 1.0)], shared, [sample], 5.0)
     assert (
         "Retrieved Segments:\n[3 trailing segments left out for length]\n"
         f"Historical Data: {long_history}\n" in prompt
@@ -347,43 +365,63 @@ _BLOCK_RE = re.compile(r"^Sample (\d+):\n(.*?)(?=\n\n|\Z)", re.M | re.S)
 @given(
     samples=st.lists(
         st.tuples(
-            st.integers(1, 700),  # history length, up to about 5,600 characters
-            st.lists(st.integers(1, 200), max_size=4),  # segment context lengths
+            st.integers(1, 700),  # history values, up to about 7,600 characters
+            st.lists(st.integers(1, 400), max_size=4),  # segment outcome lengths
+            st.integers(0, 2**32 - 1),  # seed of the values
         ),
         min_size=1,
         max_size=5,
-    )
+    ),
+    precision=st.integers(0, 6),
 )
-def test_refiner_prompt_states_the_prompt_once_and_keeps_every_history(samples):
-    rendered = []
-    for n, lengths in samples:
-        history = format_numbers(np.arange(n) / 3.0 + n)
-        segments = [_segment(k * 1000, m) for k, m in enumerate(lengths)]
-        rendered.append((history, format_analogs(segments), [1.0], [2.0]))
+def test_refiner_prompt_states_the_prompt_once_and_keeps_every_history(samples, precision):
+    """Each sample block keeps its history whole and quotes a leading run
+    of its segments within the budget, each by the header and outcome line
+    its forecaster prompt carried, and never a context line."""
+    rendered, forecaster_texts = [], []
+    for n, lengths, seed in samples:
+        rng = np.random.default_rng(seed)
+        history = format_numbers(rng.normal(size=n) * 10.0, precision)
+        segments = [
+            AnalogSegment(
+                start=k,
+                context=rng.normal(size=4),
+                outcome=rng.normal(size=m) * 10.0,
+                score=float(rng.uniform(-1.0, 1.0)),
+            )
+            for k, m in enumerate(lengths)
+        ]
+        rendered.append((history, _analogs(segments), [1.0], [2.0]))
+        forecaster_texts.append(format_analogs(segments, precision))
     marker = SAMPLE_ANALOGS_MARKER if any(analogs for _, analogs, _, _ in rendered) else None
     shared = render_forecaster_prompt(META, 1, SAMPLE_HISTORY_MARKER, raft_context=marker)
-    prompt = render_refiner_prompt([("", 1.0)], shared, rendered, 5.0)
+    prompt = render_refiner_prompt([("", 1.0)], shared, rendered, 5.0, precision)
 
     assert re.findall(r"^Objective$", prompt, re.M) == ["Objective"]
     blocks = _BLOCK_RE.findall(prompt)
     assert [int(k) for k, _ in blocks] == list(range(1, len(rendered) + 1))
-    for (_, block), (history, analogs, _, _) in zip(blocks, rendered):
+    for (_, block), (history, analogs, _, _), text in zip(blocks, rendered, forecaster_texts):
         lines = block.split("\n")
-        assert f"Historical Data: {history}" in lines
-        segments = analogs.split("\n\n") if analogs else []
-        kept = [seg for seg in segments if seg in block]
-        # what is kept is a leading run of segments within the budget, and
-        # the next segment would have overrun it
-        assert kept == segments[: len(kept)]
-        assert not kept or len(history) + sum(map(len, kept)) <= 4000
-        left_out = len(segments) - len(kept)
+        assert not any(line.startswith("context:") for line in lines)
+        head = lines[: lines.index(f"Historical Data: {history}")]
+        assert (head[:1] == ["Retrieved Segments:"]) == bool(analogs)
+        shown = [line for line in head[1:] if not line.startswith("[")]
+        kept = len(shown) // 2
+        for (_, outcome), line in zip(analogs, shown[1::2]):
+            assert line == f"outcome: {format_numbers(outcome, precision)}"
+        # what is kept is a leading run of the forecaster's segments within
+        # the budget, and the next segment would have overrun it
+        quoted = _quoted(text) if text else []
+        assert "\n".join(shown) == "\n".join(quoted[:kept])
+        assert not kept or len(history) + sum(map(len, quoted[:kept])) <= 4000
+        left_out = len(quoted) - kept
+        notes = head[1 + len(shown) :]
         if left_out:
-            assert len(history) + sum(map(len, kept)) + len(segments[len(kept)]) > 4000
+            assert len(history) + sum(map(len, quoted[:kept])) + len(quoted[kept]) > 4000
             noun = "segment" if left_out == 1 else "segments"
-            assert f"[{left_out} trailing {noun} left out for length]" in lines
-        elif segments:
-            assert "left out for length" not in block
-        assert ("Retrieved Segments:" in lines) == bool(segments)
+            assert notes == [f"[{left_out} trailing {noun} left out for length]"]
+        else:
+            assert notes == []
 
 
 def test_refiner_prompt_validation():

@@ -19,6 +19,7 @@ from flairr.backends import (
     Backend,
     CallMeter,
     CompletionReply,
+    CompletionRequest,
     RecordingBackend,
     ScriptedBackend,
     ScriptEntry,
@@ -35,7 +36,7 @@ from flairr.prompts import (
     render_forecaster_prompt,
     render_refiner_prompt,
 )
-from flairr.retrieval import build_hist_db
+from flairr.retrieval import build_hist_db, format_analogs, retrieve
 from flairr.series import window_at
 from flairr.session import (
     DEFAULT_META,
@@ -213,7 +214,7 @@ def test_evaluate_prompt_without_retrieval_has_no_analog_section():
     spy = SpyBackend(ordinal(forecast_reply([10.0, 11.0])))
     outcome = evaluate_prompt(None, windows, cfg, None, spy)
     assert "Retrieved Historical Segments" not in spy.requests[0].prompt
-    assert outcome.per_sample[0].analogs == ""
+    assert outcome.per_sample[0].analogs == ()
 
 
 def test_evaluate_prompt_with_retrieval_embeds_analogs():
@@ -224,7 +225,11 @@ def test_evaluate_prompt_with_retrieval_embeds_analogs():
     spy = SpyBackend(ordinal(forecast_reply([28.0, 29.0])))
     outcome = evaluate_prompt(None, windows, cfg, db, spy)
     prompt = spy.requests[0].prompt
-    assert outcome.per_sample[0].analogs and outcome.per_sample[0].analogs in prompt
+    segments = retrieve(db, windows[0].context, 2)
+    assert outcome.per_sample[0].analogs == tuple(
+        (seg.score, tuple(seg.outcome.tolist())) for seg in segments
+    )
+    assert format_analogs(segments, cfg.precision) in prompt
     assert "Retrieved Historical Segments" in prompt
     assert "Segment 1 (similarity " in prompt
     assert "Segment 2 (similarity " in prompt
@@ -454,9 +459,9 @@ def test_refine_step_states_the_forecaster_prompt_once():
     meta = DatasetMeta(name="power", description="hourly readings", target="OT")
     cfg = small_cfg(sample_size=2, strategy="deep-stl")
     block = InstructionBlock(items=("rule a",))
-    segment = "Segment 1 (similarity 0.9000):\ncontext: 0.5000, 0.7500\noutcome: 1.0000"
+    analogs = ((0.9, (1.0, 1.25)), (0.75, (2.0, 2.5)))
     samples = [
-        SampleRecord(10, (1.0, 2.0), (1.5, 2.5), 0.5, history="1.0000, 2.0000", analogs=segment),
+        SampleRecord(10, (1.0, 2.0), (1.5, 2.5), 0.5, history="1.0000, 2.0000", analogs=analogs),
         # retrieval found no segment for this window
         SampleRecord(16, (3.0, 4.0), (3.5, 4.5), 0.5, history="3.0000, 4.0000"),
     ]
@@ -476,7 +481,10 @@ def test_refine_step_states_the_forecaster_prompt_once():
     assert f"Forecaster Prompt:\n{shared.strip()}\n\nSample 1:\n" in prompt
     assert re.findall(r"^Objective$", prompt, re.M) == ["Objective"]
     assert (
-        f"Sample 1:\nRetrieved Segments:\n{segment}\nHistorical Data: 1.0000, 2.0000\n"
+        "Sample 1:\nRetrieved Segments:\n"
+        "Segment 1 (similarity 0.9000):\noutcome: 1.0000, 1.2500\n"
+        "Segment 2 (similarity 0.7500):\noutcome: 2.0000, 2.5000\n"
+        "Historical Data: 1.0000, 2.0000\n"
         "Predictions: [1.0000, 2.0000]\nGround Truth: [1.5000, 2.5000]\n\n"
         "Sample 2:\nHistorical Data: 3.0000, 4.0000\n" in prompt
     )
@@ -489,23 +497,30 @@ def test_refine_step_states_the_forecaster_prompt_once():
 
 @pytest.mark.parametrize("context_length, horizon", [(96, 48), (336, 24)])
 def test_every_sample_history_reaches_the_refiner(context_length, horizon):
-    # two retrieved segments (the default), which at L=336 leave no room
+    # two retrieved segments (the default), whose outcomes fit beside the
+    # history at L=336 too
     cfg = SessionConfig(context_length=context_length, horizon=horizon, max_iterations=2)
     values = seasonal_series(2000, period=24, trend=0.01, amplitude=0.4, noise=0.05, seed=5)
     meta = DatasetMeta(name="power", description="hourly readings", target="OT")
     spy = SpyBackend(SyntheticOracleBackend(seed=2))
     run_session(cfg, values, spy, meta=meta)
-    histories, refiner_prompts = [], 0
+    histories, outcomes, refiner_prompts = [], [], 0
     for request in spy.requests:
         if request.tag == "forecaster":
             histories.append(re.search(r"^- Historical Data: (.*)$", request.prompt, re.M)[1])
+            outcomes.append(re.findall(r"^outcome: .*$", request.prompt, re.M))
         elif request.tag == "refiner":
             refiner_prompts += 1
             assert "- Dataset: power, hourly readings\n" in request.prompt
             assert len(histories) == cfg.sample_size
             for history in histories:
                 assert f"\nHistorical Data: {history}\n" in request.prompt
-            histories = []
+            assert [len(lines) for lines in outcomes] == [cfg.analog_count] * cfg.sample_size
+            assert not re.search(r"^\[\d+ trailing segments? left out", request.prompt, re.M)
+            for line in sum(outcomes, []):
+                assert f"\n{line}\n" in request.prompt
+            assert "\ncontext: " not in request.prompt
+            histories, outcomes = [], []
     assert refiner_prompts == 2
 
 
@@ -685,7 +700,7 @@ def test_session_result_selection_is_the_strict_improvement_fold(maes, early_sto
 
     pairs = [(block.flattened() if block else "", m) for block, m in zip(blocks, maes)]
     shared = render_forecaster_prompt(DEFAULT_META, 1, SAMPLE_HISTORY_MARKER)
-    samples = [("1.0000", "", [1.0], [1.5])]
+    samples = [("1.0000", (), [1.0], [1.5])]
     prompt = render_refiner_prompt(pairs, shared, samples, 5.0)
     # a non-finite MAE reads inf or nan, so the refiner still sees the pair
     shown = [format_numbers([m]) if math.isfinite(m) else str(m) for m in maes]
@@ -878,6 +893,38 @@ def test_session_is_deterministic_with_the_oracle():
     assert one_run() == one_run()
 
 
+def test_the_oracle_refiner_reads_only_the_iteration():
+    """What a refiner prompt quotes of its samples cannot move an oracle
+    session: the oracle's refiner reply depends on the displayed iteration
+    alone."""
+    shared = render_forecaster_prompt(
+        DEFAULT_META, 2, SAMPLE_HISTORY_MARKER, raft_context=SAMPLE_ANALOGS_MARKER
+    )
+    sample_sets = (
+        [("1.0000, 2.0000", (), [1.0, 2.0], [1.5, 2.5])],
+        [
+            ("5.0000, 6.0000", ((0.9, (7.0, 8.0)), (0.5, (1.0, 0.0))), [5.0, 5.5], [6.5, 7.5]),
+            ("3.0000, 2.0000", (), [3.0, 3.5], [4.0, 4.5]),
+        ],
+    )
+    oracle = SyntheticOracleBackend(seed=3)
+    replies = []
+    for pairs in ([("", 0.9)], [("", 0.9), ("rule a", 0.5)]):
+        texts = {
+            oracle.complete(
+                CompletionRequest(
+                    prompt=render_refiner_prompt(pairs, shared, samples, 5.0),
+                    tag="refiner",
+                    seed=7,
+                )
+            ).text
+            for samples in sample_sets
+        }
+        assert len(texts) == 1
+        replies.append(texts.pop())
+    assert replies[0] != replies[1]  # the iteration itself does change the reply
+
+
 def test_session_result_token_totals_sum_history():
     cfg = small_cfg(max_iterations=2)
     spy = SpyBackend(SyntheticOracleBackend(seed=1))
@@ -914,7 +961,10 @@ def test_validation_and_test_forecasts_send_the_same_prompt():
     test_time = SpyBackend(SyntheticOracleBackend(seed=4))
     forecast_reply_for(window, cfg, db, test_time, instructions=instructions)
     prompt = validation.requests[0].prompt
-    assert outcome.per_sample[0].history in prompt and outcome.per_sample[0].analogs in prompt
+    assert outcome.per_sample[0].history in prompt
+    for score, values in outcome.per_sample[0].analogs:
+        assert f" (similarity {format_numbers([score])}):\n" in prompt
+        assert f"\noutcome: {format_numbers(values)}\n" in prompt
     assert "Segment 2 (similarity " in prompt and "Track the daily cycle." in prompt
     assert [r.prompt for r in validation.requests] == [prompt]
     assert [r.prompt for r in test_time.requests] == [prompt]
