@@ -80,7 +80,6 @@ class CompletionReply:
 
     text: str
     latency_ms: float = 0.0
-    backend_id: str = ""
     token_counts: tuple[int, int] | None = None
 
 
@@ -147,9 +146,7 @@ class ScriptEntry:
             )
         if self.contains is not None:
             return self.contains in request.prompt
-        if self.tag is not None:
-            return request.tag == self.tag
-        return False
+        return request.tag == self.tag
 
 
 class ScriptedBackend(Backend):
@@ -189,7 +186,7 @@ class ScriptedBackend(Backend):
                     )
                 entry = self._entries[self._cursor]
                 self._cursor += 1
-            return CompletionReply(text=entry.reply, backend_id=self.backend_id)
+            return CompletionReply(text=entry.reply)
 
         matches = [e for e in self._entries if e.matches(request)]
         replies = {(e.reply, e.token_counts) for e in matches}
@@ -204,9 +201,7 @@ class ScriptedBackend(Backend):
                 f"replies match request (tag {request.tag})"
             )
         entry = matches[0]
-        return CompletionReply(
-            text=entry.reply, backend_id=self.backend_id, token_counts=entry.token_counts
-        )
+        return CompletionReply(text=entry.reply, token_counts=entry.token_counts)
 
 
 def _entry_from_json(obj, where: str) -> ScriptEntry:
@@ -404,7 +399,6 @@ class HttpBackend(Backend):
             return CompletionReply(
                 text=text,
                 latency_ms=latency_ms,
-                backend_id=f"{self.backend_id}:{self.model_name}",
                 token_counts=tokens,
             )
         raise BackendError(

@@ -127,12 +127,21 @@ class ExperimentConfig:
         # an absent key leaves its field at the dataclass default; absent
         # horizons or methods stay empty, which __post_init__ refuses
         values = {"horizons": (), "methods": ()}
-        for key, name in _DATASET_FIELDS.items():
-            if key in dataset:
-                values[name] = _checked(dataset[key], hints[name], f"dataset.{key}", p)
-        for name in hints:
-            if name in doc and name not in (*_DATASET_FIELDS.values(), "session_overrides"):
-                values[name] = _checked(doc[name], hints[name], name, p)
+        for key, value in dataset.items():
+            if key not in _DATASET_FIELDS:
+                raise ConfigError(
+                    f"{p}: unknown key dataset.{key}; expected one of {list(_DATASET_FIELDS)}"
+                )
+            name = _DATASET_FIELDS[key]
+            values[name] = _checked(value, hints[name], f"dataset.{key}", p)
+        top_level = [n for n in hints if n not in (*_DATASET_FIELDS.values(), "session_overrides")]
+        for name, value in doc.items():
+            if name in top_level:
+                values[name] = _checked(value, hints[name], name, p)
+            elif name not in ("dataset", "session"):
+                raise ConfigError(
+                    f"{p}: unknown key {name}; expected one of {['dataset', 'session', *top_level]}"
+                )
         return cls(**values, session_overrides=session)
 
 
@@ -460,15 +469,18 @@ def _safe_name(name: str) -> str:
 
 
 def _make_run_dir(output_dir: str) -> Path:
+    """A new ``run-<stamp>`` directory under ``output_dir``; a name another
+    run already took gets the next free ``-<n>`` suffix."""
     stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
-    base = Path(output_dir)
-    candidate = base / f"run-{stamp}"
+    candidate = Path(output_dir) / f"run-{stamp}"
     suffix = 2
-    while candidate.exists():
-        candidate = base / f"run-{stamp}-{suffix}"
-        suffix += 1
-    candidate.mkdir(parents=True)
-    return candidate
+    while True:
+        try:
+            candidate.mkdir(parents=True)
+            return candidate
+        except FileExistsError:
+            candidate = candidate.with_name(f"run-{stamp}-{suffix}")
+            suffix += 1
 
 
 def run_experiment(

@@ -359,6 +359,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    format_numbers((), args.precision)  # a bad precision fails before any output
     values = load_csv(args.data, args.target, timestamp_column=args.timestamp_column)
     t = args.t if args.t is not None else values.size
     if t - args.context < 0 or t > values.size:
@@ -400,6 +401,11 @@ def main(argv=None) -> int:
     except (FlairrError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 1)
+    except OSError as exc:
+        # each input is read where a failure becomes a FlairrError, so this
+        # is an output: the run directory, a session log or a report
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

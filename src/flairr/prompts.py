@@ -300,10 +300,6 @@ SAMPLE_ANALOGS_MARKER = (
     "each sample below gives their similarity and outcome, if it had any]"
 )
 
-# characters of a sample's history and retrieved segments the refiner prompt
-# quotes; whole trailing segments give way first, the history never does
-_SAMPLE_BUDGET = 4000
-
 
 def _sample_block(
     idx: int, history_text: str, analogs, predictions, truth, precision: int
@@ -314,23 +310,12 @@ def _sample_block(
     lines = [f"Sample {idx}:"]
     if analogs:
         lines.append("Retrieved Segments:")
-        room = _SAMPLE_BUDGET - len(history_text)
-        kept = 0
         for rank, (score, outcome) in enumerate(analogs, start=1):
             # the header and outcome lines of format_analogs, character for character
-            segment = (
+            lines.append(
                 f"Segment {rank} (similarity {format_numbers([score], precision)}):\n"
                 f"outcome: {format_numbers(outcome, precision)}"
             )
-            if len(segment) > room:
-                break
-            room -= len(segment)
-            lines.append(segment)
-            kept += 1
-        left_out = len(analogs) - kept
-        if left_out:
-            noun = "segment" if left_out == 1 else "segments"
-            lines.append(f"[{left_out} trailing {noun} left out for length]")
     lines.append(f"Historical Data: {history_text}")
     lines.append(f"Predictions: [{format_numbers(predictions, precision)}]")
     lines.append(f"Ground Truth: [{format_numbers(truth, precision)}]")
@@ -365,9 +350,6 @@ def render_refiner_prompt(
     pairs best first, empty for none, predictions, ground truth). Each
     segment is quoted by its header and its outcome line, as the
     forecaster prompt rendered them; the context lines are not repeated.
-    A sample's history and segments are quoted within 4000 characters:
-    whole segments are left out from the end, with a count, and the
-    history is never cut.
     """
     if not samples:
         raise ValueError("refiner prompt needs a non-empty sample batch")
@@ -606,8 +588,6 @@ def parse_instructions_reply(text: str, source_iteration: int = 0) -> Instructio
                 items[-1] = f"{items[-1]} {line.strip()}"
     else:
         items = [line.strip() for line in lines]
-    if not items:
-        raise ReplyParseError("empty instructions reply", offending=_excerpt(text))
     return InstructionBlock(
         items=tuple(items),
         source_iteration=source_iteration,

@@ -176,4 +176,4 @@ class SyntheticOracleBackend(Backend):
             text = self._synthesize(request)
         else:  # pragma: no cover - CompletionRequest already validates tags
             raise BackendError(f"oracle cannot serve tag {request.tag!r}")
-        return CompletionReply(text=text, backend_id=self.backend_id)
+        return CompletionReply(text=text)

@@ -217,6 +217,9 @@ def test_load_script_errors(tmp_path):
     p.write_text('{"match": {"prompt": "a", "tag": "refiner"}, "reply": "x"}\n')
     with pytest.raises(ConfigError, match="must be one of"):
         load_script(p)
+    p.write_text('{"match": {"regex": "a"}, "reply": "x"}\n')
+    with pytest.raises(ConfigError, match=":1: unknown match key 'regex'"):
+        load_script(p)
     p.write_text('{"tag": "refiner", "seed": "3", "prompt": "a", "reply": "x"}\n')
     with pytest.raises(ConfigError, match="seed must be an integer"):
         load_script(p)
@@ -298,7 +301,6 @@ def test_http_backend_round_trip(stub_server):
     reply = backend.complete(req("ping", tag="refiner", seed=42))
     assert reply.text == "the reply"
     assert reply.token_counts == (12, 7)
-    assert reply.backend_id == "http:test-model"
     assert reply.latency_ms >= 0.0
     sent = server.seen[0]
     assert sent["body"] == {

@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import typing
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from flairr.backends import (
     ScriptEntry,
     load_script,
 )
+from flairr import bench
 from flairr.bench import (
     ABLATION_CONDITIONS,
     KNOWN_METHODS,
@@ -35,6 +37,7 @@ from flairr.bench import (
     _METHOD_FIELDS,
     _ReplyMemo,
     _checked,
+    _make_run_dir,
     _session_config,
     emit_report,
     run_ablation,
@@ -230,6 +233,24 @@ def test_experiment_config_from_json_rejects_non_objects(tmp_path, doc, what):
     path.write_text(json.dumps(doc))
     kind = _JSON_KIND.get(what, "object")
     with pytest.raises(ConfigError, match=f"{what} must be a JSON {kind}"):
+        ExperimentConfig.from_json(path)
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({**_GRID, "run": 1}, "run"),
+        ({**_GRID, "max_test_window": 2}, "max_test_window"),
+        ({**_GRID, "dataset": {"target": "v", "pth": 1}}, "dataset.pth"),
+        # fields the config sets under other names
+        ({**_GRID, "target": "v"}, "target"),
+        ({**_GRID, "session_overrides": {}}, "session_overrides"),
+    ],
+)
+def test_experiment_config_from_json_refuses_an_unknown_key(tmp_path, doc, key):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f"unknown key {key}; expected one of"):
         ExperimentConfig.from_json(path)
 
 
@@ -919,6 +940,20 @@ def make_row(method="simple", run_maes=(0.5, 0.3)):
         tokens_out=0,
         refiner_calls=0,
     )
+
+
+def test_a_taken_run_directory_name_gets_the_next_suffix(tmp_path, monkeypatch):
+    class Frozen(datetime):
+        @classmethod
+        def now(cls, tz=None):
+            return datetime(2024, 5, 6, 7, 8, 9, tzinfo=tz)
+
+    monkeypatch.setattr(bench, "datetime", Frozen)
+    (tmp_path / "run-20240506-070809").mkdir()
+    (tmp_path / "run-20240506-070809-2").write_text("")  # a file takes a name too
+    made = [_make_run_dir(str(tmp_path)) for _ in range(2)]
+    assert [path.name for path in made] == ["run-20240506-070809-3", "run-20240506-070809-4"]
+    assert all(path.is_dir() for path in made)
 
 
 def test_emit_report_rejects_bad_input(tmp_path):

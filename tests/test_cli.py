@@ -534,6 +534,16 @@ def test_retrieve_origin_out_of_range(series_csv, capsys):
     assert "does not leave room" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--m", "0"]], ids=["analogs", "no-analogs"])
+def test_retrieve_refuses_a_bad_precision_before_any_output(extra, series_csv, capsys):
+    code = run_cli(
+        "retrieve", "--data", str(series_csv), "--target", "v",
+        "--context", "16", "--horizon", "4", "--precision", "11", *extra,
+    )
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: precision must be in 0..10, got 11\n")
+
+
 # --- bench / ablate ---------------------------------------------------------
 
 
@@ -667,6 +677,9 @@ def test_a_config_value_of_the_wrong_json_type_exits_one(
         ("ablate", lambda doc: doc["session"].update(bogus_key=3), "bogus_key"),
         ("bench", lambda doc: doc.update(methods=["flairr", "asp:"]), "strategy name"),
         ("bench", lambda doc: doc.update(methods=["simple", "asp:no-such"]), "no-such"),
+        ("ablate", lambda doc: doc.update(run=1), "unknown key run;"),
+        ("bench", lambda doc: doc["dataset"].update(pth=1), "unknown key dataset.pth;"),
+        ("bench", lambda doc: doc["dataset"].pop("path"), "no dataset path"),
         # the data shape no cell can use (200 rows): a test split of 6 holds
         # no 8-step window; a training split of 140 cannot host 3 windows of
         # 68; or it hosts the validation windows but no analog before them,
@@ -685,6 +698,7 @@ def test_a_config_value_of_the_wrong_json_type_exits_one(
     ],
     ids=[
         "bench-session-key", "ablate-session-key", "asp-without-name", "asp-unknown",
+        "top-level-key", "dataset-key", "no-dataset-path",
         "test-windows", "validation-windows", "retrieval-history",
     ],
 )
@@ -708,6 +722,28 @@ def test_a_bad_grid_config_fails_before_any_call_or_directory(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert sent == [] and not list(out_dir.glob("run-*"))
+
+
+@pytest.mark.parametrize("command", ["refine", "bench"])
+def test_an_unwritable_output_path_is_one_error_line(command, series_csv, tmp_path, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    out_dir = blocker / "out"
+    argv = {
+        "refine": [
+            "refine", "--data", str(series_csv), "--target", "v", "--horizon", "4",
+            "--context", "16", "--samples", "2", "--max-iter", "2", "--out", str(out_dir),
+        ],
+        "bench": [
+            "bench", "--config", str(write_bench_config(tmp_path, series_csv, out_dir)),
+        ],
+    }[command]
+    assert run_cli(*argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    # refine names the directory it could not make, bench the run directory in it
+    written = re.escape(str(out_dir))
+    assert re.fullmatch(f"error: cannot write {written}(/run-\\S+)?: Not a directory\n", err)
 
 
 def test_a_session_strategy_in_the_config_exits_one(series_csv, tmp_path, capsys):

@@ -307,11 +307,6 @@ def test_refiner_prompt_threshold_rendering():
     assert "stopping threshold (2.5%)" in prompt
 
 
-def _segment(start: int, length: int) -> AnalogSegment:
-    context = np.arange(start, start + length) / 7.0
-    return AnalogSegment(start=start, context=context, outcome=context + 1.0, score=0.9)
-
-
 def _analogs(segments) -> tuple:
     """Retrieved segments as a refiner sample carries them."""
     return tuple((seg.score, tuple(seg.outcome.tolist())) for seg in segments)
@@ -324,38 +319,6 @@ def _quoted(forecaster_text: str) -> list[str]:
         "\n".join(line for line in block.split("\n") if not line.startswith("context: "))
         for block in forecaster_text.split("\n\n")
     ]
-
-
-def test_refiner_prompt_cuts_trailing_segments_before_the_history():
-    history = format_numbers(np.arange(330) / 3.0)  # about 3,000 characters
-    segments = [_segment(k * 100, 60) for k in range(3)]
-    first, second, third = _quoted(format_analogs(segments))
-    assert first == (
-        "Segment 1 (similarity 0.9000):\n"
-        f"outcome: {format_numbers(segments[0].outcome)}"
-    )
-    assert len(history) + len(first) <= 4000 < len(history) + len(first) + len(second)
-    shared = render_forecaster_prompt(
-        META, 2, SAMPLE_HISTORY_MARKER, raft_context=SAMPLE_ANALOGS_MARKER
-    )
-    sample = (history, _analogs(segments), [1.0], [1.0])
-    prompt = render_refiner_prompt([("", 1.0)], shared, [sample], 5.0)
-    assert (
-        f"Sample 1:\nRetrieved Segments:\n{first}\n"
-        "[2 trailing segments left out for length]\n"
-        f"Historical Data: {history}\n" in prompt
-    )
-    assert "Segment 2 (similarity" not in prompt and "Segment 3 (similarity" not in prompt
-    # a history over the budget on its own stays whole and leaves no segment
-    long_history = format_numbers(np.arange(700) / 3.0)
-    assert len(long_history) > 4000
-    sample = (long_history, _analogs(segments), [1.0], [1.0])
-    prompt = render_refiner_prompt([("", 1.0)], shared, [sample], 5.0)
-    assert (
-        "Retrieved Segments:\n[3 trailing segments left out for length]\n"
-        f"Historical Data: {long_history}\n" in prompt
-    )
-    assert "Segment 1 (similarity" not in prompt
 
 
 _BLOCK_RE = re.compile(r"^Sample (\d+):\n(.*?)(?=\n\n|\Z)", re.M | re.S)
@@ -375,9 +338,9 @@ _BLOCK_RE = re.compile(r"^Sample (\d+):\n(.*?)(?=\n\n|\Z)", re.M | re.S)
     precision=st.integers(0, 6),
 )
 def test_refiner_prompt_states_the_prompt_once_and_keeps_every_history(samples, precision):
-    """Each sample block keeps its history whole and quotes a leading run
-    of its segments within the budget, each by the header and outcome line
-    its forecaster prompt carried, and never a context line."""
+    """Each sample block keeps its history whole and quotes every one of
+    its segments, in rank order, by the header and outcome line its
+    forecaster prompt carried, never a context line and never a note."""
     rendered, forecaster_texts = [], []
     for n, lengths, seed in samples:
         rng = np.random.default_rng(seed)
@@ -398,30 +361,22 @@ def test_refiner_prompt_states_the_prompt_once_and_keeps_every_history(samples, 
     prompt = render_refiner_prompt([("", 1.0)], shared, rendered, 5.0, precision)
 
     assert re.findall(r"^Objective$", prompt, re.M) == ["Objective"]
+    assert "left out" not in prompt
     blocks = _BLOCK_RE.findall(prompt)
     assert [int(k) for k, _ in blocks] == list(range(1, len(rendered) + 1))
     for (_, block), (history, analogs, _, _), text in zip(blocks, rendered, forecaster_texts):
         lines = block.split("\n")
         assert not any(line.startswith("context:") for line in lines)
         head = lines[: lines.index(f"Historical Data: {history}")]
-        assert (head[:1] == ["Retrieved Segments:"]) == bool(analogs)
-        shown = [line for line in head[1:] if not line.startswith("[")]
-        kept = len(shown) // 2
-        for (_, outcome), line in zip(analogs, shown[1::2]):
+        if not analogs:
+            assert head == []
+            continue
+        assert head[0] == "Retrieved Segments:"
+        assert len(head) == 1 + 2 * len(analogs)
+        for (_, outcome), line in zip(analogs, head[2::2]):
             assert line == f"outcome: {format_numbers(outcome, precision)}"
-        # what is kept is a leading run of the forecaster's segments within
-        # the budget, and the next segment would have overrun it
-        quoted = _quoted(text) if text else []
-        assert "\n".join(shown) == "\n".join(quoted[:kept])
-        assert not kept or len(history) + sum(map(len, quoted[:kept])) <= 4000
-        left_out = len(quoted) - kept
-        notes = head[1 + len(shown) :]
-        if left_out:
-            assert len(history) + sum(map(len, quoted[:kept])) + len(quoted[kept]) > 4000
-            noun = "segment" if left_out == 1 else "segments"
-            assert notes == [f"[{left_out} trailing {noun} left out for length]"]
-        else:
-            assert notes == []
+        # every segment the forecaster saw, in its order, without its context
+        assert "\n".join(head[1:]) == "\n".join(_quoted(text))
 
 
 def test_refiner_prompt_validation():

@@ -97,6 +97,8 @@ def test_load_csv_unknown_target(tmp_path):
     p = write_csv(tmp_path / "data.csv", "a,b\n1,2\n")
     with pytest.raises(DataError, match="unknown target"):
         load_csv(p, target="zz")
+    with pytest.raises(DataError, match="unknown timestamp column 'when'"):
+        load_csv(p, target="b", timestamp_column="when")
 
 
 # the same file split by each splitter: plainly, and by csv.reader for CRLF
