@@ -1,5 +1,6 @@
 """Completion backends: a live HTTP chat-completion client, a deterministic
-scripted backend for offline runs, and a record/replay bridge between them.
+scripted backend for offline runs, and the reply store that sends each
+distinct request once and records the transcript scripts replay.
 
 Every backend implements :meth:`Backend.complete`; the orchestrator never
 depends on anything else, so scripted and live backends are interchangeable.
@@ -13,6 +14,7 @@ import os
 import random
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,13 +28,14 @@ __all__ = [
     "API_KEY_ENV",
     "CompletionRequest",
     "CompletionReply",
+    "request_key",
     "Backend",
     "CallMeter",
     "ScriptEntry",
     "ScriptedBackend",
     "load_script",
     "HttpBackend",
-    "RecordingBackend",
+    "ReplyStore",
 ]
 
 TAGS = ("forecaster", "refiner", "synthesis")
@@ -72,6 +75,15 @@ class CompletionRequest:
             raise ValueError(f"tag must be one of {TAGS}, got {self.tag!r}")
         if self.attempt < 0:
             raise ValueError(f"attempt must be >= 0, got {self.attempt}")
+
+
+def request_key(request: CompletionRequest) -> bytes:
+    """The SHA-256 digest of everything a reply may depend on: tag, seed,
+    attempt and prompt. The tag also fixes the sampling settings, and the
+    attempt keeps a parse retry, which re-sends one prompt on purpose, from
+    being served the malformed reply of the try before."""
+    head = f"{request.tag}|{request.seed}|{request.attempt}|"
+    return hashlib.sha256((head + request.prompt).encode("utf-8")).digest()
 
 
 @dataclass(frozen=True)
@@ -121,16 +133,13 @@ class CallMeter(Backend):
 @dataclass(frozen=True)
 class ScriptEntry:
     """One scripted reply. Exactly one of ``prompt``, ``contains``, ``tag``
-    is set in pattern mode; all three are None for ordinal entries. A
-    ``seed`` or an ``attempt`` narrows an exact-prompt entry to requests
-    with that value. ``token_counts`` is handed back with the reply."""
+    is set in pattern mode; all three are None for ordinal entries.
+    ``token_counts`` is handed back with the reply."""
 
     reply: str
     prompt: str | None = None
     contains: str | None = None
     tag: str | None = None
-    seed: int | None = None
-    attempt: int | None = None
     token_counts: tuple[int, int] | None = None
 
     @property
@@ -139,11 +148,7 @@ class ScriptEntry:
 
     def matches(self, request: CompletionRequest) -> bool:
         if self.prompt is not None:
-            return (
-                request.prompt == self.prompt
-                and self.seed in (None, request.seed)
-                and self.attempt in (None, request.attempt)
-            )
+            return request.prompt == self.prompt
         if self.contains is not None:
             return self.contains in request.prompt
         return request.tag == self.tag
@@ -155,15 +160,18 @@ class ScriptedBackend(Backend):
     Ordinal mode (no match fields anywhere) hands entries out in order and
     errors when exhausted. Pattern mode resolves each request to exactly one
     distinct reply text — zero matches or conflicting matches are errors, so
-    a fixture can never silently answer the wrong question.
+    a fixture can never silently answer the wrong question. Its candidates
+    are the entries ``recorded`` under the request's :func:`request_key`,
+    found by one lookup, and the pattern ``entries`` that match it.
     """
 
     backend_id = "scripted"
 
-    def __init__(self, entries: list[ScriptEntry]):
-        if not entries:
+    def __init__(self, entries: list[ScriptEntry], recorded: dict[bytes, list] | None = None):
+        self._recorded = recorded or {}
+        ordinal_flags = {e.is_ordinal for e in entries} | ({False} if recorded else set())
+        if not ordinal_flags:
             raise ValueError("script must contain at least one entry")
-        ordinal_flags = {entry.is_ordinal for entry in entries}
         if len(ordinal_flags) != 1:
             raise ValueError("script mixes ordinal and pattern entries")
         self.ordinal = ordinal_flags.pop()
@@ -173,8 +181,10 @@ class ScriptedBackend(Backend):
 
     @property
     def remaining(self) -> int:
+        """An ordinal script's entries not handed out yet; a pattern script's
+        unkeyed entries."""
         with self._lock:
-            return len(self._entries) - self._cursor if self.ordinal else len(self._entries)
+            return len(self._entries) - self._cursor
 
     def complete(self, request: CompletionRequest) -> CompletionReply:
         if self.ordinal:
@@ -188,7 +198,8 @@ class ScriptedBackend(Backend):
                 self._cursor += 1
             return CompletionReply(text=entry.reply)
 
-        matches = [e for e in self._entries if e.matches(request)]
+        matches = self._recorded.get(request_key(request), [])
+        matches = matches + [e for e in self._entries if e.matches(request)]
         replies = {(e.reply, e.token_counts) for e in matches}
         if not matches:
             raise BackendError(
@@ -204,7 +215,8 @@ class ScriptedBackend(Backend):
         return CompletionReply(text=entry.reply, token_counts=entry.token_counts)
 
 
-def _entry_from_json(obj, where: str) -> ScriptEntry:
+def _entry_from_json(obj, where: str) -> tuple[bytes | None, ScriptEntry]:
+    """One script line's entry, and its request key if it is keyed."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: script entry must be a JSON object")
     if "reply" not in obj:
@@ -214,10 +226,9 @@ def _entry_from_json(obj, where: str) -> ScriptEntry:
         raise ConfigError(f"{where}: script entry 'reply' must be a string")
     match = obj.get("match")
     if match is None and "prompt" in obj:
-        # recording shape: {"hash", "tag", "seed", "attempt", "prompt",
-        # "reply", "tokens"} replays as an exact-prompt pattern entry for
-        # that seed and attempt (full prompt stored, hashes are advisory); a
-        # line without a seed or an attempt matches any
+        # recording shape: {"tag", "seed", "attempt", "prompt", "reply",
+        # "tokens"} replays under its request key; an older line without a
+        # seed or an attempt replays as an exact-prompt entry for any of them
         prompt = obj["prompt"]
         if not isinstance(prompt, str):
             raise ConfigError(f"{where}: recording 'prompt' must be a string")
@@ -238,29 +249,30 @@ def _entry_from_json(obj, where: str) -> ScriptEntry:
             raise ConfigError(
                 f"{where}: recording tokens must be [in, out] non-negative integers or null"
             )
-        return ScriptEntry(
-            reply=reply,
-            prompt=prompt,
-            seed=seed,
-            attempt=attempt,
-            token_counts=None if tokens is None else tuple(tokens),
-        )
+        token_counts = None if tokens is None else tuple(tokens)
+        if "tag" not in obj or "seed" not in obj or attempt is None:
+            return None, ScriptEntry(reply=reply, prompt=prompt, token_counts=token_counts)
+        try:
+            request = CompletionRequest(prompt, obj["tag"], seed, attempt)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: recording {exc}") from exc
+        return request_key(request), ScriptEntry(reply=reply, token_counts=token_counts)
     if match is None or match == "ordinal":
-        return ScriptEntry(reply=reply)
+        return None, ScriptEntry(reply=reply)
     if not isinstance(match, dict) or len(match) != 1:
         raise ConfigError(f"{where}: 'match' must be one of ordinal/prompt/contains/tag")
     key, value = next(iter(match.items()))
     if key == "ordinal":
         if value is not True:
             raise ConfigError(f"{where}: match 'ordinal' must be true")
-        return ScriptEntry(reply=reply)
+        return None, ScriptEntry(reply=reply)
     if key not in ("prompt", "contains", "tag"):
         raise ConfigError(f"{where}: unknown match key {key!r}")
     if not isinstance(value, str):
         raise ConfigError(f"{where}: match {key!r} must be a string")
     if key == "tag" and value not in TAGS:
         raise ConfigError(f"{where}: unknown tag {value!r}; expected one of {TAGS}")
-    return ScriptEntry(reply=reply, **{key: value})
+    return None, ScriptEntry(reply=reply, **{key: value})
 
 
 def _is_int(value) -> bool:
@@ -268,13 +280,15 @@ def _is_int(value) -> bool:
 
 
 def load_script(path) -> ScriptedBackend:
-    """Load a JSON-lines script (or a recording file) into a backend."""
+    """Load a JSON-lines script (or a transcript) into a backend; each keyed
+    transcript line is filed under its request's :func:`request_key`."""
     p = Path(path)
     try:
         raw = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read script {p}: {exc}") from exc
     entries: list[ScriptEntry] = []
+    recorded: dict[bytes, list[ScriptEntry]] = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
             continue
@@ -282,10 +296,14 @@ def load_script(path) -> ScriptedBackend:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{p}:{lineno}: malformed JSON: {exc}") from exc
-        entries.append(_entry_from_json(obj, f"{p}:{lineno}"))
-    if not entries:
+        key, entry = _entry_from_json(obj, f"{p}:{lineno}")
+        if key is None:
+            entries.append(entry)
+        else:
+            recorded.setdefault(key, []).append(entry)
+    if not entries and not recorded:
         raise ConfigError(f"{p}: script has no entries")
-    return ScriptedBackend(entries)
+    return ScriptedBackend(entries, recorded)
 
 
 class HttpBackend(Backend):
@@ -422,27 +440,54 @@ def _retry_after_s(value: str | None) -> float:
     return float(value) if value.isascii() and value.isdigit() else 0.0
 
 
-class RecordingBackend(Backend):
-    """Wraps any backend and appends one JSON line per request/reply pair.
+class ReplyStore(Backend):
+    """Keeps replies by :func:`request_key`: sends each distinct request to
+    ``inner`` once and appends each reply it fetched to ``transcript``, if
+    given, as a line :func:`load_script` replays under its key.
 
-    The full prompt, the request seed and attempt, and the reply's token
-    counts are stored alongside a short content hash, so replaying the sink
-    as a pattern script reproduces identical replies, token counts included,
-    for identical (prompt, seed, attempt) requests; hash collisions cannot
-    lose data.
+    Single-flight: concurrent callers of one key wait for the first one's
+    call, so ``inner`` sees the same calls at any thread count. A call that
+    raises is forgotten; callers waiting for it get its exception. When an
+    ordinal script answers ``inner``, also behind wrappers, ``ordinal`` is
+    true and every request goes on to it, in call order, and none is kept.
     """
 
-    backend_id = "recording"
-
-    def __init__(self, inner: Backend, sink):
+    def __init__(self, inner: Backend, transcript=None):
         self.inner = inner
-        self.sink = Path(sink)
+        self.backend_id = inner.backend_id
+        self.transcript = transcript
+        node = inner
+        while node is not None and not (isinstance(node, ScriptedBackend) and node.ordinal):
+            node = getattr(node, "inner", None)
+        self.ordinal = node is not None
+        self._replies: dict[bytes, Future] = {}
         self._lock = threading.Lock()
 
     def complete(self, request: CompletionRequest) -> CompletionReply:
+        if self.ordinal:
+            return self._fetch(request)
+        key = request_key(request)
+        with self._lock:
+            pending = self._replies.get(key)
+            if pending is None:
+                self._replies[key] = future = Future()
+        if pending is not None:
+            return pending.result()
+        try:
+            reply = self._fetch(request)
+        except BaseException as exc:
+            with self._lock:
+                del self._replies[key]
+            future.set_exception(exc)
+            raise
+        future.set_result(reply)
+        return reply
+
+    def _fetch(self, request: CompletionRequest) -> CompletionReply:
         reply = self.inner.complete(request)
+        if self.transcript is None:
+            return reply
         record = {
-            "hash": hashlib.sha256(request.prompt.encode("utf-8")).hexdigest()[:16],
             "tag": request.tag,
             "seed": request.seed,
             "attempt": request.attempt,
@@ -450,10 +495,9 @@ class RecordingBackend(Backend):
             "reply": reply.text,
             "tokens": None if reply.token_counts is None else list(reply.token_counts),
         }
-        line = json.dumps(record, ensure_ascii=False)
         try:
-            with self._lock, open(self.sink, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            with self._lock, open(self.transcript, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
         except OSError as exc:
-            raise BackendError(f"cannot append to recording {self.sink}: {exc}") from exc
+            raise BackendError(f"cannot append to recording {self.transcript}: {exc}") from exc
         return reply

@@ -10,19 +10,17 @@ carries the scaler parameters so raw-space errors stay recoverable.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import statistics
-import threading
 import typing
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .backends import Backend, CallMeter, CompletionReply, CompletionRequest, ScriptedBackend
+from .backends import Backend, CallMeter, ReplyStore
 from .errors import ConfigError
 from .prompts import DEFAULT_DESCRIPTION, DatasetMeta
 from .retrieval import build_hist_db
@@ -86,11 +84,7 @@ class ExperimentConfig:
         if not self.methods:
             raise ConfigError("methods must be non-empty")
         for method in self.methods:
-            if method not in KNOWN_METHODS and not method.startswith("asp:"):
-                raise ConfigError(
-                    f"unknown method {method!r}; expected one of {KNOWN_METHODS} "
-                    "or 'asp:<strategy-name>'"
-                )
+            _method_fields(method)
         for name in ("horizons", "methods"):
             # each cell writes one session log named by its horizon and method
             values = getattr(self, name)
@@ -213,58 +207,15 @@ class ReportRow:
     max_test_windows: int = 20
 
 
-class _ReplyMemo(Backend):
-    """Sends each distinct request of one grid to ``inner`` once.
-
-    A request is keyed on the SHA-256 digest of everything its reply may
-    depend on: tag, seed, attempt and prompt. The tag also fixes the
-    sampling settings a backend sends (see :class:`CompletionRequest`). The
-    attempt keeps a parse retry, which re-sends one prompt on purpose, from
-    being served the malformed reply of the try before. Only digests are
-    held, not prompts.
-
-    Single-flight: the first caller of a key makes the call and concurrent
-    callers of that key wait for its reply, so the calls ``inner`` sees do
-    not depend on ``--jobs``. A call that raises is forgotten, and callers
-    already waiting for it get the same exception.
-    """
-
-    def __init__(self, inner: Backend):
-        self.inner = inner
-        self.backend_id = inner.backend_id
-        self._replies: dict[bytes, Future] = {}
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def _key(request: CompletionRequest) -> bytes:
-        head = f"{request.tag}|{request.seed}|{request.attempt}|"
-        return hashlib.sha256((head + request.prompt).encode("utf-8")).digest()
-
-    def complete(self, request: CompletionRequest) -> CompletionReply:
-        key = self._key(request)
-        with self._lock:
-            pending = self._replies.get(key)
-            if pending is None:
-                self._replies[key] = future = Future()
-        if pending is not None:
-            return pending.result()
-        try:
-            reply = self.inner.complete(request)
-        except BaseException as exc:
-            with self._lock:
-                del self._replies[key]
-            future.set_exception(exc)
-            raise
-        future.set_result(reply)
-        return reply
-
-
 def _method_fields(method: str) -> dict:
     """The :class:`SessionConfig` fields a method id sets."""
     if method in _METHOD_FIELDS:
         return _METHOD_FIELDS[method]
     if not method.startswith("asp:"):
-        raise ConfigError(f"unknown method {method!r}")
+        raise ConfigError(
+            f"unknown method {method!r}; expected one of {KNOWN_METHODS} "
+            "or 'asp:<strategy-name>'"
+        )
     name = method[len("asp:") :]
     if not name:
         raise ConfigError("asp method needs a strategy name, e.g. 'asp:deep-stl'")
@@ -338,20 +289,18 @@ def _run_grid(
     and the rows whose cells all finished before the first failing one land
     in ``<stem>.partial.*``.
 
-    Every cell's meter wraps one :class:`_ReplyMemo` for the whole grid, so
-    report columns count each method's own requests, memo hits included,
-    while ``backend`` sees each distinct request once. An ordinal script
-    bypasses the memo."""
+    Every cell's meter wraps one :class:`ReplyStore`, ``backend`` if it is
+    one, so report columns count each method's own requests, store hits
+    included, while the backend behind it sees each distinct request once."""
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
-    ordinal = _ordinal_script(backend)
-    if ordinal and jobs > 1:
+    if not isinstance(backend, ReplyStore):
+        backend = ReplyStore(backend)
+    if backend.ordinal and jobs > 1:
         raise ConfigError(
             "--jobs > 1 cannot replay an ordinal script: its replies follow "
             "call order; run one job, or replay a pattern script or a recording"
         )
-    if not ordinal:
-        backend = _ReplyMemo(backend)
     # every cell's session is configured before a directory is made or a
     # call is sent, so a bad config fails the grid with nothing spent
     keys = [
@@ -450,18 +399,6 @@ def _run_grid(
     if run_dir is not None:
         emit_report(rows, run_dir / stem)
     return rows, run_dir
-
-
-def _ordinal_script(backend: Backend) -> bool:
-    """Whether an ordinal script answers ``backend``, also behind wrappers.
-
-    Its replies follow call order, so parallel cells would take them in
-    whatever order the threads reach it, and a memo would skip entries."""
-    while backend is not None:
-        if isinstance(backend, ScriptedBackend) and backend.ordinal:
-            return True
-        backend = getattr(backend, "inner", None)
-    return False
 
 
 def _safe_name(name: str) -> str:

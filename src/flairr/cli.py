@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends import DEFAULT_TIMEOUT_S, Backend, HttpBackend, RecordingBackend, load_script
+from .backends import DEFAULT_TIMEOUT_S, Backend, HttpBackend, ReplyStore, load_script
 from .bench import DEFAULT_CONTEXT_LENGTH, ExperimentConfig, run_ablation, run_experiment
 from .errors import ConfigError, DataError, FlairrError
 from .prompts import DEFAULT_DESCRIPTION, DatasetMeta, format_numbers, list_strategies
@@ -74,12 +74,13 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
         "--timeout", type=float, default=DEFAULT_TIMEOUT_S, help="HTTP timeout in seconds"
     )
     group.add_argument(
-        "--record", help="append every request/reply pair to this JSON-lines file"
+        "--record", help="append each distinct request and its reply to this JSON-lines file"
     )
 
 
-def _make_backend(args, seed: int) -> Backend:
-    """The backend the flags select; ``seed`` seeds the oracle."""
+def _make_backend(args, seed: int) -> ReplyStore:
+    """The backend the flags select, behind the store that writes the
+    ``--record`` transcript; ``seed`` seeds the oracle."""
     if args.backend == "scripted":
         if not args.script:
             raise ConfigError("--backend scripted requires --script")
@@ -90,9 +91,7 @@ def _make_backend(args, seed: int) -> Backend:
         backend = HttpBackend(args.endpoint, args.model, timeout_s=args.timeout)
     else:
         backend = SyntheticOracleBackend(seed=seed)
-    if args.record:
-        backend = RecordingBackend(backend, args.record)
-    return backend
+    return ReplyStore(backend, args.record or None)
 
 
 def _add_series_flags(parser: argparse.ArgumentParser) -> None:

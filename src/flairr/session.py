@@ -450,13 +450,13 @@ def _finite_or_null(value):
 
 
 class _SessionLog:
-    """Incremental JSON-lines audit trail; a no-op when no path is given."""
+    """Incremental JSON-lines audit trail in a new file; a no-op without a path."""
 
     def __init__(self, path):
         self.path = Path(path) if path is not None else None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text("", encoding="utf-8")
+            open(self.path, "x", encoding="utf-8").close()
 
     def write(self, record: dict) -> None:
         if self.path is None:

@@ -18,10 +18,11 @@ from flairr.backends import (
     DEFAULT_TEMPERATURES,
     TAGS,
     Backend,
+    CallMeter,
     CompletionReply,
     CompletionRequest,
     HttpBackend,
-    RecordingBackend,
+    ReplyStore,
     ScriptedBackend,
     ScriptEntry,
     load_script,
@@ -178,13 +179,16 @@ def test_load_script_pattern_and_recording_shapes(tmp_path):
         '{"match": {"tag": "refiner"}, "reply": "R"}\n'
         '{"match": {"contains": "zzz"}, "reply": "C"}\n'
         '{"hash": "abcd", "tag": "forecaster", "prompt": "recorded prompt", "reply": "P"}\n'
+        '{"tag": "forecaster", "seed": 2, "prompt": "old", "reply": "O", "tokens": [3, 1]}\n'
     )
     backend = load_script(p)
     assert backend.complete(req(tag="refiner")).text == "R"
     assert backend.complete(req("zzz please")).text == "C"
     assert backend.complete(req("recorded prompt")).text == "P"
-    # a line without an attempt matches every attempt
+    # a line without a seed or an attempt matches every seed and attempt
     assert backend.complete(req("recorded prompt", attempt=2)).text == "P"
+    reply = backend.complete(req("old", seed=9, attempt=1))
+    assert (reply.text, reply.token_counts) == ("O", (3, 1))
 
 
 def test_load_script_errors(tmp_path):
@@ -244,6 +248,27 @@ def test_load_script_errors(tmp_path):
         p.write_text(f'{{"tag": "refiner", "prompt": {prompt}, "reply": "x"}}\n')
         with pytest.raises(ConfigError, match=":1: recording 'prompt' must be a string"):
             load_script(p)
+    # a keyed line names a valid request
+    line = {"tag": "refiner", "seed": 1, "attempt": 0, "prompt": "a", "reply": "x"}
+    for change, error in (({"tag": "oracle"}, "tag must be one of"), ({"prompt": ""}, "prompt")):
+        p.write_text(json.dumps({**line, **change}) + "\n")
+        with pytest.raises(ConfigError, match=f":1: recording {error}"):
+            load_script(p)
+
+
+def test_keyed_lines_for_one_request_must_agree(tmp_path):
+    p = tmp_path / "script.jsonl"
+    line = {"tag": "forecaster", "seed": 3, "attempt": 0, "prompt": "p", "tokens": None}
+    p.write_text("".join(json.dumps({**line, "reply": r}) + "\n" for r in ("A", "A")))
+    assert load_script(p).complete(req("p", seed=3)).text == "A"
+    p.write_text("".join(json.dumps({**line, "reply": r}) + "\n" for r in ("A", "B")))
+    with pytest.raises(BackendError, match="ambiguous script: 2 entries with 2 distinct"):
+        load_script(p).complete(req("p", seed=3))
+    # a keyed line and a matching pattern entry that disagree are ambiguous too
+    pattern = {"match": {"tag": "forecaster"}, "reply": "B"}
+    p.write_text(json.dumps({**line, "reply": "A"}) + "\n" + json.dumps(pattern) + "\n")
+    with pytest.raises(BackendError, match="ambiguous script"):
+        load_script(p).complete(req("p", seed=3))
 
 
 # --- HTTP backend -----------------------------------------------------------
@@ -517,7 +542,7 @@ def test_recording_backend_round_trip(tmp_path):
             ScriptEntry(reply="R-reply", tag="refiner", token_counts=(5, 2)),
         ]
     )
-    recorder = RecordingBackend(inner, sink)
+    recorder = ReplyStore(inner, sink)
     assert recorder.complete(req("p1", tag="forecaster")).text == "F-reply"
     assert recorder.complete(req("p2", tag="refiner", seed=4)).text == "R-reply"
     assert recorder.complete(req("p3", tag="forecaster", attempt=1)).text == "F-reply"
@@ -528,9 +553,7 @@ def test_recording_backend_round_trip(tmp_path):
     assert [r["attempt"] for r in lines] == [0, 0, 1]
     assert [r["tokens"] for r in lines] == [None, [5, 2], None]
     for record in lines:
-        assert set(record) == {"hash", "tag", "seed", "attempt", "prompt", "reply", "tokens"}
-        assert len(record["hash"]) == 16
-        assert all(c in "0123456789abcdef" for c in record["hash"])
+        assert list(record) == ["tag", "seed", "attempt", "prompt", "reply", "tokens"]
     assert [r["prompt"] for r in lines] == ["p1", "p2", "p3"]
 
     # replaying the transcript reproduces the replies for the same prompts
@@ -549,7 +572,7 @@ def test_recording_replays_each_seed_its_own_reply(tmp_path):
             return CompletionReply(text=f"seed {request.seed}")
 
     sink = tmp_path / "transcript.jsonl"
-    recorder = RecordingBackend(EchoSeed(), sink)
+    recorder = ReplyStore(EchoSeed(), sink)
     for seed in (0, 1):
         recorder.complete(req("same prompt", seed=seed))
     replay = load_script(sink)
@@ -558,3 +581,40 @@ def test_recording_replays_each_seed_its_own_reply(tmp_path):
     with pytest.raises(BackendError, match="no script entry matches"):
         replay.complete(req("same prompt", seed=2))
 
+
+class EchoRequest(Backend):
+    def complete(self, request):
+        text = f"{request.tag} {request.seed} {request.attempt} {request.prompt}"
+        return CompletionReply(text=text, token_counts=(len(request.prompt), len(text)))
+
+
+def test_a_recording_replays_by_key_without_scanning(tmp_path, monkeypatch):
+    sink = tmp_path / "transcript.jsonl"
+    store = ReplyStore(EchoRequest(), sink)
+    requests = [
+        req(f"p{i}", tag=tag, seed=seed, attempt=attempt)
+        for i in range(4)
+        for tag in TAGS
+        for seed in (None, 1)
+        for attempt in (0, 1)
+    ]
+    live = [store.complete(request) for request in requests]
+
+    def scan(self, request):
+        raise AssertionError("a recorded request was matched entry by entry")
+
+    monkeypatch.setattr(ScriptEntry, "matches", scan)
+    replay = load_script(sink)
+    assert [replay.complete(request) for request in requests] == live
+    with pytest.raises(BackendError, match="no script entry matches"):
+        replay.complete(req("p9"))
+
+
+def test_a_store_over_an_ordinal_script_keeps_no_reply(tmp_path):
+    sink = tmp_path / "transcript.jsonl"
+    script = ScriptedBackend([ScriptEntry(reply="one"), ScriptEntry(reply="two")])
+    store = ReplyStore(CallMeter(script), sink)
+    assert store.ordinal
+    assert [store.complete(req()).text for _ in range(2)] == ["one", "two"]
+    assert [json.loads(line)["reply"] for line in sink.read_text().splitlines()] == ["one", "two"]
+    assert not ReplyStore(ScriptedBackend([ScriptEntry(reply="x", tag="refiner")])).ordinal

@@ -23,7 +23,7 @@ from flairr.backends import (
     CallMeter,
     CompletionReply,
     CompletionRequest,
-    RecordingBackend,
+    ReplyStore,
     ScriptedBackend,
     ScriptEntry,
     load_script,
@@ -35,7 +35,6 @@ from flairr.bench import (
     ExperimentConfig,
     ReportRow,
     _METHOD_FIELDS,
-    _ReplyMemo,
     _checked,
     _make_run_dir,
     _session_config,
@@ -130,8 +129,10 @@ def test_experiment_config_validation():
         ExperimentConfig(target="v", horizons=(0,), methods=("simple",))
     with pytest.raises(ConfigError, match="methods"):
         ExperimentConfig(target="v", horizons=(8,), methods=())
-    with pytest.raises(ConfigError, match="unknown method"):
+    with pytest.raises(ConfigError, match="unknown method 'magic'; expected one of"):
         ExperimentConfig(target="v", horizons=(8,), methods=("magic",))
+    with pytest.raises(ConfigError, match="strategy name"):
+        ExperimentConfig(target="v", horizons=(8,), methods=("asp:",))
     with pytest.raises(ConfigError, match="max_test_windows"):
         ExperimentConfig(**ok, max_test_windows=0)
     with pytest.raises(ConfigError, match="horizons repeat 8"):
@@ -410,7 +411,7 @@ def test_run_experiment_parallel_matches_serial(toy_csv, tmp_path):
 @pytest.mark.parametrize("recorded", [False, True], ids=["bare", "recorded"])
 def test_parallel_grid_refuses_an_ordinal_script(toy_csv, tmp_path, recorded):
     script = ScriptedBackend([ScriptEntry(reply="unused")])
-    backend = RecordingBackend(script, tmp_path / "rec.jsonl") if recorded else script
+    backend = ReplyStore(script, tmp_path / "rec.jsonl") if recorded else script
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match="--jobs"):
         run_experiment(exp_config(toy_csv, out), backend, jobs=2)
@@ -426,7 +427,7 @@ def test_parallel_grid_replays_a_recording(toy_csv, tmp_path):
     recording = tmp_path / "rec.jsonl"
     live, _ = run_experiment(
         cfg,
-        RecordingBackend(TokenStamper(SyntheticOracleBackend(seed=5)), recording),
+        ReplyStore(TokenStamper(SyntheticOracleBackend(seed=5)), recording),
         emit=False,
     )
     assert all(row.tokens_in > 0 and row.tokens_out > 0 for row in live)
@@ -831,7 +832,7 @@ class Gate(Backend):
 
 def test_reply_memo_keys_every_request_field():
     gate = Gate()
-    memo = _ReplyMemo(gate)
+    memo = ReplyStore(gate)
     variants = [
         req(),
         req(tag="refiner"),
@@ -845,7 +846,7 @@ def test_reply_memo_keys_every_request_field():
 
 def test_reply_memo_does_not_keep_a_failed_call():
     gate = Gate()
-    memo = _ReplyMemo(gate)
+    memo = ReplyStore(gate)
     gate.error = BackendError("endpoint went away")
     with pytest.raises(BackendError, match="went away"):
         memo.complete(req())
@@ -857,7 +858,7 @@ def test_reply_memo_does_not_keep_a_failed_call():
 
 def test_reply_memo_waiters_share_one_call_and_its_error():
     gate = Gate()
-    memo = _ReplyMemo(gate)
+    memo = ReplyStore(gate)
     gate.release.clear()
     gate.error = BackendError("endpoint went away")
     raised = [None, None]
@@ -884,7 +885,7 @@ def test_reply_memo_waiters_share_one_call_and_its_error():
 
 def test_reply_memo_single_flight_under_thread_contention():
     gate = Gate()
-    memo = _ReplyMemo(gate)
+    memo = ReplyStore(gate)
     prompts = [f"p{i}" for i in range(16)]
     wrong = []
 

@@ -387,6 +387,55 @@ def test_refine_with_oracle(series_csv, tmp_path, capsys):
     assert [entry["kind"] for entry in log_lines] == ["session", "iteration", "iteration", "result"]
 
 
+def test_refine_sends_each_distinct_request_once(series_csv, tmp_path, capsys, monkeypatch):
+    # the oracle's later synthesis and forecaster prompts repeat earlier ones
+    sent = []
+
+    class Counting(SyntheticOracleBackend):
+        def complete(self, request):
+            sent.append((request.tag, request.seed, request.attempt, request.prompt))
+            return super().complete(request)
+
+    monkeypatch.setattr(cli, "SyntheticOracleBackend", Counting)
+    argv = ["refine", "--data", str(series_csv), "--target", "v"]
+    argv += ["--context", "16", "--horizon", "4", "--samples", "2"]
+    runs = []
+    for stored in (True, False):
+        if not stored:  # every request reaches the oracle
+            monkeypatch.setattr(cli, "ReplyStore", lambda backend, transcript: backend)
+        sent.clear()
+        out_dir = tmp_path / f"stored-{stored}"
+        assert run_cli(*argv, "--out", str(out_dir)) == 0
+        out = capsys.readouterr().out.replace(str(out_dir), "OUT")
+        runs.append((out, (out_dir / "session.jsonl").read_text(), list(sent)))
+    (out, log, keys), (bare_out, bare_log, bare_keys) = runs
+    assert (out, log) == (bare_out, bare_log)
+    assert sorted(keys) == sorted(set(bare_keys))
+    assert (len(keys), len(bare_keys)) == (13, 20)
+
+
+def test_a_second_refine_into_one_out_keeps_the_first_log(
+    series_csv, tmp_path, capsys, monkeypatch
+):
+    out_dir = tmp_path / "run"
+    argv = ["refine", "--data", str(series_csv), "--target", "v", "--context", "16"]
+    argv += ["--horizon", "4", "--samples", "2", "--max-iter", "2", "--out", str(out_dir)]
+    assert run_cli(*argv) == 0
+    log = (out_dir / "session.jsonl").read_text()
+    capsys.readouterr()
+
+    class Refuses(SyntheticOracleBackend):
+        def complete(self, request):
+            raise AssertionError("a completion call was sent")
+
+    monkeypatch.setattr(cli, "SyntheticOracleBackend", Refuses)
+    assert run_cli(*argv, "--seed", "1") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out_dir / 'session.jsonl'}: File exists\n"
+    assert (out_dir / "session.jsonl").read_text() == log
+
+
 def test_refine_early_stop_via_script(series_csv, tmp_path, capsys):
     script = tmp_path / "script.jsonl"
     entries = [

@@ -20,7 +20,7 @@ from flairr.backends import (
     CallMeter,
     CompletionReply,
     CompletionRequest,
-    RecordingBackend,
+    ReplyStore,
     ScriptedBackend,
     ScriptEntry,
     load_script,
@@ -325,7 +325,7 @@ def test_recorded_parse_retries_replay_attempt_by_attempt(tmp_path):
     parser = lambda text: parse_forecast_reply(text, cfg.horizon)
     sink = tmp_path / "transcript.jsonl"
     live = _complete_parsed(
-        RecordingBackend(MalformedTwice(), sink), "prompt", "forecaster", parser, cfg
+        ReplyStore(MalformedTwice(), sink), "prompt", "forecaster", parser, cfg
     )
     replayed = _complete_parsed(load_script(sink), "prompt", "forecaster", parser, cfg)
     assert replayed == live
