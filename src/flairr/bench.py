@@ -10,17 +10,20 @@ carries the scaler parameters so raw-space errors stay recoverable.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import statistics
+import threading
+import time
 import typing
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .backends import Backend, CallMeter, ReplyStore
+from .backends import Backend, CallMeter, CompletionReply, CompletionRequest, ReplyStore
 from .errors import ConfigError
 from .prompts import DEFAULT_DESCRIPTION, DatasetMeta
 from .retrieval import build_hist_db
@@ -29,6 +32,7 @@ from .session import SessionConfig, check_session_fits, forecast_with, run_sessi
 
 __all__ = [
     "DEFAULT_CONTEXT_LENGTH",
+    "DEFAULT_JOBS",
     "KNOWN_METHODS",
     "ABLATION_CONDITIONS",
     "ExperimentConfig",
@@ -39,6 +43,15 @@ __all__ = [
 ]
 
 DEFAULT_CONTEXT_LENGTH = 96
+
+# cells a grid runs at a time, and forecasts its cells send at a time,
+# once its first forecasts showed that it mostly waits on its calls
+DEFAULT_JOBS = 4
+
+# the share of their wall time a grid's first forecasts may keep the CPU
+# busy and still fan the rest out; above it the grid is bound by the CPU,
+# where more threads only contend for the interpreter lock
+_WAITING_CPU_SHARE = 0.5
 
 # method id -> the SessionConfig fields it sets, in presentation order
 _METHOD_FIELDS = {
@@ -270,12 +283,52 @@ def _test_origins(
     return origins
 
 
+class _Stopped(BaseException):
+    """Raised in place of a call, cell or forecast once its grid has failed.
+    No ``except Exception`` catches it, so no session takes it for its own
+    error and tags it with its history."""
+
+
+class _StopOnFailure(Backend):
+    """A grid's backend: it passes each call to ``inner`` until the first
+    call, cell or forecast of the grid raises, and keeps that ``error``.
+    From then on, each of them that :meth:`run` starts or finishes raises
+    :class:`_Stopped` instead, so no further call is sent and no result
+    that arrives later is kept."""
+
+    def __init__(self, inner: Backend):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self.error: BaseException | None = None
+        self._lock = threading.Lock()
+
+    def fail(self, exc: BaseException) -> None:
+        with self._lock:
+            if self.error is None and not isinstance(exc, _Stopped):
+                self.error = exc
+
+    def run(self, fn, *args):
+        if self.error is not None:
+            raise _Stopped
+        try:
+            result = fn(*args)
+        except BaseException as exc:
+            self.fail(exc)
+            raise
+        if self.error is not None:
+            raise _Stopped
+        return result
+
+    def complete(self, request: CompletionRequest) -> CompletionReply:
+        return self.run(self.inner.complete, request)
+
+
 def _run_grid(
     cfg: ExperimentConfig,
     backend: Backend,
     methods: list[tuple[str, str]],
     stem: str,
-    jobs: int,
+    jobs: int | None,
     emit: bool,
 ) -> tuple[list[ReportRow], Path | None]:
     """Run ``methods`` (id, label) for every horizon; with ``emit`` the rows
@@ -283,19 +336,29 @@ def _run_grid(
 
     The unit of work is one (horizon, method, run) cell: a refinement
     session, then the test windows forecast with the prompt it selected.
-    Up to ``jobs`` cells run at a time, started in grid order; one job runs
-    them in the calling thread. Each row sums its method's ``cfg.runs`` consecutive
-    cells. Once a cell raises, no cell starts a call; those running finish,
-    and the rows whose cells all finished before the first failing one land
-    in ``<stem>.partial.*``.
+    Up to ``jobs`` cells run at a time, started in grid order, and up to
+    ``jobs`` of their forecasts (one iteration's validation windows, or
+    the test windows) run on a second pool, so at most ``2 * jobs`` calls
+    are in flight. One job runs everything in the calling thread.
+    ``jobs`` None is 1 over an ordinal script. Otherwise the first cell runs
+    alone, its first forecasts in turn, and the grid goes on with
+    :data:`DEFAULT_JOBS` if they left the CPU mostly idle, waiting on their
+    calls, else with one job: threads only slow a grid bound by the CPU.
+    Each row sums its method's ``cfg.runs`` consecutive cells. Once a call,
+    cell or forecast raises, no call starts; those in flight finish, the
+    rows whose cells all finished before it land in ``<stem>.partial.*``,
+    and the grid raises that first error.
 
     Every cell's meter wraps one :class:`ReplyStore`, ``backend`` if it is
     one, so report columns count each method's own requests, store hits
     included, while the backend behind it sees each distinct request once."""
-    if jobs < 1:
+    if jobs is not None and jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     if not isinstance(backend, ReplyStore):
         backend = ReplyStore(backend)
+    measure_first = jobs is None and not backend.ordinal
+    if jobs is None:
+        jobs = 1 if backend.ordinal else DEFAULT_JOBS
     if backend.ordinal and jobs > 1:
         raise ConfigError(
             "--jobs > 1 cannot replay an ordinal script: its replies follow "
@@ -328,47 +391,82 @@ def _run_grid(
         name=name, description=cfg.dataset_description or DEFAULT_DESCRIPTION, target=cfg.target
     )
     run_dir = _make_run_dir(cfg.output_dir) if emit else None
-    # the errors cells raised; a cell that starts after one re-raises the
-    # first, so the grid raises a real error even if it reaches that cell first
-    failed: list[BaseException] = []
+    stop = _StopOnFailure(backend)
+    # an executor starts its workers on the first submit, so the built-in
+    # map keeps one job in the calling thread; cells wait on forecasts,
+    # never the other way, so neither pool can deadlock
+    cells, forecasts = ThreadPoolExecutor(jobs), ThreadPoolExecutor(jobs)
+
+    def fan_out(fn, items) -> list:
+        """``fn`` of each item, mapped on the forecasts' pool. Once every
+        task has ended, a task's own error is raised before a
+        :class:`_Stopped`, so a session sees the error its forecasts raised."""
+        futures = [forecasts.submit(stop.run, fn, item) for item in items]
+        wait(futures)
+        errors = [f.exception() for f in futures if f.exception() is not None]
+        errors.sort(key=lambda exc: isinstance(exc, _Stopped))
+        if errors:
+            raise errors[0]
+        return [f.result() for f in futures]
+
+    def map_forecasts(fn, items):
+        nonlocal jobs, measure_first
+        if not measure_first:
+            return map(fn, items) if jobs == 1 else fan_out(fn, items)
+        # the grid's first batch runs alone and in turn; the rest fan out
+        # only if it left the CPU mostly idle, waiting on its calls
+        measure_first = False
+        wall, cpu = time.perf_counter(), time.thread_time()
+        outcomes = list(map(fn, items))
+        if time.thread_time() - cpu > _WAITING_CPU_SHARE * (time.perf_counter() - wall):
+            jobs = 1
+        return outcomes
 
     def run_cell(key) -> tuple[CallMeter, int, bool, float]:
         """(meter, iterations used, early stop, test MAE) of one cell."""
-        if failed:
-            raise failed[0]
         horizon, method, run = key
         session_cfg = session_cfgs[key]
-        meter = CallMeter(backend)
+        meter = CallMeter(stop)
         log_path = None
         if run_dir is not None:
             safe = method.replace(":", "-")
             log_path = run_dir / f"{_safe_name(name)}-h{horizon}-{safe}-run{run}.jsonl"
-        try:
-            result = run_session(session_cfg, train_values, meter, meta=meta, log_path=log_path)
-            db = (
-                build_hist_db(train_values, session_cfg.context_length, horizon)
-                if session_cfg.retrieval_enabled
-                else None
-            )
-            window_maes = []
-            for origin in origins[key]:
-                window = window_at(full_values, origin, session_cfg.context_length, horizon)
-                values = forecast_with(result, window, session_cfg, db, meter, meta=meta)
-                window_maes.append(mae(values, window.truth))
-        except BaseException as exc:
-            failed.append(exc)
-            raise
+        result = run_session(
+            session_cfg, train_values, meter, meta=meta, log_path=log_path, fan_out=map_forecasts
+        )
+        db = (
+            build_hist_db(train_values, session_cfg.context_length, horizon)
+            if session_cfg.retrieval_enabled
+            else None
+        )
+
+        def test_mae(origin):
+            window = window_at(full_values, origin, session_cfg.context_length, horizon)
+            values = forecast_with(result, window, session_cfg, db, meter, meta=meta)
+            return mae(values, window.truth)
+
+        window_maes = list(map_forecasts(test_mae, origins[key]))
         return meter, result.iterations_used, result.early_stop, float(np.mean(window_maes))
+
+    def results():
+        """Each cell's result, in grid order."""
+        rest = keys
+        if measure_first:
+            # the first cell runs alone: its first forecasts set ``jobs``
+            yield run_cell(keys[0])
+            rest = keys[1:]
+        if jobs == 1:
+            yield from map(run_cell, rest)
+        else:
+            yield from cells.map(functools.partial(stop.run, run_cell), rest)
 
     labels = dict(methods)
     rows: list[ReportRow] = []
-    try:
-        # an executor starts its workers on the first submit, so the
-        # built-in map keeps one job in the calling thread
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = map(run_cell, keys) if jobs == 1 else pool.map(run_cell, keys)
+    # the cells' pool shuts down first: its cells may still be forecasting
+    with forecasts, cells:
+        try:
             done = []
-            for (horizon, method, run), cell in zip(keys, results):
+            for (horizon, method, run), cell in zip(keys, results()):
                 done.append(cell)
                 if run < cfg.runs - 1:
                     continue
@@ -391,11 +489,15 @@ def _run_grid(
                         max_test_windows=cfg.max_test_windows,
                     )
                 )
-    except Exception:
-        # keep whatever finished inspectable before propagating
-        if rows and run_dir is not None:
-            emit_report(rows, run_dir / f"{stem}.partial")
-        raise
+        except BaseException as exc:
+            # an interrupt stops the grid as a failure does, so the pools wait
+            # only for the calls in flight; what finished stays inspectable
+            stop.fail(exc)
+            if rows and run_dir is not None:
+                emit_report(rows, run_dir / f"{stem}.partial")
+    if stop.error is not None:
+        # the grid's first error, whichever cell the loop above met first
+        raise stop.error
     if run_dir is not None:
         emit_report(rows, run_dir / stem)
     return rows, run_dir
@@ -423,15 +525,17 @@ def _make_run_dir(output_dir: str) -> Path:
 def run_experiment(
     cfg: ExperimentConfig,
     backend: Backend,
-    jobs: int = 1,
+    jobs: int | None = None,
     emit: bool = True,
 ) -> tuple[list[ReportRow], Path | None]:
     """Run the configured grid; returns (rows, run directory).
 
-    Up to ``jobs`` (horizon, method, run) cells run at a time; rows and logs
-    do not depend on ``jobs``. With ``emit`` (the default) the rows land in
-    ``report.csv`` and ``report.json`` inside a fresh timestamped run
-    directory, next to the per-session logs.
+    Up to ``jobs`` (horizon, method, run) cells, and up to ``jobs`` of their
+    forecasts, run at a time (None: :data:`DEFAULT_JOBS` if the grid's
+    calls mostly wait, else 1; see :func:`_run_grid`); rows and logs do not
+    depend on ``jobs``. With ``emit``
+    (the default) the rows land in ``report.csv`` and ``report.json`` inside
+    a fresh timestamped run directory, next to the per-session logs.
     """
     methods = [(m, m) for m in cfg.methods]
     return _run_grid(cfg, backend, methods, "report", jobs, emit)
@@ -440,7 +544,7 @@ def run_experiment(
 def run_ablation(
     cfg: ExperimentConfig,
     backend: Backend,
-    jobs: int = 1,
+    jobs: int | None = None,
     emit: bool = True,
 ) -> tuple[list[ReportRow], Path | None]:
     """Run exactly the four ablation conditions, in the fixed order

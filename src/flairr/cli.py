@@ -21,7 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .backends import DEFAULT_TIMEOUT_S, Backend, HttpBackend, ReplyStore, load_script
-from .bench import DEFAULT_CONTEXT_LENGTH, ExperimentConfig, run_ablation, run_experiment
+from .bench import (
+    DEFAULT_CONTEXT_LENGTH,
+    DEFAULT_JOBS,
+    ExperimentConfig,
+    run_ablation,
+    run_experiment,
+)
 from .errors import ConfigError, DataError, FlairrError
 from .prompts import DEFAULT_DESCRIPTION, DatasetMeta, format_numbers, list_strategies
 from .retrieval import build_hist_db, retrieve
@@ -220,7 +226,15 @@ def build_parser() -> argparse.ArgumentParser:
         p_grid.add_argument("--runs", type=int, help="override the config run count")
         p_grid.add_argument("--out", help="override the config output directory")
         p_grid.add_argument("--seed", type=int, help="override the config seed")
-        p_grid.add_argument("--jobs", type=int, default=1, help="parallel grid cells")
+        p_grid.add_argument(
+            "--jobs",
+            type=int,
+            help=(
+                "grid cells at a time, and forecasts of those cells at a time "
+                f"(default: {DEFAULT_JOBS} if the grid's first forecasts, run in turn, "
+                "mostly wait on their calls; else 1, and 1 over an ordinal script)"
+            ),
+        )
         _add_backend_flags(p_grid)
         p_grid.set_defaults(func=cmd_grid, run=run, stem=stem)
 

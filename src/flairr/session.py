@@ -313,30 +313,37 @@ def evaluate_prompt(
     db: HistDB | None,
     backend: Backend,
     meta: DatasetMeta | None = None,
+    fan_out=map,
 ) -> RefinementRecord:
     """Evaluate one instruction block over the validation windows; returns
     the iteration's record with its batch MAE and per-sample results.
 
-    A sample whose reply stays malformed past the retry budget is skipped
-    and counted in ``skipped_samples``; the evaluation only fails when every
-    sample does. Re-asks and tokens are not counted here: a
-    :class:`CallMeter` around ``backend`` sees them.
+    ``fan_out(fn, windows)`` forecasts the windows: the built-in ``map``
+    one after another, a pool's ``map`` at the same time. Either way the
+    results are read in window order. A sample whose reply stays malformed
+    past the retry budget is skipped and counted in ``skipped_samples``;
+    the evaluation only fails when every sample does. Re-asks and tokens
+    are not counted here: a :class:`CallMeter` around ``backend`` sees them.
     """
     if not windows:
         raise ValueError("evaluate_prompt needs a non-empty window batch")
+
+    def forecast(window):
+        try:
+            return _forecast_window(window, instructions, cfg, db, backend, meta)
+        except ParseRetryError as exc:
+            return exc
+
     per_sample: list[SampleRecord] = []
     skipped = 0
     last_error: ParseRetryError | None = None
-    for window in windows:
-        try:
-            history, segments, parsed = _forecast_window(
-                window, instructions, cfg, db, backend, meta
-            )
-        except ParseRetryError as exc:
+    for window, outcome in zip(windows, fan_out(forecast, windows)):
+        if isinstance(outcome, ParseRetryError):
             skipped += 1
-            last_error = exc
-            log.warning("skipping window at %d: %s", window.origin, exc)
+            last_error = outcome
+            log.warning("skipping window at %d: %s", window.origin, outcome)
             continue
+        history, segments, parsed = outcome
         per_sample.append(
             SampleRecord(
                 origin=window.origin,
@@ -501,13 +508,16 @@ def run_session(
     validation_windows: list[WindowPair] | None = None,
     meta: DatasetMeta | None = None,
     log_path=None,
+    fan_out=map,
 ) -> SessionResult:
     """Run one refinement session over ``train_values``.
 
     Validation windows default to the most recent non-overlapping windows of
     the series; the retrieval database is built strictly from the region
     before the earliest validation context, so no window can retrieve
-    itself or its future.
+    itself or its future. Each iteration forecasts its windows through
+    ``fan_out`` (see :func:`evaluate_prompt`); records and the log do not
+    depend on it.
 
     An exception raised once the log is started carries
     ``partial_history``: the records of the iterations begun so far. The
@@ -552,7 +562,7 @@ def run_session(
             # a fresh meter per iteration: its totals are the record's tokens,
             # its re-asks plus the skipped samples its parse failures
             meter = CallMeter(backend)
-            record = evaluate_prompt(current, windows, cfg, db, meter, meta)
+            record = evaluate_prompt(current, windows, cfg, db, meter, meta, fan_out)
             records.append(record)
             _charge(record, meter)
             refinement = refine_step(records, cfg, meter, meta) if cfg.refinement_enabled else None

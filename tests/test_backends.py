@@ -27,7 +27,9 @@ from flairr.backends import (
     ScriptEntry,
     load_script,
 )
+from flairr.bench import DEFAULT_JOBS, ExperimentConfig, run_experiment
 from flairr.errors import BackendError, ConfigError
+from flairr.testing import forecast_reply, seasonal_series
 
 
 class _JitterCeiling:
@@ -522,6 +524,76 @@ def test_http_backend_threads_do_not_overflow_the_connection_pool(keepalive_serv
     assert replies == ["fallback"] * threads * calls
     assert server.connections <= threads
     assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
+
+
+class _RateLimitedForecastHandler(BaseHTTPRequestHandler):
+    """Answers like a live endpoint under a rate limit: each distinct body
+    first gets a 429 with ``Retry-After: 0``, and its retry a forecast. Every
+    reply waits a little, and the server counts the requests in flight."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        server = self.server
+        with server.lock:
+            limited = body not in server.limited
+            server.limited.add(body)
+            server.in_flight += 1
+            server.peak = max(server.peak, server.in_flight)
+        time.sleep(0.02)
+        with server.lock:
+            server.in_flight -= 1
+        if limited:
+            status, payload, headers = 429, {"error": "slow down"}, {"Retry-After": "0"}
+        else:
+            status, payload, headers = 200, chat_body(forecast_reply([1.0] * 4)), {}
+        data = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def rate_limited_server():
+    server = _WideBacklogServer(("127.0.0.1", 0), _RateLimitedForecastHandler)
+    server.lock, server.in_flight, server.peak = threading.Lock(), 0, 0
+    yield from _serving(server)
+
+
+def test_a_grid_over_http_fans_out_and_rides_out_rate_limits(rate_limited_server, tmp_path):
+    url, server = rate_limited_server
+    data = tmp_path / "series.csv"
+    values = seasonal_series(200, period=16, trend=0.01, amplitude=0.5, noise=0.05, seed=3)
+    data.write_text("v\n" + "\n".join(repr(float(v)) for v in values) + "\n")
+    cfg = ExperimentConfig(
+        target="v",
+        horizons=(4,),
+        methods=("simple",),
+        dataset_path=str(data),
+        runs=2,
+        max_test_windows=4,
+        session_overrides={"context_length": 16, "sample_size": 3},
+    )
+
+    def grid(**jobs):
+        server.limited, server.peak = set(), 0
+        backend = HttpBackend(url, "m", api_key="", sleeper=lambda s: None)
+        rows, _ = run_experiment(cfg, backend, emit=False, **jobs)
+        return rows, server.peak
+
+    # the calls wait on the server, so the default fans them out; every
+    # request is refused once and retried, and the rows do not change
+    rows, peak = grid()
+    assert 2 <= peak <= 2 * DEFAULT_JOBS
+    assert grid(jobs=1) == (rows, 1)
 
 
 def test_http_backend_config_validation():

@@ -5,17 +5,20 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
+import itertools
 import json
 import statistics
 import sys
 import threading
 import time
+import types
 import typing
 from datetime import datetime
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flairr.backends import (
@@ -28,7 +31,7 @@ from flairr.backends import (
     ScriptEntry,
     load_script,
 )
-from flairr import bench
+from flairr import backends, bench
 from flairr.bench import (
     ABLATION_CONDITIONS,
     KNOWN_METHODS,
@@ -42,7 +45,7 @@ from flairr.bench import (
     run_ablation,
     run_experiment,
 )
-from flairr.errors import BackendError, ConfigError, TemplateError
+from flairr.errors import BackendError, ConfigError, ParseRetryError, TemplateError
 from flairr.prompts import list_strategies
 from flairr.session import FORMAT_RETRY_SUFFIX, SessionConfig
 from flairr.testing import (
@@ -503,7 +506,7 @@ def test_failed_grid_saves_partial_report(toy_csv, tmp_path):
     out = tmp_path / "out"
     cfg = exp_config(toy_csv, out, methods=("simple", "flairr"), runs=1)
     with pytest.raises(BackendError, match="went away"):
-        run_experiment(cfg, RefinerGoesAway(seed=5))
+        run_experiment(cfg, RefinerGoesAway(seed=5), jobs=1)
     run_dirs = list(out.glob("run-*"))
     assert len(run_dirs) == 1
     partial = run_dirs[0] / "report.partial.csv"
@@ -526,7 +529,7 @@ def test_failed_ablation_saves_partial_report_under_its_own_stem(toy_csv, tmp_pa
 
     out = tmp_path / "out"
     with pytest.raises(BackendError, match="went away"):
-        run_ablation(exp_config(toy_csv, out, runs=1), FailsAfterTwelveCalls(seed=5))
+        run_ablation(exp_config(toy_csv, out, runs=1), FailsAfterTwelveCalls(seed=5), jobs=1)
     (run_dir,) = out.glob("run-*")
     assert (run_dir / "ablation.partial.json").is_file()
     with open(run_dir / "ablation.partial.csv", newline="") as fh:
@@ -698,6 +701,60 @@ def test_a_methods_runs_overlap_under_two_jobs(toy_csv, tmp_path):
     assert len(rows) == 1 and len(rows[0].run_maes) == 2
 
 
+def test_an_iterations_validation_forecasts_overlap_at_the_default_jobs(toy_csv, tmp_path):
+    class WaitingBarrier(SyntheticOracleBackend):
+        """Each call waits like a live endpoint's. The first ``parties``
+        forecaster calls after the first refiner call wait for each other."""
+
+        def __init__(self, seed, parties):
+            super().__init__(seed=seed)
+            self.barrier = threading.Barrier(parties, timeout=5)
+            self.waiting = parties
+            self.refined = False
+            self._lock = threading.Lock()
+
+        def complete(self, request):
+            time.sleep(0.01)
+            with self._lock:
+                self.refined |= request.tag == "refiner"
+                meet = self.refined and request.tag == "forecaster" and self.waiting > 0
+                self.waiting -= meet
+            if meet:
+                self.barrier.wait()
+            return super().complete(request)
+
+    # one cell, so only its own forecasts can overlap; its first
+    # iteration's forecasts run in turn and show that its calls wait
+    cfg = exp_config(toy_csv, tmp_path / "out", methods=("flairr",), runs=1)
+    backend = WaitingBarrier(5, parties=cfg.session_overrides["sample_size"])
+    rows, _ = run_experiment(cfg, backend, emit=False)
+    assert len(rows) == 1 and backend.waiting == 0
+
+
+@pytest.mark.parametrize("cpu_share, serial", [(0.9, True), (0.1, False)])
+def test_the_default_jobs_follow_the_first_forecasts_cpu_share(
+    toy_csv, tmp_path, monkeypatch, cpu_share, serial
+):
+    class ThreadSpy(SyntheticOracleBackend):
+        def complete(self, request):
+            threads.add(threading.get_ident())
+            return super().complete(request)
+
+    # each reading of the clocks is one second of wall time later, and
+    # ``cpu_share`` of a second of the calling thread's CPU time
+    wall, cpu = itertools.count(), itertools.count()
+    monkeypatch.setattr(
+        bench,
+        "time",
+        types.SimpleNamespace(
+            perf_counter=lambda: next(wall), thread_time=lambda: cpu_share * next(cpu)
+        ),
+    )
+    threads = set()
+    run_ablation(exp_config(toy_csv, tmp_path / "out"), ThreadSpy(seed=5), emit=False)
+    assert (threads == {threading.get_ident()}) is serial
+
+
 def test_one_job_sends_every_call_from_the_calling_thread(toy_csv, tmp_path):
     class ThreadSpy(SyntheticOracleBackend):
         def complete(self, request):
@@ -705,7 +762,7 @@ def test_one_job_sends_every_call_from_the_calling_thread(toy_csv, tmp_path):
             return super().complete(request)
 
     threads = set()
-    run_ablation(exp_config(toy_csv, tmp_path / "out"), ThreadSpy(seed=5), emit=False)
+    run_ablation(exp_config(toy_csv, tmp_path / "out"), ThreadSpy(seed=5), jobs=1, emit=False)
     assert threads == {threading.get_ident()}
 
 
@@ -730,6 +787,93 @@ def test_a_failed_cell_stops_the_grid_starting_calls(toy_csv, tmp_path):
         run_experiment(cfg, backend, jobs=4, emit=False)
     # only the cells already running when the first one failed sent a call
     assert 1 <= backend.calls <= 4
+
+
+def test_a_failed_grid_raises_the_history_of_the_cell_that_failed(toy_csv, tmp_path):
+    class RefinerFailsForOneRun(SyntheticOracleBackend):
+        """Run 1's refiner call fails. Run 0's forecasts wait until run 1's
+        session has tagged that error, so run 0 is still in its session."""
+
+        def complete(self, request):
+            if request.seed == cfg.seed + 1 and request.tag == "refiner":
+                self.error = BackendError("refiner went away")
+                raise self.error
+            if request.seed == cfg.seed and request.tag == "forecaster":
+                deadline = time.monotonic() + 5
+                while not hasattr(getattr(self, "error", None), "partial_history"):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+            return super().complete(request)
+
+    cfg = exp_config(toy_csv, tmp_path / "out", methods=("flairr",), runs=2)
+    with pytest.raises(BackendError, match="went away") as caught:
+        run_experiment(cfg, RefinerFailsForOneRun(seed=5), jobs=4, emit=False)
+    # run 1 evaluated its first prompt; run 0 finished no iteration
+    (record,) = caught.value.partial_history
+    assert len(record.per_sample) == cfg.session_overrides["sample_size"]
+
+
+class MalformedByKey(Backend):
+    """Answers ``{malformed}``, which no forecast grammar accepts, to the
+    forecaster requests whose salted :func:`~flairr.backends.request_key`
+    digest falls below ``rate``, and forwards the rest to ``inner``: the
+    malformed positions follow the requests, not the call order."""
+
+    def __init__(self, inner, salt: bytes, rate: float):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self.salt = salt
+        self.rate = rate
+
+    def complete(self, request):
+        digest = hashlib.sha256(self.salt + backends.request_key(request)).digest()
+        if request.tag == "forecaster" and digest[0] < self.rate * 256:
+            return CompletionReply(text="{malformed}")
+        return self.inner.complete(request)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    salt=st.binary(min_size=1, max_size=4),
+    rate=st.sampled_from([0.15, 0.3]),
+    parse_retries=st.integers(0, 1),
+    methods=st.lists(
+        st.sampled_from(KNOWN_METHODS + ("asp:deep-stl",)), min_size=1, max_size=2, unique=True
+    ),
+    runs=st.integers(1, 2),
+)
+# two skipped validation samples and eight parse failures, and no abort
+@example(salt=b"\x00", rate=0.3, parse_retries=1, methods=["flairr", "simple"], runs=2)
+def test_malformed_replies_give_the_same_artifacts_at_any_jobs(
+    tmp_path_factory, salt, rate, parse_retries, methods, runs
+):
+    base = tmp_path_factory.mktemp("malformed")
+    cfg = exp_config(write_toy_csv(base / "toy.csv"), base, methods=methods, runs=runs)
+    cfg = dataclasses.replace(
+        cfg,
+        max_test_windows=2,
+        session_overrides={
+            **cfg.session_overrides,
+            "sample_size": 3,
+            "parse_retries": parse_retries,
+        },
+    )
+
+    def artifacts(**jobs):
+        grid = dataclasses.replace(cfg, output_dir=str(base / f"jobs{jobs}"))
+        backend = MalformedByKey(SyntheticOracleBackend(seed=5), salt, rate)
+        try:
+            _, run_dir = run_experiment(grid, backend, **jobs)
+        except ParseRetryError:
+            # a reply that stays malformed past its budget ends every grid
+            # that reaches it; which cells finished first depends on jobs
+            return None
+        return {path.name: path.read_bytes() for path in run_dir.iterdir()}
+
+    # reports and session logs, with their parse failures and skipped samples
+    serial = artifacts(jobs=1)
+    assert artifacts() == serial
+    assert artifacts(jobs=2) == serial
 
 
 # --- the grid's reply memo --------------------------------------------------
@@ -791,7 +935,7 @@ def test_grid_parse_retry_reaches_the_backend(toy_csv, tmp_path):
 
     spy = KeySpy(MalformedThrice(seed=5))
     cfg = exp_config(toy_csv, tmp_path / "out", methods=("simple",), runs=1)
-    _, run_dir = run_experiment(cfg, spy)
+    _, run_dir = run_experiment(cfg, spy, jobs=1)
     first = spy.keys[0][-1]
     retry = first + FORMAT_RETRY_SUFFIX
     assert [(key[2], key[3]) for key in spy.keys[:4]] == [
@@ -908,6 +1052,29 @@ def test_reply_memo_single_flight_under_thread_contention():
         sys.setswitchinterval(interval)
     assert not wrong
     assert gate.calls == {prompt: 1 for prompt in prompts}
+
+
+def test_grid_meters_lose_no_count_under_thread_contention(toy_csv, tmp_path):
+    # more jobs than cores: a cell's forecasts share the cell's meter, and
+    # a lost update would change a row's calls or tokens
+    cfg = exp_config(toy_csv, tmp_path / "out", methods=KNOWN_METHODS)
+
+    def rows(jobs):
+        backend = TokenStamper(SyntheticOracleBackend(seed=5), stamp=lambda request, text: (1, 1))
+        return run_experiment(cfg, backend, jobs=jobs, emit=False)[0]
+
+    serial = rows(1)
+    contended = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread = threading.Thread(target=lambda: contended.append(rows(8)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert contended == [serial]
 
 
 def test_ordinal_script_bypasses_the_memo(toy_csv, tmp_path):

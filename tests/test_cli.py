@@ -845,17 +845,21 @@ def test_main_builds_its_parser_once(capsys):
 @pytest.mark.parametrize("record", [False, True], ids=["bare", "recorded"])
 def test_grid_jobs_refuses_an_ordinal_script(record, series_csv, tmp_path, capsys):
     out_dir = tmp_path / "grid-out"
-    config = write_bench_config(tmp_path, series_csv, out_dir)
+    config = write_bench_config(tmp_path, series_csv, out_dir, methods=("simple",))
+    # two runs of two validation windows and three test windows each
     script = tmp_path / "script.jsonl"
-    script.write_text(json.dumps({"reply": forecast_reply([1.0] * 8)}) + "\n")
+    script.write_text((json.dumps({"reply": forecast_reply([1.0] * 8)}) + "\n") * 10)
     recording = tmp_path / "rec.jsonl"
-    argv = ["bench", "--config", str(config), "--jobs", "2"]
+    argv = ["bench", "--config", str(config)]
     argv += ["--backend", "scripted", "--script", str(script)]
     if record:
         argv += ["--record", str(recording)]
-    assert run_cli(*argv) == 1
+    assert run_cli(*argv, "--jobs", "2") == 1
     assert "--jobs" in capsys.readouterr().err
     assert not out_dir.exists() and not recording.exists()
+    # without --jobs, the grid runs the script in one job
+    assert run_cli(*argv) == 0
+    assert "toy h=8 simple: median MAE" in capsys.readouterr().out
 
 
 # --- non-target columns -------------------------------------------------------
