@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import threading
@@ -341,6 +342,8 @@ class HttpBackend(Backend):
             raise ConfigError("endpoint_url must be set for the HTTP backend")
         if not model_name:
             raise ConfigError("model_name must be set for the HTTP backend")
+        if not 0 < timeout_s < math.inf:
+            raise ConfigError(f"timeout must be a finite number of seconds > 0, got {timeout_s}")
         import requests  # noqa: F401  the first instance loads it, not the module
 
         self.endpoint_url = endpoint_url
@@ -443,7 +446,10 @@ def _retry_after_s(value: str | None) -> float:
 class ReplyStore(Backend):
     """Keeps replies by :func:`request_key`: sends each distinct request to
     ``inner`` once and appends each reply it fetched to ``transcript``, if
-    given, as a line :func:`load_script` replays under its key.
+    given, as a line :func:`load_script` replays under its key. The
+    transcript is opened for append when the store is built, so a path
+    that cannot be written fails before any call is sent; a new file is
+    left to the first reply it records.
 
     Single-flight: concurrent callers of one key wait for the first one's
     call, so ``inner`` sees the same calls at any thread count. A call that
@@ -456,6 +462,11 @@ class ReplyStore(Backend):
         self.inner = inner
         self.backend_id = inner.backend_id
         self.transcript = transcript
+        if transcript is not None:
+            existed = os.path.lexists(transcript)
+            open(transcript, "a", encoding="utf-8").close()
+            if not existed:
+                os.remove(transcript)
         node = inner
         while node is not None and not (isinstance(node, ScriptedBackend) and node.ordinal):
             node = getattr(node, "inner", None)
@@ -499,5 +510,6 @@ class ReplyStore(Backend):
             with self._lock, open(self.transcript, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")
         except OSError as exc:
-            raise BackendError(f"cannot append to recording {self.transcript}: {exc}") from exc
+            # an error in write or close names no file
+            raise OSError(exc.errno, exc.strerror, self.transcript) from exc
         return reply

@@ -16,7 +16,7 @@ import statistics
 import threading
 import time
 import typing
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -44,13 +44,13 @@ __all__ = [
 
 DEFAULT_CONTEXT_LENGTH = 96
 
-# cells a grid runs at a time, and forecasts its cells send at a time,
-# once its first forecasts showed that it mostly waits on its calls
-DEFAULT_JOBS = 4
+# cells a grid runs at a time once its first cell showed that it mostly
+# waits on its calls
+DEFAULT_JOBS = 8
 
-# the share of their wall time a grid's first forecasts may keep the CPU
-# busy and still fan the rest out; above it the grid is bound by the CPU,
-# where more threads only contend for the interpreter lock
+# the share of its wall time a grid's first cell may keep the CPU busy and
+# still fan the rest out; above it the grid is bound by the CPU, where more
+# threads only contend for the interpreter lock
 _WAITING_CPU_SHARE = 0.5
 
 # method id -> the SessionConfig fields it sets, in presentation order
@@ -284,14 +284,14 @@ def _test_origins(
 
 
 class _Stopped(BaseException):
-    """Raised in place of a call, cell or forecast once its grid has failed.
+    """Raised in place of a call or cell once its grid has failed.
     No ``except Exception`` catches it, so no session takes it for its own
     error and tags it with its history."""
 
 
 class _StopOnFailure(Backend):
     """A grid's backend: it passes each call to ``inner`` until the first
-    call, cell or forecast of the grid raises, and keeps that ``error``.
+    call or cell of the grid raises, and keeps that ``error``.
     From then on, each of them that :meth:`run` starts or finishes raises
     :class:`_Stopped` instead, so no further call is sent and no result
     that arrives later is kept."""
@@ -335,19 +335,18 @@ def _run_grid(
     land in ``<stem>.csv`` and ``<stem>.json`` inside a fresh run directory.
 
     The unit of work is one (horizon, method, run) cell: a refinement
-    session, then the test windows forecast with the prompt it selected.
-    Up to ``jobs`` cells run at a time, started in grid order, and up to
-    ``jobs`` of their forecasts (one iteration's validation windows, or
-    the test windows) run on a second pool, so at most ``2 * jobs`` calls
-    are in flight. One job runs everything in the calling thread.
-    ``jobs`` None is 1 over an ordinal script. Otherwise the first cell runs
-    alone, its first forecasts in turn, and the grid goes on with
-    :data:`DEFAULT_JOBS` if they left the CPU mostly idle, waiting on their
-    calls, else with one job: threads only slow a grid bound by the CPU.
-    Each row sums its method's ``cfg.runs`` consecutive cells. Once a call,
-    cell or forecast raises, no call starts; those in flight finish, the
-    rows whose cells all finished before it land in ``<stem>.partial.*``,
-    and the grid raises that first error.
+    session, then the test windows forecast with the prompt it selected,
+    its calls sent one after another. Up to ``jobs`` cells run at a time on
+    one pool, started in grid order, so at most ``jobs`` calls are in
+    flight. One job runs every cell in the calling thread. ``jobs`` None is
+    1 over an ordinal script. Otherwise the first cell runs alone in the
+    calling thread, and the grid goes on with :data:`DEFAULT_JOBS` if it
+    left the CPU mostly idle, waiting on its calls, else with one job:
+    threads only slow a grid bound by the CPU. Each row sums its method's
+    ``cfg.runs`` consecutive cells. Once a call or cell raises, no call
+    starts; those in flight finish, the rows whose cells all finished
+    before it land in ``<stem>.partial.*``, and the grid raises that first
+    error.
 
     Every cell's meter wraps one :class:`ReplyStore`, ``backend`` if it is
     one, so report columns count each method's own requests, store hits
@@ -392,35 +391,6 @@ def _run_grid(
     )
     run_dir = _make_run_dir(cfg.output_dir) if emit else None
     stop = _StopOnFailure(backend)
-    # an executor starts its workers on the first submit, so the built-in
-    # map keeps one job in the calling thread; cells wait on forecasts,
-    # never the other way, so neither pool can deadlock
-    cells, forecasts = ThreadPoolExecutor(jobs), ThreadPoolExecutor(jobs)
-
-    def fan_out(fn, items) -> list:
-        """``fn`` of each item, mapped on the forecasts' pool. Once every
-        task has ended, a task's own error is raised before a
-        :class:`_Stopped`, so a session sees the error its forecasts raised."""
-        futures = [forecasts.submit(stop.run, fn, item) for item in items]
-        wait(futures)
-        errors = [f.exception() for f in futures if f.exception() is not None]
-        errors.sort(key=lambda exc: isinstance(exc, _Stopped))
-        if errors:
-            raise errors[0]
-        return [f.result() for f in futures]
-
-    def map_forecasts(fn, items):
-        nonlocal jobs, measure_first
-        if not measure_first:
-            return map(fn, items) if jobs == 1 else fan_out(fn, items)
-        # the grid's first batch runs alone and in turn; the rest fan out
-        # only if it left the CPU mostly idle, waiting on its calls
-        measure_first = False
-        wall, cpu = time.perf_counter(), time.thread_time()
-        outcomes = list(map(fn, items))
-        if time.thread_time() - cpu > _WAITING_CPU_SHARE * (time.perf_counter() - wall):
-            jobs = 1
-        return outcomes
 
     def run_cell(key) -> tuple[CallMeter, int, bool, float]:
         """(meter, iterations used, early stop, test MAE) of one cell."""
@@ -431,9 +401,7 @@ def _run_grid(
         if run_dir is not None:
             safe = method.replace(":", "-")
             log_path = run_dir / f"{_safe_name(name)}-h{horizon}-{safe}-run{run}.jsonl"
-        result = run_session(
-            session_cfg, train_values, meter, meta=meta, log_path=log_path, fan_out=map_forecasts
-        )
+        result = run_session(session_cfg, train_values, meter, meta=meta, log_path=log_path)
         db = (
             build_hist_db(train_values, session_cfg.context_length, horizon)
             if session_cfg.retrieval_enabled
@@ -445,15 +413,20 @@ def _run_grid(
             values = forecast_with(result, window, session_cfg, db, meter, meta=meta)
             return mae(values, window.truth)
 
-        window_maes = list(map_forecasts(test_mae, origins[key]))
+        window_maes = list(map(test_mae, origins[key]))
         return meter, result.iterations_used, result.early_stop, float(np.mean(window_maes))
 
-    def results():
+    def results(jobs):
         """Each cell's result, in grid order."""
         rest = keys
         if measure_first:
-            # the first cell runs alone: its first forecasts set ``jobs``
-            yield run_cell(keys[0])
+            # the first cell runs alone; the rest fan out only if it left
+            # the CPU mostly idle, waiting on its calls
+            wall, cpu = time.perf_counter(), time.thread_time()
+            first = run_cell(keys[0])
+            if time.thread_time() - cpu > _WAITING_CPU_SHARE * (time.perf_counter() - wall):
+                jobs = 1
+            yield first
             rest = keys[1:]
         if jobs == 1:
             yield from map(run_cell, rest)
@@ -462,11 +435,12 @@ def _run_grid(
 
     labels = dict(methods)
     rows: list[ReportRow] = []
-    # the cells' pool shuts down first: its cells may still be forecasting
-    with forecasts, cells:
+    # an executor starts its workers on the first submit, so the built-in
+    # map keeps one job in the calling thread
+    with ThreadPoolExecutor(jobs) as cells:
         try:
             done = []
-            for (horizon, method, run), cell in zip(keys, results()):
+            for (horizon, method, run), cell in zip(keys, results(jobs)):
                 done.append(cell)
                 if run < cfg.runs - 1:
                     continue
@@ -490,7 +464,7 @@ def _run_grid(
                     )
                 )
         except BaseException as exc:
-            # an interrupt stops the grid as a failure does, so the pools wait
+            # an interrupt stops the grid as a failure does, so the pool waits
             # only for the calls in flight; what finished stays inspectable
             stop.fail(exc)
             if rows and run_dir is not None:
@@ -530,12 +504,12 @@ def run_experiment(
 ) -> tuple[list[ReportRow], Path | None]:
     """Run the configured grid; returns (rows, run directory).
 
-    Up to ``jobs`` (horizon, method, run) cells, and up to ``jobs`` of their
-    forecasts, run at a time (None: :data:`DEFAULT_JOBS` if the grid's
-    calls mostly wait, else 1; see :func:`_run_grid`); rows and logs do not
-    depend on ``jobs``. With ``emit``
-    (the default) the rows land in ``report.csv`` and ``report.json`` inside
-    a fresh timestamped run directory, next to the per-session logs.
+    Up to ``jobs`` (horizon, method, run) cells run at a time, so up to
+    ``jobs`` calls are in flight (None: :data:`DEFAULT_JOBS` if the grid's
+    first cell mostly waits on its calls, else 1; see :func:`_run_grid`);
+    rows and logs do not depend on ``jobs``. With ``emit`` (the default)
+    the rows land in ``report.csv`` and ``report.json`` inside a fresh
+    timestamped run directory, next to the per-session logs.
     """
     methods = [(m, m) for m in cfg.methods]
     return _run_grid(cfg, backend, methods, "report", jobs, emit)

@@ -230,9 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             help=(
-                "grid cells at a time, and forecasts of those cells at a time "
-                f"(default: {DEFAULT_JOBS} if the grid's first forecasts, run in turn, "
-                "mostly wait on their calls; else 1, and 1 over an ordinal script)"
+                "grid cells run at a time; each sends its calls in turn, so this "
+                "bounds the calls in flight "
+                f"(default: {DEFAULT_JOBS} if the grid's first cell, run alone, "
+                "mostly waits on its calls; else 1, and 1 over an ordinal script)"
             ),
         )
         _add_backend_flags(p_grid)

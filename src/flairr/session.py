@@ -98,9 +98,9 @@ class SessionConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.stop_threshold_pct <= 0:
+        if not 0 < self.stop_threshold_pct < math.inf:
             raise ValueError(
-                f"stop_threshold_pct must be > 0, got {self.stop_threshold_pct}"
+                f"stop_threshold_pct must be a finite number > 0, got {self.stop_threshold_pct}"
             )
         if self.sample_size < 1:
             raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
@@ -313,37 +313,30 @@ def evaluate_prompt(
     db: HistDB | None,
     backend: Backend,
     meta: DatasetMeta | None = None,
-    fan_out=map,
 ) -> RefinementRecord:
     """Evaluate one instruction block over the validation windows; returns
     the iteration's record with its batch MAE and per-sample results.
 
-    ``fan_out(fn, windows)`` forecasts the windows: the built-in ``map``
-    one after another, a pool's ``map`` at the same time. Either way the
-    results are read in window order. A sample whose reply stays malformed
-    past the retry budget is skipped and counted in ``skipped_samples``;
-    the evaluation only fails when every sample does. Re-asks and tokens
-    are not counted here: a :class:`CallMeter` around ``backend`` sees them.
+    A sample whose reply stays malformed past the retry budget is skipped
+    and counted in ``skipped_samples``; the evaluation only fails when every
+    sample does. Re-asks and tokens are not counted here: a
+    :class:`CallMeter` around ``backend`` sees them.
     """
     if not windows:
         raise ValueError("evaluate_prompt needs a non-empty window batch")
-
-    def forecast(window):
-        try:
-            return _forecast_window(window, instructions, cfg, db, backend, meta)
-        except ParseRetryError as exc:
-            return exc
-
     per_sample: list[SampleRecord] = []
     skipped = 0
     last_error: ParseRetryError | None = None
-    for window, outcome in zip(windows, fan_out(forecast, windows)):
-        if isinstance(outcome, ParseRetryError):
+    for window in windows:
+        try:
+            history, segments, parsed = _forecast_window(
+                window, instructions, cfg, db, backend, meta
+            )
+        except ParseRetryError as exc:
             skipped += 1
-            last_error = outcome
-            log.warning("skipping window at %d: %s", window.origin, outcome)
+            last_error = exc
+            log.warning("skipping window at %d: %s", window.origin, exc)
             continue
-        history, segments, parsed = outcome
         per_sample.append(
             SampleRecord(
                 origin=window.origin,
@@ -508,16 +501,13 @@ def run_session(
     validation_windows: list[WindowPair] | None = None,
     meta: DatasetMeta | None = None,
     log_path=None,
-    fan_out=map,
 ) -> SessionResult:
     """Run one refinement session over ``train_values``.
 
     Validation windows default to the most recent non-overlapping windows of
     the series; the retrieval database is built strictly from the region
     before the earliest validation context, so no window can retrieve
-    itself or its future. Each iteration forecasts its windows through
-    ``fan_out`` (see :func:`evaluate_prompt`); records and the log do not
-    depend on it.
+    itself or its future.
 
     An exception raised once the log is started carries
     ``partial_history``: the records of the iterations begun so far. The
@@ -562,7 +552,7 @@ def run_session(
             # a fresh meter per iteration: its totals are the record's tokens,
             # its re-asks plus the skipped samples its parse failures
             meter = CallMeter(backend)
-            record = evaluate_prompt(current, windows, cfg, db, meter, meta, fan_out)
+            record = evaluate_prompt(current, windows, cfg, db, meter, meta)
             records.append(record)
             _charge(record, meter)
             refinement = refine_step(records, cfg, meter, meta) if cfg.refinement_enabled else None

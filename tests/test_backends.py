@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 import socket
 import threading
@@ -578,7 +579,7 @@ def test_a_grid_over_http_fans_out_and_rides_out_rate_limits(rate_limited_server
         horizons=(4,),
         methods=("simple",),
         dataset_path=str(data),
-        runs=2,
+        runs=3,
         max_test_windows=4,
         session_overrides={"context_length": 16, "sample_size": 3},
     )
@@ -589,10 +590,11 @@ def test_a_grid_over_http_fans_out_and_rides_out_rate_limits(rate_limited_server
         rows, _ = run_experiment(cfg, backend, emit=False, **jobs)
         return rows, server.peak
 
-    # the calls wait on the server, so the default fans them out; every
-    # request is refused once and retried, and the rows do not change
+    # the first cell's calls wait on the server, so the other two cells
+    # run at once; every request is refused once and retried, and the rows
+    # do not change
     rows, peak = grid()
-    assert 2 <= peak <= 2 * DEFAULT_JOBS
+    assert 2 <= peak <= DEFAULT_JOBS
     assert grid(jobs=1) == (rows, 1)
 
 
@@ -601,6 +603,12 @@ def test_http_backend_config_validation():
         HttpBackend("", "m")
     with pytest.raises(ConfigError):
         HttpBackend("http://x", "")
+
+
+@pytest.mark.parametrize("timeout_s", [0, -1, math.nan, math.inf])
+def test_http_backend_refuses_a_timeout_that_is_not_a_finite_positive_number(timeout_s):
+    with pytest.raises(ConfigError, match="timeout must be a finite number of seconds > 0"):
+        HttpBackend("http://x", "m", timeout_s=timeout_s)
 
 
 # --- recording wrapper ------------------------------------------------------
@@ -658,6 +666,16 @@ class EchoRequest(Backend):
     def complete(self, request):
         text = f"{request.tag} {request.seed} {request.attempt} {request.prompt}"
         return CompletionReply(text=text, token_counts=(len(request.prompt), len(text)))
+
+
+def test_a_store_keeps_a_transcript_symlink_that_dangles(tmp_path):
+    target = tmp_path / "elsewhere.jsonl"
+    link = tmp_path / "transcript.jsonl"
+    link.symlink_to(target)
+    store = ReplyStore(EchoRequest(), link)
+    assert link.is_symlink()
+    store.complete(req("p1"))
+    assert len(target.read_text().splitlines()) == 1
 
 
 def test_a_recording_replays_by_key_without_scanning(tmp_path, monkeypatch):

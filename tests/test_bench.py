@@ -701,38 +701,37 @@ def test_a_methods_runs_overlap_under_two_jobs(toy_csv, tmp_path):
     assert len(rows) == 1 and len(rows[0].run_maes) == 2
 
 
-def test_an_iterations_validation_forecasts_overlap_at_the_default_jobs(toy_csv, tmp_path):
+def test_eight_cells_overlap_at_the_default_jobs(toy_csv, tmp_path):
     class WaitingBarrier(SyntheticOracleBackend):
-        """Each call waits like a live endpoint's. The first ``parties``
-        forecaster calls after the first refiner call wait for each other."""
+        """Each call waits like a live endpoint's. The first call of every
+        cell but the first, told apart by its request seed, waits for
+        those of the other seven."""
 
-        def __init__(self, seed, parties):
+        def __init__(self, seed, first_cell_seed):
             super().__init__(seed=seed)
-            self.barrier = threading.Barrier(parties, timeout=5)
-            self.waiting = parties
-            self.refined = False
+            self.barrier = threading.Barrier(8, timeout=5)
+            self.seeds = {first_cell_seed}
             self._lock = threading.Lock()
 
         def complete(self, request):
-            time.sleep(0.01)
+            time.sleep(0.005)
             with self._lock:
-                self.refined |= request.tag == "refiner"
-                meet = self.refined and request.tag == "forecaster" and self.waiting > 0
-                self.waiting -= meet
+                meet = request.seed not in self.seeds
+                self.seeds.add(request.seed)
             if meet:
                 self.barrier.wait()
             return super().complete(request)
 
-    # one cell, so only its own forecasts can overlap; its first
-    # iteration's forecasts run in turn and show that its calls wait
-    cfg = exp_config(toy_csv, tmp_path / "out", methods=("flairr",), runs=1)
-    backend = WaitingBarrier(5, parties=cfg.session_overrides["sample_size"])
+    # the first cell runs alone and shows that its calls wait; the other
+    # eight then all run at once
+    cfg = exp_config(toy_csv, tmp_path / "out", methods=("simple",), runs=9)
+    backend = WaitingBarrier(5, first_cell_seed=cfg.seed)
     rows, _ = run_experiment(cfg, backend, emit=False)
-    assert len(rows) == 1 and backend.waiting == 0
+    assert len(rows) == 1 and len(backend.seeds) == 9
 
 
 @pytest.mark.parametrize("cpu_share, serial", [(0.9, True), (0.1, False)])
-def test_the_default_jobs_follow_the_first_forecasts_cpu_share(
+def test_the_default_jobs_follow_the_first_cells_cpu_share(
     toy_csv, tmp_path, monkeypatch, cpu_share, serial
 ):
     class ThreadSpy(SyntheticOracleBackend):

@@ -744,11 +744,17 @@ def test_a_config_value_of_the_wrong_json_type_exits_one(
             lambda doc: doc["session"].update(context_length=36, sample_size=3),
             "too short to build a retrieval database",
         ),
+        # json.loads reads the non-standard NaN token as a float
+        (
+            "bench",
+            lambda doc: doc["session"].update(stop_threshold_pct=float("nan")),
+            "stop_threshold_pct must be a finite number > 0, got nan",
+        ),
     ],
     ids=[
         "bench-session-key", "ablate-session-key", "asp-without-name", "asp-unknown",
         "top-level-key", "dataset-key", "no-dataset-path",
-        "test-windows", "validation-windows", "retrieval-history",
+        "test-windows", "validation-windows", "retrieval-history", "nan-stop-threshold",
     ],
 )
 def test_a_bad_grid_config_fails_before_any_call_or_directory(
@@ -773,8 +779,18 @@ def test_a_bad_grid_config_fails_before_any_call_or_directory(
     assert sent == [] and not list(out_dir.glob("run-*"))
 
 
-@pytest.mark.parametrize("command", ["refine", "bench"])
-def test_an_unwritable_output_path_is_one_error_line(command, series_csv, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["refine", "bench", "record"])
+def test_an_unwritable_output_path_is_one_error_line(
+    command, series_csv, tmp_path, capsys, monkeypatch
+):
+    sent = []
+
+    class Spy(SyntheticOracleBackend):
+        def complete(self, request):
+            sent.append(request)
+            return super().complete(request)
+
+    monkeypatch.setattr(cli, "SyntheticOracleBackend", Spy)
     blocker = tmp_path / "a-file"
     blocker.write_text("")
     out_dir = blocker / "out"
@@ -786,13 +802,28 @@ def test_an_unwritable_output_path_is_one_error_line(command, series_csv, tmp_pa
         "bench": [
             "bench", "--config", str(write_bench_config(tmp_path, series_csv, out_dir)),
         ],
+        "record": [
+            "forecast", "--data", str(series_csv), "--target", "v", "--horizon", "4",
+            "--context", "16", "--record", str(out_dir),
+        ],
     }[command]
     assert run_cli(*argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    # refine names the directory it could not make, bench the run directory in it
+    # refine names the directory it could not make, bench the run directory
+    # in it, and a recording its file, before its first call
     written = re.escape(str(out_dir))
     assert re.fullmatch(f"error: cannot write {written}(/run-\\S+)?: Not a directory\n", err)
+    assert command != "record" or sent == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_a_recording_that_fails_to_append_names_its_file(series_csv, capsys):
+    argv = ["--data", str(series_csv), "--target", "v", "--horizon", "4", "--context", "16"]
+    assert run_cli("forecast", *argv, "--record", "/dev/full") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cannot write /dev/full: No space left on device\n"
 
 
 def test_a_session_strategy_in_the_config_exits_one(series_csv, tmp_path, capsys):

@@ -150,8 +150,9 @@ def test_session_config_validation():
         SessionConfig(context_length=4, horizon=0)
     with pytest.raises(ValueError):
         SessionConfig(context_length=4, horizon=2, max_iterations=0)
-    with pytest.raises(ValueError):
-        SessionConfig(context_length=4, horizon=2, stop_threshold_pct=0.0)
+    for threshold in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="stop_threshold_pct must be a finite number > 0"):
+            SessionConfig(context_length=4, horizon=2, stop_threshold_pct=threshold)
     with pytest.raises(ValueError):
         SessionConfig(context_length=4, horizon=2, sample_size=0)
     with pytest.raises(ValueError):
