@@ -443,6 +443,35 @@ def _retry_after_s(value: str | None) -> float:
     return float(value) if value.isascii() and value.isdigit() else 0.0
 
 
+class _SingleFlight:
+    """A memo that computes each key's value once at any thread count:
+    concurrent callers of one key wait for the first one's computation. A
+    computation that raises is forgotten; callers waiting for it get its
+    exception."""
+
+    def __init__(self):
+        self._values: dict = {}
+        self._lock = threading.Lock()
+
+    def get(self, key, compute):
+        """The value of ``key``, from ``compute()`` if no caller made it yet."""
+        with self._lock:
+            pending = self._values.get(key)
+            if pending is None:
+                self._values[key] = future = Future()
+        if pending is not None:
+            return pending.result()
+        try:
+            value = compute()
+        except BaseException as exc:
+            with self._lock:
+                del self._values[key]
+            future.set_exception(exc)
+            raise
+        future.set_result(value)
+        return value
+
+
 class ReplyStore(Backend):
     """Keeps replies by :func:`request_key`: sends each distinct request to
     ``inner`` once and appends each reply it fetched to ``transcript``, if
@@ -471,28 +500,13 @@ class ReplyStore(Backend):
         while node is not None and not (isinstance(node, ScriptedBackend) and node.ordinal):
             node = getattr(node, "inner", None)
         self.ordinal = node is not None
-        self._replies: dict[bytes, Future] = {}
-        self._lock = threading.Lock()
+        self._replies = _SingleFlight()
+        self._lock = threading.Lock()  # one transcript line at a time
 
     def complete(self, request: CompletionRequest) -> CompletionReply:
         if self.ordinal:
             return self._fetch(request)
-        key = request_key(request)
-        with self._lock:
-            pending = self._replies.get(key)
-            if pending is None:
-                self._replies[key] = future = Future()
-        if pending is not None:
-            return pending.result()
-        try:
-            reply = self._fetch(request)
-        except BaseException as exc:
-            with self._lock:
-                del self._replies[key]
-            future.set_exception(exc)
-            raise
-        future.set_result(reply)
-        return reply
+        return self._replies.get(request_key(request), lambda: self._fetch(request))
 
     def _fetch(self, request: CompletionRequest) -> CompletionReply:
         reply = self.inner.complete(request)

@@ -10,7 +10,6 @@ carries the scaler parameters so raw-space errors stay recoverable.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import statistics
 import threading
@@ -23,7 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends import Backend, CallMeter, CompletionReply, CompletionRequest, ReplyStore
+from .backends import (
+    Backend,
+    CallMeter,
+    CompletionReply,
+    CompletionRequest,
+    ReplyStore,
+    _SingleFlight,
+)
 from .errors import ConfigError
 from .prompts import DEFAULT_DESCRIPTION, DatasetMeta
 from .retrieval import build_hist_db
@@ -259,7 +265,7 @@ def _session_config(cfg: ExperimentConfig, horizon: int, method: str, run: int) 
     }
     try:
         return SessionConfig(**fields)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad session override: {exc}") from exc
 
 
@@ -281,6 +287,15 @@ def _test_origins(
             f"horizon={horizon}) window"
         )
     return origins
+
+
+def _planned_calls(session_cfg: SessionConfig, test_windows: int) -> int:
+    """The calls a cell makes when every reply parses and the refiner never
+    stops it: its validation forecasts at each iteration, a refiner and a
+    synthesis call per iteration, and one forecast per test window."""
+    if not session_cfg.refinement_enabled:
+        return session_cfg.sample_size + test_windows
+    return session_cfg.max_iterations * (session_cfg.sample_size + 2) + test_windows
 
 
 class _Stopped(BaseException):
@@ -337,20 +352,24 @@ def _run_grid(
     The unit of work is one (horizon, method, run) cell: a refinement
     session, then the test windows forecast with the prompt it selected,
     its calls sent one after another. Up to ``jobs`` cells run at a time on
-    one pool, started in grid order, so at most ``jobs`` calls are in
-    flight. One job runs every cell in the calling thread. ``jobs`` None is
-    1 over an ordinal script. Otherwise the first cell runs alone in the
-    calling thread, and the grid goes on with :data:`DEFAULT_JOBS` if it
-    left the CPU mostly idle, waiting on its calls, else with one job:
-    threads only slow a grid bound by the CPU. Each row sums its method's
-    ``cfg.runs`` consecutive cells. Once a call or cell raises, no call
-    starts; those in flight finish, the rows whose cells all finished
-    before it land in ``<stem>.partial.*``, and the grid raises that first
-    error.
+    one pool, so at most ``jobs`` calls are in flight; the cells with the
+    most planned calls (:func:`_planned_calls`) start first, so the longest
+    do not set the grid's tail. One job runs every cell in the calling
+    thread, in grid order. ``jobs`` None is 1 over an ordinal script.
+    Otherwise the cell with the fewest planned calls (the first in grid
+    order of those) runs alone in the calling thread, and the grid goes on
+    with :data:`DEFAULT_JOBS` if it left the CPU mostly idle, waiting on
+    its calls, else with one job: threads only slow a grid bound by the
+    CPU. Each row sums its method's ``cfg.runs`` cells, in grid order
+    whatever order they ran in. Once a call or cell raises, no call starts;
+    those in flight finish, the rows whose cells all finished before it
+    land in ``<stem>.partial.*``, and the grid raises that first error.
 
     Every cell's meter wraps one :class:`ReplyStore`, ``backend`` if it is
     one, so report columns count each method's own requests, store hits
-    included, while the backend behind it sees each distinct request once."""
+    included, while the backend behind it sees each distinct request once.
+    One memo, freed with the grid, builds each analog index the cells use
+    and each forecast window's prompt text once for all of them."""
     if jobs is not None and jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     if not isinstance(backend, ReplyStore):
@@ -386,11 +405,14 @@ def _run_grid(
         origins[key] = _test_origins(
             train_values.size, full_values.size, session_cfg, cfg.max_test_windows
         )
+    planned = {key: _planned_calls(session_cfgs[key], len(origins[key])) for key in keys}
     meta = DatasetMeta(
         name=name, description=cfg.dataset_description or DEFAULT_DESCRIPTION, target=cfg.target
     )
     run_dir = _make_run_dir(cfg.output_dir) if emit else None
     stop = _StopOnFailure(backend)
+    memo = _SingleFlight()
+    done = {}  # cell key -> its result, once the cell finished
 
     def run_cell(key) -> tuple[CallMeter, int, bool, float]:
         """(meter, iterations used, early stop, test MAE) of one cell."""
@@ -401,76 +423,87 @@ def _run_grid(
         if run_dir is not None:
             safe = method.replace(":", "-")
             log_path = run_dir / f"{_safe_name(name)}-h{horizon}-{safe}-run{run}.jsonl"
-        result = run_session(session_cfg, train_values, meter, meta=meta, log_path=log_path)
-        db = (
-            build_hist_db(train_values, session_cfg.context_length, horizon)
-            if session_cfg.retrieval_enabled
-            else None
+        result = run_session(
+            session_cfg, train_values, meter, meta=meta, log_path=log_path, memo=memo
         )
+        db = None
+        if session_cfg.retrieval_enabled:
+            L = session_cfg.context_length
+            db = memo.get(
+                ("index", train_values.size, L, horizon),
+                lambda: build_hist_db(train_values, L, horizon),
+            )
 
         def test_mae(origin):
             window = window_at(full_values, origin, session_cfg.context_length, horizon)
-            values = forecast_with(result, window, session_cfg, db, meter, meta=meta)
+            values = forecast_with(result, window, session_cfg, db, meter, meta=meta, memo=memo)
             return mae(values, window.truth)
 
         window_maes = list(map(test_mae, origins[key]))
         return meter, result.iterations_used, result.early_stop, float(np.mean(window_maes))
 
-    def results(jobs):
-        """Each cell's result, in grid order."""
-        rest = keys
+    def keep(key) -> None:
+        done[key] = stop.run(run_cell, key)
+
+    def run_cells(jobs) -> None:
+        order = keys
         if measure_first:
-            # the first cell runs alone; the rest fan out only if it left
+            # the cheapest cell runs alone; the rest fan out only if it left
             # the CPU mostly idle, waiting on its calls
+            probe = min(keys, key=planned.get)
             wall, cpu = time.perf_counter(), time.thread_time()
-            first = run_cell(keys[0])
+            keep(probe)
             if time.thread_time() - cpu > _WAITING_CPU_SHARE * (time.perf_counter() - wall):
                 jobs = 1
-            yield first
-            rest = keys[1:]
+            order = [key for key in keys if key != probe]
         if jobs == 1:
-            yield from map(run_cell, rest)
-        else:
-            yield from cells.map(functools.partial(stop.run, run_cell), rest)
+            for key in order:
+                keep(key)
+            return
+        # longest first: a long cell started last would run on alone
+        started = [cells.submit(keep, key) for key in sorted(order, key=planned.get, reverse=True)]
+        for future in started:
+            future.result()
 
-    labels = dict(methods)
-    rows: list[ReportRow] = []
-    # an executor starts its workers on the first submit, so the built-in
-    # map keeps one job in the calling thread
+    # an executor starts its workers on the first submit, so one job stays
+    # in the calling thread
     with ThreadPoolExecutor(jobs) as cells:
         try:
-            done = []
-            for (horizon, method, run), cell in zip(keys, results(jobs)):
-                done.append(cell)
-                if run < cfg.runs - 1:
-                    continue
-                meters, iterations, early_stops, maes = zip(*done[-cfg.runs :])
-                rows.append(
-                    ReportRow(
-                        dataset=name,
-                        horizon=horizon,
-                        method=labels[method],
-                        run_maes=maes,
-                        median_mae=float(statistics.median(maes)),
-                        iterations_mean=float(statistics.fmean(iterations)),
-                        early_stop_rate=sum(early_stops) / cfg.runs,
-                        tokens_in=sum(m.tokens_in for m in meters),
-                        tokens_out=sum(m.tokens_out for m in meters),
-                        refiner_calls=sum(m.calls["refiner"] for m in meters),
-                        scaler_mean=scaler.mean,
-                        scaler_std=scaler.std,
-                        test_windows=len(origins[horizon, method, run]),
-                        max_test_windows=cfg.max_test_windows,
-                    )
-                )
+            run_cells(jobs)
         except BaseException as exc:
             # an interrupt stops the grid as a failure does, so the pool waits
-            # only for the calls in flight; what finished stays inspectable
+            # only for the calls in flight
             stop.fail(exc)
-            if rows and run_dir is not None:
-                emit_report(rows, run_dir / f"{stem}.partial")
+
+    rows: list[ReportRow] = []
+    for horizon in cfg.horizons:
+        for method, label in methods:
+            cell_keys = [(horizon, method, run) for run in range(cfg.runs)]
+            if not all(key in done for key in cell_keys):
+                continue
+            meters, iterations, early_stops, maes = zip(*(done[key] for key in cell_keys))
+            rows.append(
+                ReportRow(
+                    dataset=name,
+                    horizon=horizon,
+                    method=label,
+                    run_maes=maes,
+                    median_mae=float(statistics.median(maes)),
+                    iterations_mean=float(statistics.fmean(iterations)),
+                    early_stop_rate=sum(early_stops) / cfg.runs,
+                    tokens_in=sum(m.tokens_in for m in meters),
+                    tokens_out=sum(m.tokens_out for m in meters),
+                    refiner_calls=sum(m.calls["refiner"] for m in meters),
+                    scaler_mean=scaler.mean,
+                    scaler_std=scaler.std,
+                    test_windows=len(origins[cell_keys[0]]),
+                    max_test_windows=cfg.max_test_windows,
+                )
+            )
     if stop.error is not None:
-        # the grid's first error, whichever cell the loop above met first
+        # what finished stays inspectable; the grid raises its first error
+        if rows and run_dir is not None:
+            emit_report(rows, run_dir / f"{stem}.partial")
         raise stop.error
     if run_dir is not None:
         emit_report(rows, run_dir / stem)

@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=(
                 "grid cells run at a time; each sends its calls in turn, so this "
                 "bounds the calls in flight "
-                f"(default: {DEFAULT_JOBS} if the grid's first cell, run alone, "
+                f"(default: {DEFAULT_JOBS} if the grid's cheapest cell, run alone, "
                 "mostly waits on its calls; else 1, and 1 over an ordinal script)"
             ),
         )

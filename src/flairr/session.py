@@ -272,6 +272,26 @@ def _complete_parsed(
     )
 
 
+def _window_text(window: WindowPair, cfg: SessionConfig, db: HistDB | None, memo):
+    """A forecaster prompt's text of ``window``: its history, the segments
+    retrieved for it (none without retrieval or ``db``) and their
+    ``format_analogs`` text. ``memo``, a grid's, makes each once per
+    (index, query, analog count, precision)."""
+    db = db if cfg.retrieval_enabled else None
+    count, precision = cfg.effective_analog_count, cfg.precision
+
+    def text():
+        segments, analogs = [], ""
+        if db is not None:
+            segments = retrieve(db, window.context, count)
+            analogs = format_analogs(segments, precision)
+        return format_numbers(window.context, precision), segments, analogs
+
+    if memo is None:
+        return text()
+    return memo.get(("window", db, window.context.tobytes(), count, precision), text)
+
+
 def _forecast_window(
     window: WindowPair,
     instructions: InstructionBlock | None,
@@ -279,15 +299,12 @@ def _forecast_window(
     db: HistDB | None,
     backend: Backend,
     meta: DatasetMeta | None,
+    memo,
 ):
     """The one retrieve-augment-forecast-parse pass behind both validation
     and test-time forecasts; returns the prompt's history text, its
     retrieved segments (possibly none) and the parsed reply."""
-    segments, analogs = [], ""
-    if cfg.retrieval_enabled and db is not None:
-        segments = retrieve(db, window.context, cfg.effective_analog_count)
-        analogs = format_analogs(segments, cfg.precision)
-    history = format_numbers(window.context, cfg.precision)
+    history, segments, analogs = _window_text(window, cfg, db, memo)
     prompt = render_forecaster_prompt(
         meta if meta is not None else DEFAULT_META,
         cfg.horizon,
@@ -313,6 +330,7 @@ def evaluate_prompt(
     db: HistDB | None,
     backend: Backend,
     meta: DatasetMeta | None = None,
+    memo=None,
 ) -> RefinementRecord:
     """Evaluate one instruction block over the validation windows; returns
     the iteration's record with its batch MAE and per-sample results.
@@ -320,7 +338,8 @@ def evaluate_prompt(
     A sample whose reply stays malformed past the retry budget is skipped
     and counted in ``skipped_samples``; the evaluation only fails when every
     sample does. Re-asks and tokens are not counted here: a
-    :class:`CallMeter` around ``backend`` sees them.
+    :class:`CallMeter` around ``backend`` sees them. ``memo`` is a grid's,
+    as for :func:`run_session`.
     """
     if not windows:
         raise ValueError("evaluate_prompt needs a non-empty window batch")
@@ -330,7 +349,7 @@ def evaluate_prompt(
     for window in windows:
         try:
             history, segments, parsed = _forecast_window(
-                window, instructions, cfg, db, backend, meta
+                window, instructions, cfg, db, backend, meta, memo
             )
         except ParseRetryError as exc:
             skipped += 1
@@ -501,13 +520,16 @@ def run_session(
     validation_windows: list[WindowPair] | None = None,
     meta: DatasetMeta | None = None,
     log_path=None,
+    memo=None,
 ) -> SessionResult:
     """Run one refinement session over ``train_values``.
 
     Validation windows default to the most recent non-overlapping windows of
     the series; the retrieval database is built strictly from the region
     before the earliest validation context, so no window can retrieve
-    itself or its future.
+    itself or its future. ``memo``, shared by the cells of one grid over
+    ``train_values``, builds that database and each window's prompt text
+    once for all of them; without one the session builds its own.
 
     An exception raised once the log is started carries
     ``partial_history``: the records of the iterations begun so far. The
@@ -527,8 +549,12 @@ def run_session(
 
     db: HistDB | None = None
     if cfg.retrieval_enabled:
-        end = _retrieval_end(windows, cfg)
-        db = build_hist_db(arr[:end], cfg.context_length, cfg.horizon)
+        end, L, H = _retrieval_end(windows, cfg), cfg.context_length, cfg.horizon
+
+        def index():
+            return build_hist_db(arr[:end], L, H)
+
+        db = index() if memo is None else memo.get(("index", end, L, H), index)
 
     config = {**asdict(cfg), "analog_count": cfg.effective_analog_count}
     strategy = config.pop("strategy")  # logged beside the config, not in it
@@ -552,7 +578,7 @@ def run_session(
             # a fresh meter per iteration: its totals are the record's tokens,
             # its re-asks plus the skipped samples its parse failures
             meter = CallMeter(backend)
-            record = evaluate_prompt(current, windows, cfg, db, meter, meta)
+            record = evaluate_prompt(current, windows, cfg, db, meter, meta, memo)
             records.append(record)
             _charge(record, meter)
             refinement = refine_step(records, cfg, meter, meta) if cfg.refinement_enabled else None
@@ -591,10 +617,12 @@ def forecast_reply_for(
     backend: Backend,
     instructions: InstructionBlock | None = None,
     meta: DatasetMeta | None = None,
+    memo=None,
 ):
     """One retrieve-augment-forecast-parse pass; returns the full parsed
-    reply (values, reasoning, certainty)."""
-    return _forecast_window(window, instructions, cfg, db, backend, meta)[-1]
+    reply (values, reasoning, certainty). ``memo`` is a grid's, as for
+    :func:`run_session`."""
+    return _forecast_window(window, instructions, cfg, db, backend, meta, memo)[-1]
 
 
 def forecast_with(
@@ -604,8 +632,10 @@ def forecast_with(
     db: HistDB | None,
     backend: Backend,
     meta: DatasetMeta | None = None,
+    memo=None,
 ) -> tuple[float, ...]:
     """Forecast one window with the prompt a session selected; returns the
-    parsed H-step prediction vector."""
-    reply = forecast_reply_for(window, cfg, db, backend, result.final_instructions, meta)
+    parsed H-step prediction vector. ``memo`` is a grid's, as for
+    :func:`run_session`."""
+    reply = forecast_reply_for(window, cfg, db, backend, result.final_instructions, meta, memo)
     return tuple(reply.values)

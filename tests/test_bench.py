@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 import statistics
 import sys
 import threading
@@ -17,6 +18,7 @@ import typing
 from datetime import datetime
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -46,8 +48,10 @@ from flairr.bench import (
     run_experiment,
 )
 from flairr.errors import BackendError, ConfigError, ParseRetryError, TemplateError
-from flairr.prompts import list_strategies
-from flairr.session import FORMAT_RETRY_SUFFIX, SessionConfig
+from flairr.prompts import format_numbers, list_strategies
+from flairr.retrieval import build_hist_db, format_analogs, retrieve
+from flairr.series import load_csv, split, window_at
+from flairr.session import FORMAT_RETRY_SUFFIX, SessionConfig, make_validation_windows
 from flairr.testing import (
     SyntheticOracleBackend,
     forecast_reply,
@@ -812,6 +816,89 @@ def test_a_failed_grid_raises_the_history_of_the_cell_that_failed(toy_csv, tmp_p
     assert len(record.per_sample) == cfg.session_overrides["sample_size"]
 
 
+def entered_cells(monkeypatch):
+    """The (retrieval, refinement, seed) of each cell, in the order the grid
+    started their sessions."""
+    entered = []
+    run_session = bench.run_session
+
+    def spy(session_cfg, *args, **kwargs):
+        entered.append(
+            (session_cfg.retrieval_enabled, session_cfg.refinement_enabled, session_cfg.seed)
+        )
+        return run_session(session_cfg, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_session", spy)
+    return entered
+
+
+def test_the_cells_with_the_most_planned_calls_start_first(toy_csv, tmp_path, monkeypatch):
+    entered = entered_cells(monkeypatch)
+    cfg = exp_config(toy_csv, tmp_path / "out")
+    rows, _ = run_ablation(cfg, SyntheticOracleBackend(seed=5), jobs=2, emit=False)
+    # Simple+IR and FLAIRR refine, so each plans more calls than any other cell
+    assert [refines for _, refines, _ in entered] == [True] * 4 + [False] * 4
+    assert [row.method for row in rows] == [label for _, label in ABLATION_CONDITIONS]
+
+
+@pytest.mark.parametrize("cpu_share", [0.9, 0.1])
+def test_the_cheapest_cell_probes_and_a_serial_grid_keeps_grid_order(
+    toy_csv, tmp_path, monkeypatch, cpu_share
+):
+    # each reading of the clocks is one second of wall time later, and
+    # ``cpu_share`` of a second of the calling thread's CPU time
+    wall, cpu = itertools.count(), itertools.count()
+    monkeypatch.setattr(
+        bench,
+        "time",
+        types.SimpleNamespace(
+            perf_counter=lambda: next(wall), thread_time=lambda: cpu_share * next(cpu)
+        ),
+    )
+    entered = entered_cells(monkeypatch)
+    methods = ("flairr", "retrieval-only", "simple")
+    cfg = exp_config(toy_csv, tmp_path / "out", methods=methods, runs=1)
+    rows, _ = run_experiment(cfg, SyntheticOracleBackend(seed=5), emit=False)
+    flairr, retrieval_only, simple = (True, True, 0), (True, False, 0), (False, False, 0)
+    # retrieval-only and simple tie on the fewest calls; the first probes
+    assert entered[0] == retrieval_only
+    if cpu_share > bench._WAITING_CPU_SHARE:
+        assert entered == [retrieval_only, flairr, simple]
+    else:
+        assert sorted(entered[1:]) == sorted([simple, flairr])
+    assert [row.method for row in rows] == list(methods)
+
+
+def test_a_failure_in_a_late_cell_keeps_every_finished_row(toy_csv, tmp_path, monkeypatch):
+    cfg = exp_config(toy_csv, tmp_path / "out")
+    full, run_dir = run_ablation(cfg, SyntheticOracleBackend(seed=5), jobs=1)
+    full_rows = json.loads((run_dir / "ablation.json").read_text())["rows"]
+
+    # at two jobs the refining cells start first and Simple+Retrieval's two
+    # runs last; its run 0 fails once its run 1 has started, and by then
+    # each of the six cells started before them has finished
+    last_started = threading.Event()
+    run_session = bench.run_session
+
+    def fail_late(session_cfg, *args, **kwargs):
+        if session_cfg.retrieval_enabled and not session_cfg.refinement_enabled:
+            if session_cfg.seed == cfg.seed + 1:
+                last_started.set()
+            else:
+                assert last_started.wait(timeout=10)
+                raise BackendError("endpoint went away")
+        return run_session(session_cfg, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_session", fail_late)
+    with pytest.raises(BackendError, match="went away"):
+        run_ablation(cfg, SyntheticOracleBackend(seed=5), jobs=2)
+    (run_dir,) = set(Path(cfg.output_dir).glob("run-*")) - {run_dir}
+    partial = json.loads((run_dir / "ablation.partial.json").read_text())["rows"]
+    # the rows in grid order, as a full run reports them, but Simple+Retrieval's
+    assert partial == [row for row in full_rows if row["method"] != "Simple+Retrieval"]
+    assert not (run_dir / "ablation.json").exists()
+
+
 class MalformedByKey(Backend):
     """Answers ``{malformed}``, which no forecast grammar accepts, to the
     forecaster requests whose salted :func:`~flairr.backends.request_key`
@@ -1089,6 +1176,136 @@ def test_ordinal_script_bypasses_the_memo(toy_csv, tmp_path):
     rows, _ = run_experiment(cfg, script, emit=False)
     assert script.remaining == 0
     assert [row.refiner_calls for row in rows] == [0, 2]
+
+
+# --- the grid's analog memo -------------------------------------------------
+
+
+class PromptSpy(SyntheticOracleBackend):
+    """Keeps the seed and prompt of every forecaster request."""
+
+    def __init__(self, seed):
+        super().__init__(seed=seed)
+        self.forecasts = []
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        if request.tag == "forecaster":
+            with self._lock:
+                self.forecasts.append((request.seed, request.prompt))
+        return super().complete(request)
+
+
+def prompt_text(prompt):
+    """(horizon, history text, analogs text) of a forecaster prompt."""
+    horizon = re.search(r"for the next (\d+) steps", prompt).group(1)
+    history = re.search(r"^- Historical Data: (.*)$", prompt, re.M).group(1)
+    analogs = re.search(
+        r"Retrieved Historical Segments\n[^\n]*\n(.*?)\n\nInput Data", prompt, re.S
+    )
+    return int(horizon), history, analogs.group(1) if analogs else ""
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_every_forecast_carries_its_own_windows_analogs_and_history(tmp_path, monkeypatch, jobs):
+    # a second cycle starts 44 points before the end of the 280 training
+    # points, so at both horizons only the test-time index holds whole
+    # windows of it: the session's index would give test windows other
+    # analogs
+    values = seasonal_series(400, period=16, trend=0.01, amplitude=0.5, noise=0.05, seed=3)
+    values[236:] += np.sin(2 * np.pi * np.arange(164) / 5)
+    data = tmp_path / "shifted.csv"
+    data.write_text("v\n" + "\n".join(repr(float(v)) for v in values) + "\n")
+    # run 1's cells differ from run 0's only in precision and run 2's only
+    # in analog count, which no config can do yet: a memo that dropped
+    # either from its key would hand one run's text to another
+    session_config = bench._session_config
+
+    def varied(cfg, horizon, method, run):
+        session_cfg = session_config(cfg, horizon, method, run)
+        return dataclasses.replace(
+            session_cfg, precision=4 - (run == 1), analog_count=2 - (run == 2)
+        )
+
+    monkeypatch.setattr(bench, "_session_config", varied)
+    cfg = dataclasses.replace(exp_config(data, tmp_path / "out", runs=3), horizons=(4, 8))
+
+    # each cell's (history, analogs) texts, from indexes built afresh for it
+    train, test, _ = split(load_csv(cfg.dataset_path, cfg.target), cfg.train_fraction)
+    full = np.concatenate([train, test])
+    expected = {}
+    for horizon in cfg.horizons:
+        for method in _METHOD_FIELDS:
+            for run in range(cfg.runs):
+                session_cfg = varied(cfg, horizon, method, run)
+                L, precision = session_cfg.context_length, session_cfg.precision
+                validation = make_validation_windows(train, session_cfg)
+                end = min(w.origin for w in validation) - L
+                origins = bench._test_origins(
+                    train.size, full.size, session_cfg, cfg.max_test_windows
+                )
+                test_windows = [window_at(full, t, L, horizon) for t in origins]
+                texts = expected.setdefault((session_cfg.seed, horizon), set())
+                for history, windows in ((train[:end], validation), (train, test_windows)):
+                    db = build_hist_db(history, L, horizon)
+                    for w in windows:
+                        analogs = ""
+                        if session_cfg.retrieval_enabled:
+                            segments = retrieve(db, w.context, session_cfg.analog_count)
+                            analogs = format_analogs(segments, precision)
+                        texts.add((format_numbers(w.context, precision), analogs))
+
+    spy = PromptSpy(seed=5)
+    run_ablation(cfg, spy, jobs=jobs, emit=False)
+    seen = {}
+    for seed, prompt in spy.forecasts:
+        horizon, history, analogs = prompt_text(prompt)
+        seen.setdefault((seed, horizon), set()).add((history, analogs))
+    assert seen == expected
+
+
+def test_the_grid_builds_each_index_and_retrieves_each_query_once_under_contention(
+    toy_csv, tmp_path, monkeypatch
+):
+    # more jobs than cores: a memo that let two cells make one entry would
+    # build an index, or retrieve for an (index, query), twice
+    calls = []
+    lock = threading.Lock()
+
+    def counted_build(history, context_length, horizon):
+        with lock:
+            calls.append(("build", len(history), context_length, horizon))
+        return build_hist_db(history, context_length, horizon)
+
+    def counted_retrieve(db, context, count):
+        with lock:
+            calls.append(("retrieve", id(db), context.tobytes(), count))
+        return retrieve(db, context, count)
+
+    monkeypatch.setattr("flairr.session.build_hist_db", counted_build)
+    monkeypatch.setattr(bench, "build_hist_db", counted_build)
+    monkeypatch.setattr("flairr.session.retrieve", counted_retrieve)
+    cfg = dataclasses.replace(exp_config(toy_csv, tmp_path / "out"), horizons=(4, 8))
+
+    run_ablation(cfg, SyntheticOracleBackend(seed=5), jobs=1, emit=False)
+    serial = len(calls)
+    calls.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread = threading.Thread(
+            target=run_ablation,
+            args=(cfg, SyntheticOracleBackend(seed=5)),
+            kwargs={"jobs": 8, "emit": False},
+        )
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    # each horizon has its sessions' index and its test-time one
+    assert sum(call[0] == "build" for call in calls) == 4
+    assert len(set(calls)) == len(calls) == serial
 
 
 # --- report emission --------------------------------------------------------

@@ -748,7 +748,7 @@ def test_a_config_value_of_the_wrong_json_type_exits_one(
         (
             "bench",
             lambda doc: doc["session"].update(stop_threshold_pct=float("nan")),
-            "stop_threshold_pct must be a finite number > 0, got nan",
+            "error: bad session override: stop_threshold_pct must be a finite number > 0, got nan",
         ),
     ],
     ids=[
