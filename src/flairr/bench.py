@@ -34,7 +34,14 @@ from .errors import ConfigError
 from .prompts import DEFAULT_DESCRIPTION, DatasetMeta
 from .retrieval import build_hist_db
 from .series import DEFAULT_TRAIN_FRACTION, dataset_name, load_csv, split, window_at, mae
-from .session import SessionConfig, check_session_fits, forecast_with, run_session, strict_json
+from .session import (
+    SessionConfig,
+    SessionResult,
+    check_session_fits,
+    forecast_with,
+    run_session,
+    strict_json,
+)
 
 __all__ = [
     "DEFAULT_CONTEXT_LENGTH",
@@ -50,13 +57,13 @@ __all__ = [
 
 DEFAULT_CONTEXT_LENGTH = 96
 
-# cells a grid runs at a time once its first cell showed that it mostly
-# waits on its calls
+# workers a grid's cells and their test windows share once its probe
+# session showed that it mostly waits on its calls
 DEFAULT_JOBS = 8
 
-# the share of its wall time a grid's first cell may keep the CPU busy and
-# still fan the rest out; above it the grid is bound by the CPU, where more
-# threads only contend for the interpreter lock
+# the share of its wall time a grid's probe session may keep the CPU busy
+# and still fan the rest out; above it the grid is bound by the CPU, where
+# more threads only contend for the interpreter lock
 _WAITING_CPU_SHARE = 0.5
 
 # method id -> the SessionConfig fields it sets, in presentation order
@@ -350,20 +357,24 @@ def _run_grid(
     land in ``<stem>.csv`` and ``<stem>.json`` inside a fresh run directory.
 
     The unit of work is one (horizon, method, run) cell: a refinement
-    session, then the test windows forecast with the prompt it selected,
-    its calls sent one after another. Up to ``jobs`` cells run at a time on
-    one pool, so at most ``jobs`` calls are in flight; the cells with the
-    most planned calls (:func:`_planned_calls`) start first, so the longest
-    do not set the grid's tail. One job runs every cell in the calling
-    thread, in grid order. ``jobs`` None is 1 over an ordinal script.
-    Otherwise the cell with the fewest planned calls (the first in grid
+    session, its calls sent one after another, then the test windows
+    forecast with the prompt it selected. Cells and their test windows share
+    one pool of ``jobs`` workers, so at most ``jobs`` calls are in flight.
+    The cells with the most planned calls (:func:`_planned_calls`) start
+    first, so the longest do not set the grid's tail. After its session a
+    cell queues up to ``jobs`` - 1 helpers behind every cell not yet
+    started; the helpers that an idle worker starts take test windows from
+    the cell as it does. One job runs every cell in the calling thread, in
+    grid order. ``jobs`` None is 1 over an ordinal script. Otherwise the
+    session of the cell with the fewest planned calls (the first in grid
     order of those) runs alone in the calling thread, and the grid goes on
     with :data:`DEFAULT_JOBS` if it left the CPU mostly idle, waiting on
-    its calls, else with one job: threads only slow a grid bound by the
-    CPU. Each row sums its method's ``cfg.runs`` cells, in grid order
-    whatever order they ran in. Once a call or cell raises, no call starts;
-    those in flight finish, the rows whose cells all finished before it
-    land in ``<stem>.partial.*``, and the grid raises that first error.
+    its calls, the probe's test windows queued after the other cells; else
+    with one job: threads only slow a grid bound by the CPU. Each row sums
+    its method's ``cfg.runs`` cells, in grid order whatever order they ran
+    in. Once a call or cell raises, no call starts; those in flight finish,
+    the rows whose cells all finished before it land in
+    ``<stem>.partial.*``, and the grid raises that first error.
 
     Every cell's meter wraps one :class:`ReplyStore`, ``backend`` if it is
     one, so report columns count each method's own requests, store hits
@@ -414,18 +425,28 @@ def _run_grid(
     memo = _SingleFlight()
     done = {}  # cell key -> its result, once the cell finished
 
-    def run_cell(key) -> tuple[CallMeter, int, bool, float]:
-        """(meter, iterations used, early stop, test MAE) of one cell."""
+    def open_cell(key) -> tuple[CallMeter, SessionResult]:
+        """The meter and the session result of one cell."""
         horizon, method, run = key
-        session_cfg = session_cfgs[key]
         meter = CallMeter(stop)
         log_path = None
         if run_dir is not None:
             safe = method.replace(":", "-")
             log_path = run_dir / f"{_safe_name(name)}-h{horizon}-{safe}-run{run}.jsonl"
         result = run_session(
-            session_cfg, train_values, meter, meta=meta, log_path=log_path, memo=memo
+            session_cfgs[key], train_values, meter, meta=meta, log_path=log_path, memo=memo
         )
+        return meter, result
+
+    def run_cell(key, jobs, session=None) -> tuple[CallMeter, int, bool, float]:
+        """(meter, iterations used, early stop, test MAE) of one cell, whose
+        session runs here unless ``session`` holds its result. This thread
+        takes the test windows one by one, and so do up to ``jobs`` - 1
+        helpers. They queue behind every cell not yet started, so they only
+        take idle workers, and the cell waits only for those that started."""
+        horizon = key[0]
+        session_cfg = session_cfgs[key]
+        meter, result = session or open_cell(key)
         db = None
         if session_cfg.retrieval_enabled:
             L = session_cfg.context_length
@@ -433,35 +454,56 @@ def _run_grid(
                 ("index", train_values.size, L, horizon),
                 lambda: build_hist_db(train_values, L, horizon),
             )
+        pending, lock, maes = iter(origins[key]), threading.Lock(), {}
 
-        def test_mae(origin):
-            window = window_at(full_values, origin, session_cfg.context_length, horizon)
-            values = forecast_with(result, window, session_cfg, db, meter, meta=meta, memo=memo)
-            return mae(values, window.truth)
+        def forecast_pending() -> None:
+            while True:
+                with lock:
+                    origin = next(pending, None)
+                if origin is None:
+                    return
+                window = window_at(full_values, origin, session_cfg.context_length, horizon)
+                values = forecast_with(result, window, session_cfg, db, meter, meta=meta, memo=memo)
+                maes[origin] = mae(values, window.truth)
 
-        window_maes = list(map(test_mae, origins[key]))
+        helpers = [
+            cells.submit(stop.run, forecast_pending)
+            for _ in range(min(jobs, len(origins[key])) - 1)
+        ]
+        forecast_pending()
+        for helper in helpers:
+            if not helper.cancel():
+                helper.result()
+        window_maes = [maes[origin] for origin in origins[key]]
         return meter, result.iterations_used, result.early_stop, float(np.mean(window_maes))
 
-    def keep(key) -> None:
-        done[key] = stop.run(run_cell, key)
+    def keep(key, jobs, session=None) -> None:
+        done[key] = stop.run(run_cell, key, jobs, session)
 
     def run_cells(jobs) -> None:
-        order = keys
+        order, probe, session = keys, None, None
         if measure_first:
-            # the cheapest cell runs alone; the rest fan out only if it left
-            # the CPU mostly idle, waiting on its calls
+            # the cheapest cell's session runs alone; the rest fan out only
+            # if it left the CPU mostly idle, waiting on its calls
             probe = min(keys, key=planned.get)
             wall, cpu = time.perf_counter(), time.thread_time()
-            keep(probe)
+            session = stop.run(open_cell, probe)
             if time.thread_time() - cpu > _WAITING_CPU_SHARE * (time.perf_counter() - wall):
                 jobs = 1
             order = [key for key in keys if key != probe]
         if jobs == 1:
+            if probe is not None:
+                keep(probe, jobs, session)
             for key in order:
-                keep(key)
+                keep(key, jobs)
             return
-        # longest first: a long cell started last would run on alone
-        started = [cells.submit(keep, key) for key in sorted(order, key=planned.get, reverse=True)]
+        # longest first: a long cell started last would run on alone; the
+        # probe's test windows go last, so the calling thread only waits
+        started = [
+            cells.submit(keep, key, jobs) for key in sorted(order, key=planned.get, reverse=True)
+        ]
+        if probe is not None:
+            started.append(cells.submit(keep, probe, jobs, session))
         for future in started:
             future.result()
 
@@ -537,12 +579,13 @@ def run_experiment(
 ) -> tuple[list[ReportRow], Path | None]:
     """Run the configured grid; returns (rows, run directory).
 
-    Up to ``jobs`` (horizon, method, run) cells run at a time, so up to
-    ``jobs`` calls are in flight (None: :data:`DEFAULT_JOBS` if the grid's
-    first cell mostly waits on its calls, else 1; see :func:`_run_grid`);
-    rows and logs do not depend on ``jobs``. With ``emit`` (the default)
-    the rows land in ``report.csv`` and ``report.json`` inside a fresh
-    timestamped run directory, next to the per-session logs.
+    The (horizon, method, run) cells and their test windows share ``jobs``
+    workers, so up to ``jobs`` calls are in flight (None:
+    :data:`DEFAULT_JOBS` if the session of the grid's cheapest cell mostly
+    waits on its calls, else 1; see :func:`_run_grid`); rows and logs do not
+    depend on ``jobs``. With ``emit`` (the default) the rows land in
+    ``report.csv`` and ``report.json`` inside a fresh timestamped run
+    directory, next to the per-session logs.
     """
     methods = [(m, m) for m in cfg.methods]
     return _run_grid(cfg, backend, methods, "report", jobs, emit)

@@ -230,10 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             help=(
-                "grid cells run at a time; each sends its calls in turn, so this "
-                "bounds the calls in flight "
-                f"(default: {DEFAULT_JOBS} if the grid's cheapest cell, run alone, "
-                "mostly waits on its calls; else 1, and 1 over an ordinal script)"
+                "workers that the grid's cells and their test windows share, so "
+                "this bounds the calls in flight "
+                f"(default: {DEFAULT_JOBS} if the session of the grid's cheapest "
+                "cell, run alone, mostly waits on its calls; else 1, and 1 over "
+                "an ordinal script)"
             ),
         )
         _add_backend_flags(p_grid)

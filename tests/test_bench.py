@@ -734,6 +734,55 @@ def test_eight_cells_overlap_at_the_default_jobs(toy_csv, tmp_path):
     assert len(rows) == 1 and len(backend.seeds) == 9
 
 
+class Waiting(SyntheticOracleBackend):
+    """Each call waits like a live endpoint's; ``peak`` is the most calls
+    that were ever in flight at once."""
+
+    def __init__(self, seed):
+        super().__init__(seed=seed)
+        self.in_flight = self.peak = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(0.005)
+            return super().complete(request)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def test_a_one_cell_grids_test_windows_overlap_at_the_default_jobs(
+    toy_csv, tmp_path, monkeypatch
+):
+    cfg = exp_config(toy_csv, tmp_path / "out", methods=("simple",), runs=1)
+    # the cell's first test windows wait for each other
+    meeting = cfg.max_test_windows
+    barrier = threading.Barrier(meeting, timeout=5)
+    calls = itertools.count()
+    forecast_with = bench.forecast_with
+
+    def meet(*args, **kwargs):
+        if next(calls) < meeting:
+            barrier.wait()
+        return forecast_with(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "forecast_with", meet)
+    rows, _ = run_experiment(cfg, Waiting(seed=5), emit=False)
+    assert [row.test_windows for row in rows] == [meeting]
+
+
+@pytest.mark.parametrize("jobs", [2, 3, None])
+def test_the_calls_in_flight_never_exceed_jobs(toy_csv, tmp_path, jobs):
+    backend = Waiting(seed=5)
+    # 16 cells: four conditions, four runs each
+    run_ablation(exp_config(toy_csv, tmp_path / "out", runs=4), backend, jobs=jobs, emit=False)
+    assert 1 < backend.peak <= (jobs or bench.DEFAULT_JOBS)
+
+
 @pytest.mark.parametrize("cpu_share, serial", [(0.9, True), (0.1, False)])
 def test_the_default_jobs_follow_the_first_cells_cpu_share(
     toy_csv, tmp_path, monkeypatch, cpu_share, serial
@@ -896,6 +945,54 @@ def test_a_failure_in_a_late_cell_keeps_every_finished_row(toy_csv, tmp_path, mo
     partial = json.loads((run_dir / "ablation.partial.json").read_text())["rows"]
     # the rows in grid order, as a full run reports them, but Simple+Retrieval's
     assert partial == [row for row in full_rows if row["method"] != "Simple+Retrieval"]
+    assert not (run_dir / "ablation.json").exists()
+
+
+def test_a_test_window_call_failing_in_a_helper_stops_the_grid(toy_csv, tmp_path, monkeypatch):
+    cfg = exp_config(toy_csv, tmp_path / "out")
+    full, run_dir = run_ablation(cfg, SyntheticOracleBackend(seed=5), jobs=1)
+    full_rows = json.loads((run_dir / "ablation.json").read_text())["rows"]
+
+    # Simple's run 1 holds its first test window until a helper's call for
+    # another of its windows has failed. At two jobs a helper queues behind
+    # every cell not yet started, so it starts once each other cell finished
+    def is_target(session_cfg):
+        flags = (session_cfg.retrieval_enabled, session_cfg.refinement_enabled, session_cfg.seed)
+        return flags == (False, False, cfg.seed + 1)
+
+    owner, failed, thread = [], threading.Event(), threading.local()
+    run_session, forecast_with = bench.run_session, bench.forecast_with
+
+    def note_owner(session_cfg, *args, **kwargs):
+        if is_target(session_cfg):
+            owner.append(threading.get_ident())
+        return run_session(session_cfg, *args, **kwargs)
+
+    def forecast(result, window, session_cfg, *args, **kwargs):
+        thread.helps_target = False
+        if is_target(session_cfg):
+            if threading.get_ident() == owner[0]:
+                assert failed.wait(timeout=10)
+            else:
+                thread.helps_target = True
+        return forecast_with(result, window, session_cfg, *args, **kwargs)
+
+    class FailsInAHelper(SyntheticOracleBackend):
+        def complete(self, request):
+            if getattr(thread, "helps_target", False):
+                failed.set()
+                raise BackendError("endpoint went away")
+            return super().complete(request)
+
+    monkeypatch.setattr(bench, "run_session", note_owner)
+    monkeypatch.setattr(bench, "forecast_with", forecast)
+    with pytest.raises(BackendError, match="went away"):
+        run_ablation(cfg, FailsInAHelper(seed=5), jobs=2)
+    assert failed.is_set()
+    (run_dir,) = set(Path(cfg.output_dir).glob("run-*")) - {run_dir}
+    partial = json.loads((run_dir / "ablation.partial.json").read_text())["rows"]
+    # every row in grid order, as a full run reports them, but Simple's
+    assert partial == [row for row in full_rows if row["method"] != "Simple"]
     assert not (run_dir / "ablation.json").exists()
 
 
