@@ -318,8 +318,10 @@ class HttpBackend(Backend):
     b = 1 s and then 2 s ("equal jitter"), so
     clients that failed together do not retry together; a 429 or 503 reply
     with a numeric ``Retry-After`` waits at least that long (an HTTP date
-    or an unparsable value keeps the jittered wait). Anything else surfaces
-    immediately as a :class:`BackendError` carrying a body excerpt.
+    or an unparsable value keeps the jittered wait). That pause holds for
+    every thread: each thread's next attempt on this backend, a first
+    attempt too, waits until the latest such deadline. Anything else
+    surfaces immediately as a :class:`BackendError` carrying a body excerpt.
 
     Each calling thread posts through its own ``requests.Session``, so a
     grid of ``--jobs`` threads keeps one pooled connection per thread and
@@ -351,6 +353,10 @@ class HttpBackend(Backend):
         self.timeout_s = timeout_s
         self._per_thread = threading.local()
         self._sleep = sleeper
+        # the latest Retry-After deadline any thread was given, on the
+        # time.monotonic() clock
+        self._resume_at = 0.0
+        self._resume_lock = threading.Lock()
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         self._headers = {"Content-Type": "application/json"}
         if key:
@@ -371,11 +377,15 @@ class HttpBackend(Backend):
         last_error = ""
         retry_after_s = 0.0
         for attempt in range(RETRY_ATTEMPTS):
+            delay_s = 0.0
             if attempt:
                 backoff_s = RETRY_BACKOFF_S[attempt - 1]
                 jittered_s = random.uniform(backoff_s / 2, backoff_s)
-                self._sleep(max(jittered_s, retry_after_s))
+                delay_s = max(jittered_s, retry_after_s)
                 retry_after_s = 0.0
+            delay_s = max(delay_s, self._shared_pause_s())
+            if delay_s > 0:
+                self._sleep(delay_s)
             start = time.monotonic()
             try:
                 response = self._thread_session().post(
@@ -394,6 +404,7 @@ class HttpBackend(Backend):
                 )
                 if response.status_code in (429, 503):
                     retry_after_s = _retry_after_s(response.headers.get("Retry-After"))
+                    self._pause(retry_after_s)
                 continue
             if response.status_code != 200:
                 raise BackendError(
@@ -426,6 +437,27 @@ class HttpBackend(Backend):
             f"giving up on {self.endpoint_url} after {RETRY_ATTEMPTS} attempts; "
             f"last error: {last_error}"
         )
+
+    def _pause(self, seconds: float) -> None:
+        """Hold every thread's next attempt for ``seconds`` from now. The
+        calling thread waits that long by its own retry, so it counts the
+        deadline as waited out."""
+        if seconds <= 0:
+            return
+        resume_at = time.monotonic() + seconds
+        with self._resume_lock:
+            self._resume_at = max(self._resume_at, resume_at)
+        self._per_thread.resumed_at = resume_at
+
+    def _shared_pause_s(self) -> float:
+        """How long the calling thread still has to wait for the latest
+        deadline, once per deadline it has not waited out yet."""
+        with self._resume_lock:
+            resume_at = self._resume_at
+        if resume_at <= getattr(self._per_thread, "resumed_at", 0.0):
+            return 0.0
+        self._per_thread.resumed_at = resume_at
+        return resume_at - time.monotonic()
 
     def _thread_session(self):
         """The calling thread's own session."""

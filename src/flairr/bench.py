@@ -30,15 +30,17 @@ from .backends import (
     ReplyStore,
     _SingleFlight,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ParseRetryError
 from .prompts import DEFAULT_DESCRIPTION, DatasetMeta
 from .retrieval import build_hist_db
 from .series import DEFAULT_TRAIN_FRACTION, dataset_name, load_csv, split, window_at, mae
 from .session import (
     SessionConfig,
-    SessionResult,
+    _retrieval_end,
     check_session_fits,
+    forecast_reply_for,
     forecast_with,
+    make_validation_windows,
     run_session,
     strict_json,
 )
@@ -58,10 +60,11 @@ __all__ = [
 DEFAULT_CONTEXT_LENGTH = 96
 
 # workers a grid's cells and their test windows share once its probe
-# session showed that it mostly waits on its calls
-DEFAULT_JOBS = 8
+# forecast showed that it mostly waits on its calls: a 16-cell ablation
+# starts every cell at once
+DEFAULT_JOBS = 16
 
-# the share of its wall time a grid's probe session may keep the CPU busy
+# the share of its wall time a grid's probe forecast may keep the CPU busy
 # and still fan the rest out; above it the grid is bound by the CPU, where
 # more threads only contend for the interpreter lock
 _WAITING_CPU_SHARE = 0.5
@@ -366,11 +369,12 @@ def _run_grid(
     started; the helpers that an idle worker starts take test windows from
     the cell as it does. One job runs every cell in the calling thread, in
     grid order. ``jobs`` None is 1 over an ordinal script. Otherwise the
-    session of the cell with the fewest planned calls (the first in grid
-    order of those) runs alone in the calling thread, and the grid goes on
-    with :data:`DEFAULT_JOBS` if it left the CPU mostly idle, waiting on
-    its calls, the probe's test windows queued after the other cells; else
-    with one job: threads only slow a grid bound by the CPU. Each row sums
+    first validation forecast of the cell with the fewest planned calls
+    (the first in grid order of those) is sent alone from the calling
+    thread, and the grid goes on with :data:`DEFAULT_JOBS` if it left the
+    CPU mostly idle, waiting on its calls; else with one job: threads only
+    slow a grid bound by the CPU. That cell's session finds the probe's
+    replies in the store, so the backend sees no extra call. Each row sums
     its method's ``cfg.runs`` cells, in grid order whatever order they ran
     in. Once a call or cell raises, no call starts; those in flight finish,
     the rows whose cells all finished before it land in
@@ -425,28 +429,22 @@ def _run_grid(
     memo = _SingleFlight()
     done = {}  # cell key -> its result, once the cell finished
 
-    def open_cell(key) -> tuple[CallMeter, SessionResult]:
-        """The meter and the session result of one cell."""
+    def run_cell(key, jobs) -> tuple[CallMeter, int, bool, float]:
+        """(meter, iterations used, early stop, test MAE) of one cell: its
+        session, then its test windows. This thread takes the windows one by
+        one, and so do up to ``jobs`` - 1 helpers. They queue behind every
+        cell not yet started, so they only take idle workers, and the cell
+        waits only for those that started."""
         horizon, method, run = key
+        session_cfg = session_cfgs[key]
         meter = CallMeter(stop)
         log_path = None
         if run_dir is not None:
             safe = method.replace(":", "-")
             log_path = run_dir / f"{_safe_name(name)}-h{horizon}-{safe}-run{run}.jsonl"
         result = run_session(
-            session_cfgs[key], train_values, meter, meta=meta, log_path=log_path, memo=memo
+            session_cfg, train_values, meter, meta=meta, log_path=log_path, memo=memo
         )
-        return meter, result
-
-    def run_cell(key, jobs, session=None) -> tuple[CallMeter, int, bool, float]:
-        """(meter, iterations used, early stop, test MAE) of one cell, whose
-        session runs here unless ``session`` holds its result. This thread
-        takes the test windows one by one, and so do up to ``jobs`` - 1
-        helpers. They queue behind every cell not yet started, so they only
-        take idle workers, and the cell waits only for those that started."""
-        horizon = key[0]
-        session_cfg = session_cfgs[key]
-        meter, result = session or open_cell(key)
         db = None
         if session_cfg.retrieval_enabled:
             L = session_cfg.context_length
@@ -477,33 +475,42 @@ def _run_grid(
         window_maes = [maes[origin] for origin in origins[key]]
         return meter, result.iterations_used, result.early_stop, float(np.mean(window_maes))
 
-    def keep(key, jobs, session=None) -> None:
-        done[key] = stop.run(run_cell, key, jobs, session)
+    def probe_waits(key) -> bool:
+        """Whether the cell's first validation forecast, sent from this
+        thread through the store, left this thread's CPU mostly idle,
+        waiting on its calls. The cell's session finds those replies in the
+        store; one that stays malformed is the session's to skip."""
+        session_cfg = session_cfgs[key]
+        windows = make_validation_windows(train_values, session_cfg)
+        wall, cpu = time.perf_counter(), time.thread_time()
+        db = None
+        if session_cfg.retrieval_enabled:
+            # keyed as the session keys its index, so it is built once
+            end = _retrieval_end(windows, session_cfg)
+            L, H = session_cfg.context_length, session_cfg.horizon
+            db = memo.get(("index", end, L, H), lambda: build_hist_db(train_values[:end], L, H))
+        try:
+            forecast_reply_for(windows[0], session_cfg, db, stop, meta=meta, memo=memo)
+        except ParseRetryError:
+            pass
+        return time.thread_time() - cpu <= _WAITING_CPU_SHARE * (time.perf_counter() - wall)
+
+    def keep(key, jobs) -> None:
+        done[key] = stop.run(run_cell, key, jobs)
 
     def run_cells(jobs) -> None:
-        order, probe, session = keys, None, None
-        if measure_first:
-            # the cheapest cell's session runs alone; the rest fan out only
-            # if it left the CPU mostly idle, waiting on its calls
-            probe = min(keys, key=planned.get)
-            wall, cpu = time.perf_counter(), time.thread_time()
-            session = stop.run(open_cell, probe)
-            if time.thread_time() - cpu > _WAITING_CPU_SHARE * (time.perf_counter() - wall):
-                jobs = 1
-            order = [key for key in keys if key != probe]
+        # the cheapest cell's first forecast runs alone; the grid fans out
+        # only if it left the CPU mostly idle, waiting on its calls
+        if measure_first and not probe_waits(min(keys, key=planned.get)):
+            jobs = 1
         if jobs == 1:
-            if probe is not None:
-                keep(probe, jobs, session)
-            for key in order:
+            for key in keys:
                 keep(key, jobs)
             return
-        # longest first: a long cell started last would run on alone; the
-        # probe's test windows go last, so the calling thread only waits
+        # longest first: a long cell started last would run on alone
         started = [
-            cells.submit(keep, key, jobs) for key in sorted(order, key=planned.get, reverse=True)
+            cells.submit(keep, key, jobs) for key in sorted(keys, key=planned.get, reverse=True)
         ]
-        if probe is not None:
-            started.append(cells.submit(keep, probe, jobs, session))
         for future in started:
             future.result()
 
@@ -581,9 +588,9 @@ def run_experiment(
 
     The (horizon, method, run) cells and their test windows share ``jobs``
     workers, so up to ``jobs`` calls are in flight (None:
-    :data:`DEFAULT_JOBS` if the session of the grid's cheapest cell mostly
-    waits on its calls, else 1; see :func:`_run_grid`); rows and logs do not
-    depend on ``jobs``. With ``emit`` (the default) the rows land in
+    :data:`DEFAULT_JOBS` if the first forecast of the grid's cheapest cell
+    mostly waits on its calls, else 1; see :func:`_run_grid`); rows and logs
+    do not depend on ``jobs``. With ``emit`` (the default) the rows land in
     ``report.csv`` and ``report.json`` inside a fresh timestamped run
     directory, next to the per-session logs.
     """

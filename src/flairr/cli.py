@@ -231,10 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             help=(
                 "workers that the grid's cells and their test windows share, so "
-                "this bounds the calls in flight "
-                f"(default: {DEFAULT_JOBS} if the session of the grid's cheapest "
-                "cell, run alone, mostly waits on its calls; else 1, and 1 over "
-                "an ordinal script)"
+                "this bounds the calls in flight; pass a lower value to a slower "
+                "or rate-limited endpoint "
+                f"(default: {DEFAULT_JOBS} if the first forecast of the grid's "
+                "cheapest cell, sent alone, mostly waits on its call; else 1, "
+                "and 1 over an ordinal script)"
             ),
         )
         _add_backend_flags(p_grid)

@@ -8,6 +8,7 @@ import logging
 import math
 import random
 import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -282,7 +283,12 @@ class _StubHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length) or b"{}")
         self.server.seen.append(
-            {"path": self.path, "headers": dict(self.headers), "body": body}
+            {
+                "path": self.path,
+                "headers": dict(self.headers),
+                "body": body,
+                "at": time.monotonic(),
+            }
         )
         # a script entry is (status, payload) or (status, payload, headers)
         entry = self.server.script.pop(0) if self.server.script else (200, chat_body("fallback"))
@@ -431,6 +437,47 @@ def test_http_backend_jitters_its_backoff(monkeypatch, stub_server):
     firsts, seconds = sleeps[0:80:2], sleeps[1:80:2]
     assert 0.5 <= min(firsts) < 0.6 and 0.9 < max(firsts) < 1.0
     assert 1.0 <= min(seconds) < 1.2 and 1.8 < max(seconds) < 2.0
+
+
+def test_a_retry_after_holds_every_thread_of_the_backend(stub_server):
+    url, server = stub_server
+    server.script = [(429, {"err": 1}, {"Retry-After": "1"})]  # then 200s
+    waiting = threading.Event()
+
+    def sleep(seconds):
+        waiting.set()
+        time.sleep(seconds)
+
+    backend = HttpBackend(url, "m", sleeper=sleep, api_key="")
+    refused = threading.Thread(target=backend.complete, args=(req("refused"),))
+    refused.start()
+    # once the refused thread waits out its 429, a first attempt on
+    # another thread waits for the same deadline
+    assert waiting.wait(timeout=5)
+    assert backend.complete(req("held")).text == "fallback"
+    refused.join(timeout=5)
+    at = {record["body"]["messages"][0]["content"]: record["at"] for record in server.seen}
+    assert at["held"] - server.seen[0]["at"] >= 0.95
+    assert len(server.seen) == 3
+
+
+def test_the_latest_retry_after_deadline_holds_under_contention():
+    backend = HttpBackend("http://127.0.0.1:9/v1", "m", api_key="")
+    pauses = [5 + i / 100 for i in range(64)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=backend._pause, args=(s,)) for s in pauses]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    # this thread set no deadline, so it waits for the latest, and once
+    assert max(pauses) - 1 < backend._shared_pause_s() <= max(pauses)
+    assert backend._shared_pause_s() == 0.0
 
 
 def test_http_backend_gives_up_after_three_attempts(stub_server):

@@ -783,6 +783,74 @@ def test_the_calls_in_flight_never_exceed_jobs(toy_csv, tmp_path, jobs):
     assert 1 < backend.peak <= (jobs or bench.DEFAULT_JOBS)
 
 
+def test_a_two_cell_grids_sessions_overlap_at_the_default_jobs(toy_csv, tmp_path, monkeypatch):
+    # each cell's session waits at its start for the other's, so a probe
+    # that ran one session alone would break the barrier
+    barrier = threading.Barrier(2, timeout=5)
+    run_session = bench.run_session
+
+    def meet(*args, **kwargs):
+        barrier.wait()
+        return run_session(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_session", meet)
+    cfg = exp_config(toy_csv, tmp_path / "out", methods=("simple",), runs=2)
+    rows, _ = run_experiment(cfg, Waiting(seed=5), emit=False)
+    assert len(rows) == 1 and len(rows[0].run_maes) == 2
+
+
+def test_the_default_jobs_send_the_requests_of_one_job(toy_csv, tmp_path):
+    # 16 cells: four conditions, four runs each. The calls wait, so the
+    # default fans out; the probe's request is sent once, and no other
+    seen = []
+    for jobs in (1, None):
+        waiting = Waiting(seed=5)
+        spy = KeySpy(waiting)
+        run_ablation(exp_config(toy_csv, tmp_path / "out", runs=4), spy, jobs=jobs, emit=False)
+        assert (waiting.peak > 1) is (jobs is None)
+        seen.append(sorted(spy.keys))
+    assert seen[0] == seen[1]
+    assert len(set(seen[0])) == len(seen[0])
+
+
+def test_a_failing_backend_stops_the_default_grid_after_one_call(toy_csv, tmp_path):
+    backend = AlwaysFails()
+    with pytest.raises(BackendError, match="endpoint refused"):
+        run_ablation(exp_config(toy_csv, tmp_path / "out", runs=4), backend, emit=False)
+    assert backend.calls == 1
+
+
+def test_a_probe_whose_replies_never_parse_gives_the_artifacts_of_one_job(toy_csv, tmp_path):
+    cfg = exp_config(toy_csv, tmp_path / "out")
+    train, _, _ = split(load_csv(toy_csv, "v"), cfg.train_fraction)
+    probe_cfg = _session_config(cfg, 8, "simple", 0)  # the cheapest cell
+    window = make_validation_windows(train, probe_cfg)[0]
+    history = format_numbers(window.context, probe_cfg.precision)
+
+    class NeverParsesTheProbe(Waiting):
+        """Every run-0 forecast of the probe's window, re-asks included, is
+        malformed; the calls wait, so the default fans out."""
+
+        def complete(self, request):
+            reply = super().complete(request)
+            if request.tag == "forecaster" and request.seed == cfg.seed:
+                if history in request.prompt:
+                    return CompletionReply(text="{malformed}")
+            return reply
+
+    def artifacts(**jobs):
+        grid = dataclasses.replace(cfg, output_dir=str(tmp_path / f"jobs{jobs}"))
+        backend = NeverParsesTheProbe(seed=5)
+        _, run_dir = run_experiment(grid, backend, **jobs)
+        assert (backend.peak > 1) is (not jobs)
+        return {path.name: path.read_bytes() for path in run_dir.iterdir()}
+
+    serial = artifacts(jobs=1)
+    probe_log = serial["toy-h8-simple-run0.jsonl"].decode().splitlines()
+    assert json.loads(probe_log[1])["skipped_samples"] == 1
+    assert artifacts() == serial
+
+
 @pytest.mark.parametrize("cpu_share, serial", [(0.9, True), (0.1, False)])
 def test_the_default_jobs_follow_the_first_cells_cpu_share(
     toy_csv, tmp_path, monkeypatch, cpu_share, serial
@@ -818,19 +886,22 @@ def test_one_job_sends_every_call_from_the_calling_thread(toy_csv, tmp_path):
     assert threads == {threading.get_ident()}
 
 
+class AlwaysFails(Backend):
+    """Refuses every call; ``calls`` counts them."""
+
+    backend_id = "fails"
+
+    def __init__(self):
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.calls += 1
+        raise BackendError("endpoint refused the call")
+
+
 def test_a_failed_cell_stops_the_grid_starting_calls(toy_csv, tmp_path):
-    class AlwaysFails(Backend):
-        backend_id = "fails"
-
-        def __init__(self):
-            self.calls = 0
-            self._lock = threading.Lock()
-
-        def complete(self, request):
-            with self._lock:
-                self.calls += 1
-            raise BackendError("endpoint refused the call")
-
     backend = AlwaysFails()
     # 16 cells of 8 methods whose sessions share no request
     methods = [f"asp:{name}" for name in list_strategies()[:8]]
@@ -904,17 +975,50 @@ def test_the_cheapest_cell_probes_and_a_serial_grid_keeps_grid_order(
             perf_counter=lambda: next(wall), thread_time=lambda: cpu_share * next(cpu)
         ),
     )
-    entered = entered_cells(monkeypatch)
+    # each cell's session, as the grid started them, and the requests it sent
+    entered, sent = [], {}
+    run_session = bench.run_session
+
+    def spy(session_cfg, train_values, backend, **kwargs):
+        cell = (session_cfg.retrieval_enabled, session_cfg.refinement_enabled, session_cfg.seed)
+        entered.append(cell)
+        sent[cell] = KeySpy(backend)
+        return run_session(session_cfg, train_values, sent[cell], **kwargs)
+
+    class CallSpy(SyntheticOracleBackend):
+        """Notes each call with the number of sessions started before it."""
+
+        def complete(self, request):
+            calls.append((len(entered), request_key(request)))
+            return super().complete(request)
+
+    builds = []
+
+    def counted_build(history, context_length, horizon):
+        builds.append((len(history), context_length, horizon))
+        return build_hist_db(history, context_length, horizon)
+
+    monkeypatch.setattr(bench, "run_session", spy)
+    monkeypatch.setattr("flairr.session.build_hist_db", counted_build)
+    monkeypatch.setattr(bench, "build_hist_db", counted_build)
+    calls = []
     methods = ("flairr", "retrieval-only", "simple")
     cfg = exp_config(toy_csv, tmp_path / "out", methods=methods, runs=1)
-    rows, _ = run_experiment(cfg, SyntheticOracleBackend(seed=5), emit=False)
+    rows, _ = run_experiment(cfg, CallSpy(seed=5), emit=False)
     flairr, retrieval_only, simple = (True, True, 0), (True, False, 0), (False, False, 0)
-    # retrieval-only and simple tie on the fewest calls; the first probes
-    assert entered[0] == retrieval_only
+    # retrieval-only and simple tie on the fewest calls; one call, the first
+    # one's first validation request, goes before any session starts, and
+    # that session is then served it by the store
+    (sessions_before, probe), *later = calls
+    assert sessions_before == 0 and all(started > 0 for started, _ in later)
+    assert probe == sent[retrieval_only].keys[0]
+    assert len({key for _, key in calls}) == len(calls)
+    # the probe built the index the sessions use; the test windows have theirs
+    assert len(builds) == len(set(builds)) == 2
     if cpu_share > bench._WAITING_CPU_SHARE:
-        assert entered == [retrieval_only, flairr, simple]
+        assert entered == [flairr, retrieval_only, simple]
     else:
-        assert sorted(entered[1:]) == sorted([simple, flairr])
+        assert sorted(entered) == sorted([flairr, retrieval_only, simple])
     assert [row.method for row in rows] == list(methods)
 
 
